@@ -14,6 +14,7 @@ from .bidiag import (
     bidiag_init,
     extract_matrices,
 )
+from .dct_solve import Difference2DSolver, DirectSolveRejected
 from .dense_kernels import (
     IllConditionedTruncation,
     SmallSVD,
@@ -36,7 +37,9 @@ from .hybrid import (
     METHODS,
     HybridConfig,
     HybridIterate,
+    InnerFallback,
     SweepResult,
+    direct_solver,
     hyb_cgme_step,
     hyb_tcgme_step,
     inner_solve,

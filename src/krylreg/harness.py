@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bidiag, metrics, problems, solvers
-from .hybrid import METHODS, HybridConfig, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from .bidiag import REORTH_POLICIES
+from .hybrid import METHODS, HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
 from .operators import DenseOperator
-from .problems import PROBLEM_NAMES, build_problem
+from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem
 
 __all__ = [
     "ExperimentSpec",
@@ -41,7 +42,12 @@ SUMMARY_COLUMNS = "method,problem,epsilon,best_k,best_error,total_wall_ms"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a problem, a list of noise levels, and methods."""
+    """One experiment: a problem, a list of noise levels, and methods.
+
+    Every field is validated here, so a bad value fails once, before any
+    run, instead of once per run.  Only the per-generator size rules
+    (shaw and heat need an even size) are left to the problem build.
+    """
 
     problem: str
     size: int
@@ -63,18 +69,54 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
         for eps in self.epsilons:
-            if not 0.0 < eps < 1.0:
+            if not _is_real(eps) or not 0.0 < eps < 1.0:
                 raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
         if not self.epsilons:
             raise ValueError("no noise levels given")
+        if not _is_int(self.size) or self.size < _MIN_N:
+            raise ValueError(f"size must be an integer >= {_MIN_N}, got {self.size!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.max_outer_k) or self.max_outer_k < 1:
+            raise ValueError(f"max_outer_k must be an integer >= 1, got {self.max_outer_k!r}")
+        if not _is_real(self.inner_tol) or not 0.0 < self.inner_tol < 1.0:
+            raise ValueError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
+        if self.reorth not in REORTH_POLICIES:
+            raise ValueError(f"unknown reorth {self.reorth!r}; expected one of {REORTH_POLICIES}")
+        if self.L_kind is not None and self.L_kind not in L_KINDS:
+            raise ValueError(f"unknown L_kind {self.L_kind!r}; expected one of {L_KINDS}")
+        if self.L_kind == "first_diff_2d" and self.problem != "blur2d":
+            raise ValueError(f"L_kind first_diff_2d does not apply to 1-D problem {self.problem!r}")
+        if not _is_real(self.psf_sigma) or not self.psf_sigma > 0.0:
+            raise ValueError(f"psf_sigma must be positive, got {self.psf_sigma}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        """Build a spec from a JSON-style mapping; lists become tuples.
+
+        Unknown or missing keys raise ``ValueError`` naming them.
+        """
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
+        if unknown:
+            raise ValueError(f"unknown ExperimentSpec keys {unknown}; expected a subset of {sorted(names)}")
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = sorted(required - set(data))
+        if missing:
+            raise ValueError(f"missing ExperimentSpec keys {missing}")
         data = dict(data)
         for key in ("epsilons", "methods"):
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])
         return cls(**data)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -87,7 +129,8 @@ class RunRow:
 
 @dataclass
 class RunRecord:
-    """One (method, epsilon) run: the ExperimentSpec echo, per-k rows, and bests."""
+    """One (method, epsilon) run: the ExperimentSpec echo, per-k rows, bests,
+    and the outer steps whose direct inner solve fell back to LSQR."""
 
     method: str
     problem: str
@@ -100,6 +143,7 @@ class RunRecord:
     total_wall_ms: float = 0.0
     breakdown: str | None = None
     error: str | None = None
+    fallbacks: list[InnerFallback] = field(default_factory=list)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
@@ -141,6 +185,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
                 continue
             record.total_wall_ms = (time.perf_counter() - t0) * 1e3
             record.breakdown = sweep.breakdown
+            record.fallbacks = sweep.fallbacks
             record.rows = [
                 RunRow(k=k, rel_error=e, inner_iterations=it, wall_ms=w)
                 for k, e, it, w in zip(

@@ -3,14 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.harness import (
     ExperimentSpec,
+    RunRecord,
     emit_csv,
     emit_json,
     emit_summary_csv,
     records_to_json,
     run_experiment,
 )
+from krylreg.hybrid import HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step
+from krylreg.lsqr import LsqrConfig
+from krylreg.metrics import relative_error
+from krylreg.problems import build_problem
 
 SMALL_SPEC = ExperimentSpec(
     problem="shaw",
@@ -31,6 +37,37 @@ def test_spec_validation():
         ExperimentSpec(problem="nope", size=64, epsilons=(0.1,), seed=1, methods=("cgme",))
     with pytest.raises(ValueError, match="unknown methods"):
         ExperimentSpec(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=("jbdqr",))
+
+
+BASE_SPEC = dict(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=("hyb_cgme",))
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("size", 0, "size must be an integer"),
+        ("size", 64.0, "size must be an integer"),
+        ("seed", -1, "seed must be a non-negative integer"),
+        ("max_outer_k", 0, "max_outer_k must be an integer"),
+        ("inner_tol", 0.0, "inner_tol must lie in"),
+        ("inner_tol", 1.0, "inner_tol must lie in"),
+        ("reorth", "partial", "unknown reorth"),
+        ("L_kind", "second_diff", "unknown L_kind"),
+        ("L_kind", "first_diff_2d", "first_diff_2d does not apply"),
+        ("psf_sigma", 0.0, "psf_sigma must be positive"),
+    ],
+    ids=lambda v: str(v),
+)
+def test_spec_validates_each_field_at_the_boundary(field, bad, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**{**BASE_SPEC, field: bad})
+
+
+def test_spec_from_dict_names_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match=r"unknown ExperimentSpec keys \['max_k'\]"):
+        ExperimentSpec.from_dict({**BASE_SPEC, "max_k": 5})
+    with pytest.raises(ValueError, match=r"missing ExperimentSpec keys \['seed'\]"):
+        ExperimentSpec.from_dict({k: v for k, v in BASE_SPEC.items() if k != "seed"})
 
 
 def test_run_experiment_single_record_interior_best():
@@ -113,12 +150,27 @@ def test_blur2d_end_to_end_through_harness():
     )
     records = run_experiment(spec)
     assert len(records) == 2
+    # the LSQR path at a tight tolerance is the reference for the direct solve
+    problem = build_problem("blur2d", 16, 0.01, 4, psf_sigma=1.5)
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, problem.A, 7)
+    cfg = HybridConfig(inner=LsqrConfig(tol=1e-12))
+    steps = {"hyb_cgme": hyb_cgme_step, "hyb_tcgme": hyb_tcgme_step}
     for rec in records:
         assert rec.error is None
+        assert rec.fallbacks == []
         assert len(rec.rows) == 6
-        assert all(np.isfinite(row.rel_error) for row in rec.rows)
-        # the correction runs a real inner solve against the 2-D stack
-        assert sum(row.inner_iterations for row in rec.rows) > 0
+        for row in rec.rows:
+            x_L = steps[rec.method](state, problem.L, row.k, cfg).x_L
+            expected = relative_error(problem.L, x_L, problem.x_true)
+            assert abs(row.rel_error - expected) <= 1e-8 * expected
+
+
+def test_json_carries_inner_fallbacks():
+    record = RunRecord(method="hyb_cgme", problem="blur2d", size=8, epsilon=0.01, seed=1,
+                       fallbacks=[InnerFallback(k=2, reason="why")])
+    payload = json.loads(records_to_json([record]))
+    assert payload[0]["fallbacks"] == [{"k": 2, "reason": "why"}]
 
 
 def test_spec_from_dict_accepts_lists():
