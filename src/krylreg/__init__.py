@@ -75,6 +75,7 @@ from .problems import (
     make_L,
     problem_digest,
     save_problem,
+    with_noise,
 )
 from .solvers import KrylovIterate, cgme_iterate, tcgme_iterate
 

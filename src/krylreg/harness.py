@@ -10,7 +10,6 @@ repeated executions produce byte-identical files (the mode used by the
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .bidiag import REORTH_POLICIES
 from .hybrid import METHODS, HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
 from .operators import DenseOperator
-from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem
+from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem, with_noise
 
 __all__ = [
     "ExperimentSpec",
@@ -121,6 +120,9 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class RunRow:
+    """One outer step.  ``wall_ms`` is what the step costs its method alone
+    (see :func:`krylreg.hybrid.run_hybrid`), not the shared sweep's time."""
+
     k: int
     rel_error: float
     inner_iterations: int
@@ -130,7 +132,8 @@ class RunRow:
 @dataclass
 class RunRecord:
     """One (method, epsilon) run: the ExperimentSpec echo, per-k rows, bests,
-    and the outer steps whose direct inner solve fell back to LSQR."""
+    and the outer steps whose direct inner solve fell back to LSQR.
+    ``total_wall_ms`` is the sum of the rows' ``wall_ms``."""
 
     method: str
     problem: str
@@ -149,41 +152,48 @@ class RunRecord:
 def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     """Run every (method, epsilon) pair of an ExperimentSpec.
 
-    Failures of a single run are recorded on its RunRecord and do not
-    abort the remaining runs.
+    The problem is built once; each noise level gets its own data and one
+    sweep shared by all methods.  Failures are recorded on the RunRecords
+    they belong to and do not abort the remaining runs: a build failure on
+    every run, a failure of the noise or of the shared sweep on the runs of
+    that noise level, and a failure of one method on its own run.
     """
+    cfg = HybridConfig(
+        inner=LsqrConfig(tol=spec.inner_tol),
+        max_outer_k=spec.max_outer_k,
+        reorth=spec.reorth,
+    )
+    base = None
+    build_error: str | None = None
+    try:
+        base = build_problem(
+            spec.problem, spec.size, spec.epsilons[0], spec.seed,
+            L_kind=spec.L_kind, psf_sigma=spec.psf_sigma,
+        )
+    except Exception as exc:  # recorded per-run below
+        build_error = f"{type(exc).__name__}: {exc}"
     records: list[RunRecord] = []
     for epsilon in spec.epsilons:
-        problem = None
-        build_error: str | None = None
-        try:
-            problem = build_problem(
-                spec.problem, spec.size, epsilon, spec.seed,
-                L_kind=spec.L_kind, psf_sigma=spec.psf_sigma,
-            )
-        except Exception as exc:  # recorded per-run below
-            build_error = f"{type(exc).__name__}: {exc}"
-        for method in spec.methods:
-            record = RunRecord(
-                method=method, problem=spec.problem, size=spec.size,
-                epsilon=epsilon, seed=spec.seed,
-            )
-            records.append(record)
-            if problem is None:
-                record.error = build_error
-                continue
-            cfg = HybridConfig(
-                inner=LsqrConfig(tol=spec.inner_tol),
-                max_outer_k=spec.max_outer_k,
-                reorth=spec.reorth,
-            )
-            t0 = time.perf_counter()
+        runs = [
+            RunRecord(method=method, problem=spec.problem, size=spec.size,
+                      epsilon=epsilon, seed=spec.seed)
+            for method in spec.methods
+        ]
+        records.extend(runs)
+        error = build_error
+        if base is not None:
             try:
-                sweep = run_hybrid(problem, method, cfg)
+                sweeps = run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods, cfg)
             except Exception as exc:
-                record.error = f"{type(exc).__name__}: {exc}"
+                error = f"{type(exc).__name__}: {exc}"
+        for record in runs:
+            if error is not None:
+                record.error = error
                 continue
-            record.total_wall_ms = (time.perf_counter() - t0) * 1e3
+            sweep = sweeps[record.method]
+            if sweep.error is not None:
+                record.error = sweep.error
+                continue
             record.breakdown = sweep.breakdown
             record.fallbacks = sweep.fallbacks
             record.rows = [
@@ -192,6 +202,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
                     sweep.ks, sweep.rel_errors, sweep.inner_iterations, sweep.wall_ms
                 )
             ]
+            record.total_wall_ms = sum(sweep.wall_ms)
             if sweep.ks:
                 curve = metrics.analyze_curve(sweep.rel_errors, ks=sweep.ks)
                 record.best_k = curve.best_k

@@ -15,24 +15,28 @@ the general-form regularized solution of the projected problem.
 How the inner problem is solved follows from the type of ``L``:
 
 - the 2-D difference stack (``first_diff_2d``) takes the exact direct
-  solve of :mod:`krylreg.dct_solve`, one per sweep, which runs no inner
-  iterations (``inner_iterations`` reads 0) and ignores the LSQR
-  tolerance.  When it cannot vouch for its answer, the step falls back
-  to LSQR and the sweep records the step and the reason in
-  ``SweepResult.fallbacks``;
+  solve of :mod:`krylreg.dct_solve`, one per sweep and shared by both
+  hybrids, which runs no inner iterations (``inner_iterations`` reads 0)
+  and ignores the LSQR tolerance.  When it cannot vouch for its answer,
+  the step falls back to LSQR and the sweep records the step and the
+  reason in ``SweepResult.fallbacks``;
 - every other ``L`` (``first_diff_1d``, ``identity``, dense operators)
   uses LSQR over a :class:`ProjectedOperator`, which applies
   ``L (I - Q Q^T)`` without ever forming it.  LSQR from the zero vector
   returns the minimum-norm solution, which the closed-form
   pseudo-inverse expression for ``x_{L,k}`` requires.  It is also the
   reference the direct solve is tested against.
+
+:func:`run_hybrid` is the one outer loop: it bidiagonalizes a problem once
+and sweeps every requested method over that state, so a (problem, noise
+level) pair costs one Krylov process however many methods read it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -108,17 +112,18 @@ class InnerFallback:
 
 @dataclass
 class SweepResult:
-    """Per-k record of one solver run: iterates, errors, inner work, timing,
-    and the steps whose direct inner solve fell back to LSQR."""
+    """Per-k record of one method's sweep: errors, inner work, timing, the
+    steps whose direct inner solve fell back to LSQR, and why it stopped
+    early (``breakdown``) or failed (``error``)."""
 
     method: Method
     ks: list[int] = field(default_factory=list)
     rel_errors: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
-    solutions: list[np.ndarray] = field(default_factory=list)
     fallbacks: list[InnerFallback] = field(default_factory=list)
     breakdown: str | None = None
+    error: str | None = None
 
 
 def _inner_cap(cfg: LsqrConfig, op: ProjectedOperator) -> LsqrConfig:
@@ -191,58 +196,98 @@ def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridCon
     return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), L, cfg, direct)
 
 
-def run_hybrid(problem: ProblemInstance, method: Method, cfg: HybridConfig) -> SweepResult:
-    """Sweep outer iterations ``k = 1 .. max_outer_k`` on one problem.
+def _needed(method: str, k: int) -> int:
+    """Bidiagonalization steps ``method`` reads at outer index ``k``."""
+    return k + 1 if method.endswith("tcgme") else k
 
-    The bidiagonalization is extended incrementally; a Krylov breakdown
-    truncates the sweep with the reason recorded.  Relative errors are
-    the L-seminorm errors against ``x_true``.  Hybrid methods get one
-    :func:`direct_solver` for the whole sweep when ``L`` allows it.
+
+def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
+               cfg: HybridConfig) -> dict[str, SweepResult]:
+    """Sweep outer iterations ``k = 1 .. max_outer_k`` of every method in
+    ``methods`` over one shared bidiagonalization of ``problem``.
+
+    At each ``k`` the state is extended to the largest step count an
+    active method reads, each base iterate (CGME, TCGME) is computed once
+    for its plain and its hybrid method, and each hybrid runs its inner
+    solve; the hybrids share one :func:`direct_solver` when ``L`` allows
+    it.  Relative errors are the L-seminorm errors against ``x_true``.
+
+    Every method's result is the one it gets when swept alone.  A Krylov
+    breakdown is recorded, with its original message, on the methods that
+    read the step where it occurred, and ends each sweep once the state
+    falls short of that method; a lost basis orthogonality stops only the
+    method that found it, and any other exception is recorded in that
+    method's ``error``.  Each row's ``wall_ms`` charges its own iterate and
+    inner solve plus the Krylov columns the method newly reads at ``k``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    result = SweepResult(method=method)
+    if not methods or any(m not in METHODS for m in methods):
+        raise ValueError(f"methods must be a non-empty sequence of names from {METHODS}, got {methods!r}")
+    results = {m: SweepResult(method=m) for m in methods}
     try:
         state = bidiag_init(problem.A, problem.b, reorth=cfg.reorth)
     except GolubKahanBreakdown as exc:
-        result.breakdown = str(exc)
-        return result
-    needs_extra = method in ("tcgme", "hyb_tcgme")
-    direct = direct_solver(problem.L) if method.startswith("hyb_") else None
+        for result in results.values():
+            result.breakdown = str(exc)
+        return results
+    direct = direct_solver(problem.L) if any(m.startswith("hyb_") for m in methods) else None
+    column_ms: list[float] = []  # time to build Krylov column j, at j - 1
+    failure: GolubKahanBreakdown | None = None
+    active = list(results)
     for k in range(1, cfg.max_outer_k + 1):
-        t0 = time.perf_counter()
-        needed = k + 1 if needs_extra else k
-        if state.k < needed and result.breakdown is None:
+        target = max(_needed(m, k) for m in active)
+        while state.k < target and failure is None:
+            t0 = time.perf_counter()
             try:
-                bidiag_extend(state, problem.A, needed - state.k)
+                bidiag_extend(state, problem.A, 1)
             except GolubKahanBreakdown as exc:
-                result.breakdown = str(exc)
-        if state.k < needed:
-            # a beta-side breakdown still completes step k, so the k-th
-            # iterate may exist; stop once the state truly falls short
-            break
-        inner_iters = 0
-        if method == "cgme":
-            x = cgme_iterate(state, k).x
-        elif method == "tcgme":
-            x = tcgme_iterate(state, k).x
-        else:
-            step = hyb_cgme_step if method == "hyb_cgme" else hyb_tcgme_step
+                failure = exc
+            column_ms.append((time.perf_counter() - t0) * 1e3)
+        bases: dict[str, tuple[np.ndarray, float]] = {}
+        for method in tuple(active):
+            result = results[method]
+            needed = _needed(method, k)
+            if failure is not None and failure.step <= needed and result.breakdown is None:
+                # the method's own sweep would have run into it at this k
+                result.breakdown = str(failure)
+            if state.k < needed:
+                # a beta-side breakdown still completes its step, so the
+                # iterate may exist; stop once the state truly falls short
+                active.remove(method)
+                continue
+            wall = sum(column_ms[_needed(method, k - 1) if k > 1 else 0 : needed])
+            base = method.removeprefix("hyb_")
             try:
-                iterate = step(state, problem.L, k, cfg, direct)
+                if base not in bases:
+                    t0 = time.perf_counter()
+                    iterate = cgme_iterate if base == "cgme" else tcgme_iterate
+                    x = iterate(state, k).x
+                    bases[base] = (x, (time.perf_counter() - t0) * 1e3)
+                x, base_ms = bases[base]
+                wall += base_ms
+                inner_iters = 0
+                if method != base:
+                    t0 = time.perf_counter()
+                    hybrid = _corrected(x, k, method, state.Q_cols(needed), problem.L, cfg, direct)
+                    wall += (time.perf_counter() - t0) * 1e3
+                    x = hybrid.x_L
+                    inner_iters = hybrid.inner_iterations
+                    if hybrid.fallback is not None:
+                        result.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
+                rel_error = relative_error(problem.L, x, problem.x_true)
             except OrthonormalityError as exc:
                 # without reorthogonalization the basis can drift past the
-                # projector tolerance; stop the sweep with the reason
+                # projector tolerance; stop this sweep with the reason
                 result.breakdown = f"basis orthogonality lost at k={k}: {exc}"
-                break
-            x = iterate.x_L
-            inner_iters = iterate.inner_iterations
-            if iterate.fallback is not None:
-                result.fallbacks.append(InnerFallback(k=k, reason=iterate.fallback))
-        wall = (time.perf_counter() - t0) * 1e3
-        result.ks.append(k)
-        result.rel_errors.append(relative_error(problem.L, x, problem.x_true))
-        result.inner_iterations.append(inner_iters)
-        result.wall_ms.append(wall)
-        result.solutions.append(x)
-    return result
+                active.remove(method)
+                continue
+            except Exception as exc:  # a failure stays in its own method
+                result.error = f"{type(exc).__name__}: {exc}"
+                active.remove(method)
+                continue
+            result.ks.append(k)
+            result.rel_errors.append(rel_error)
+            result.inner_iterations.append(inner_iters)
+            result.wall_ms.append(wall)
+        if not active:
+            break
+    return results

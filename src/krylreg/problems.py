@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "gen_blur2d",
     "make_L",
     "add_noise",
+    "with_noise",
     "build_problem",
     "serialize_problem",
     "save_problem",
@@ -210,6 +211,13 @@ def add_noise(b_true, epsilon: float, seed: int) -> np.ndarray:
     e = rng.standard_normal(b_true.shape[0])
     e *= epsilon * bnorm / np.linalg.norm(e)
     return b_true + e
+
+
+def with_noise(problem: ProblemInstance, epsilon: float, seed: int) -> ProblemInstance:
+    """``problem`` at another noise level: fresh data
+    ``b = add_noise(b_true, epsilon, seed)``, the same (shared) operators
+    and truth.  Equal to ``build_problem`` at that level, without a rebuild."""
+    return replace(problem, b=add_noise(problem.b_true, epsilon, seed), epsilon=epsilon, seed=seed)
 
 
 _GENERATORS_1D = {

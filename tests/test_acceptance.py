@@ -156,7 +156,7 @@ def test_criterion_5_conditioning_monotonicity_and_inner_work():
 
     # inner LSQR work decreases with k on shaw(1000)
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
-    record = run_hybrid(shaw, "hyb_cgme", HybridConfig(max_outer_k=20))
+    record = run_hybrid(shaw, ("hyb_cgme",), HybridConfig(max_outer_k=20))["hyb_cgme"]
     iters = np.array(record.inner_iterations, dtype=float)
     quarter = max(len(iters) // 4, 1)
     first, last = iters[:quarter].mean(), iters[-quarter:].mean()
@@ -202,10 +202,10 @@ def test_criterion_6_tolerance_insensitivity():
 def test_criterion_7_desk_scale_error_bands():
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
     cfg = HybridConfig(max_outer_k=25)
-    shaw_tc = run_hybrid(shaw, "hyb_tcgme", cfg)
-    shaw_cg = run_hybrid(shaw, "hyb_cgme", cfg)
+    shaw_sweeps = run_hybrid(shaw, ("hyb_tcgme", "hyb_cgme"), cfg)
+    shaw_tc, shaw_cg = shaw_sweeps["hyb_tcgme"], shaw_sweeps["hyb_cgme"]
     baart = build_problem("baart", 1000, 1e-2, SEED)
-    baart_tc = run_hybrid(baart, "hyb_tcgme", cfg)
+    baart_tc = run_hybrid(baart, ("hyb_tcgme",), cfg)["hyb_tcgme"]
 
     shaw_curve = analyze_curve(shaw_tc.rel_errors, ks=shaw_tc.ks)
     cg_curve = analyze_curve(shaw_cg.rel_errors, ks=shaw_cg.ks)

@@ -8,6 +8,7 @@ from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, dct, idct
 from krylreg.hybrid import HybridConfig, direct_solver, hyb_cgme_step, inner_solve, run_hybrid
 from krylreg.lsqr import LsqrConfig
+from krylreg.metrics import relative_error
 from krylreg.operators import (
     DenseOperator,
     FirstDifferenceOperator,
@@ -140,7 +141,7 @@ def centered_blur_problem(side: int = 8) -> ProblemInstance:
 def test_sweep_records_lsqr_fallback_with_reason():
     problem = centered_blur_problem()
     cfg = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=3)
-    sweep = run_hybrid(problem, "hyb_cgme", cfg)
+    sweep = run_hybrid(problem, ("hyb_cgme",), cfg)["hyb_cgme"]
     assert sweep.ks == [1, 2, 3]
     assert [fb.k for fb in sweep.fallbacks] == [1, 2, 3]
     assert all("constants numerically orthogonal" in fb.reason for fb in sweep.fallbacks)
@@ -148,6 +149,9 @@ def test_sweep_records_lsqr_fallback_with_reason():
     # the fallback iterate is the LSQR one
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, 3)
+    fallen = hyb_cgme_step(state, problem.L, 3, cfg, direct_solver(problem.L))
     reference = hyb_cgme_step(state, problem.L, 3, cfg)
+    assert "constants numerically orthogonal" in fallen.fallback
     assert reference.fallback is None
-    np.testing.assert_allclose(sweep.solutions[2], reference.x_L, atol=1e-12)
+    np.testing.assert_allclose(fallen.x_L, reference.x_L, atol=1e-12)
+    assert sweep.rel_errors[2] == relative_error(problem.L, reference.x_L, problem.x_true)

@@ -98,6 +98,70 @@ def test_run_experiment_isolates_failures():
     assert all(not rec.rows for rec in records)
 
 
+def test_run_experiment_builds_once_and_sweeps_once_per_noise_level(monkeypatch):
+    import krylreg.harness as harness
+
+    builds, sweeps = [], []
+    real_build, real_run = harness.build_problem, harness.run_hybrid
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    def counted_run(problem, methods, cfg):
+        sweeps.append((problem.epsilon, methods))
+        return real_run(problem, methods, cfg)
+
+    monkeypatch.setattr(harness, "build_problem", counted_build)
+    monkeypatch.setattr(harness, "run_hybrid", counted_run)
+    spec = ExperimentSpec(
+        problem="heat", size=64, epsilons=(0.1, 0.05, 0.01), seed=17,
+        methods=("hyb_cgme", "tcgme"), max_outer_k=6,
+    )
+    records = run_experiment(spec)
+    assert len(builds) == 1
+    assert sweeps == [(eps, spec.methods) for eps in spec.epsilons]
+    assert [(r.epsilon, r.method) for r in records] == [
+        (eps, m) for eps in spec.epsilons for m in spec.methods
+    ]
+    cfg = HybridConfig(inner=LsqrConfig(tol=spec.inner_tol), max_outer_k=6)
+    for rec in records:
+        # the same answer as a fresh build at this noise level
+        fresh = real_run(real_build("heat", 64, rec.epsilon, 17), (rec.method,), cfg)[rec.method]
+        assert [row.rel_error for row in rec.rows] == fresh.rel_errors
+        assert rec.total_wall_ms == sum(row.wall_ms for row in rec.rows)
+
+
+def test_run_experiment_keeps_noise_and_method_failures_in_their_runs(monkeypatch):
+    import krylreg.harness as harness
+    import krylreg.hybrid as hybrid
+
+    real_noise = harness.with_noise
+
+    def noise(problem, epsilon, seed):
+        if epsilon == 0.05:
+            raise ValueError("no data at 0.05")
+        return real_noise(problem, epsilon, seed)
+
+    def broken(state, k):
+        raise FloatingPointError("tcgme kernel failed")
+
+    monkeypatch.setattr(harness, "with_noise", noise)
+    monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
+    spec = ExperimentSpec(
+        problem="shaw", size=64, epsilons=(0.1, 0.05), seed=3,
+        methods=("cgme", "tcgme"), max_outer_k=4,
+    )
+    by_run = {(r.epsilon, r.method): r for r in run_experiment(spec)}
+    assert by_run[(0.1, "cgme")].error is None
+    assert len(by_run[(0.1, "cgme")].rows) == 4
+    assert by_run[(0.1, "tcgme")].error == "FloatingPointError: tcgme kernel failed"
+    assert by_run[(0.1, "tcgme")].rows == []
+    for method in spec.methods:
+        assert by_run[(0.05, method)].error == "ValueError: no data at 0.05"
+        assert by_run[(0.05, method)].rows == []
+
+
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from krylreg.bidiag import bidiag_extend, bidiag_init
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
 from krylreg.hybrid import (
     HybridConfig,
     hyb_cgme_step,
@@ -9,9 +11,11 @@ from krylreg.hybrid import (
     inner_solve,
     run_hybrid,
 )
+from krylreg.hybrid import METHODS
 from krylreg.lsqr import LsqrConfig
 from krylreg.metrics import analyze_curve
-from krylreg.problems import build_problem
+from krylreg.operators import DenseOperator, IdentityOperator
+from krylreg.problems import ProblemInstance, build_problem
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 TIGHT = LsqrConfig(tol=1e-10)
@@ -155,7 +159,7 @@ def test_hyb_tcgme_minimizes_seminorm_over_feasible_set():
 
 def test_run_hybrid_single_step():
     problem = build_problem("shaw", 100, 1e-2, 3)
-    record = run_hybrid(problem, "hyb_cgme", HybridConfig(max_outer_k=1))
+    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=1))["hyb_cgme"]
     assert record.ks == [1]
     assert len(record.rel_errors) == 1
     assert record.breakdown is None
@@ -163,13 +167,14 @@ def test_run_hybrid_single_step():
 
 def test_run_hybrid_rejects_unknown_method():
     problem = build_problem("shaw", 100, 1e-2, 3)
-    with pytest.raises(ValueError):
-        run_hybrid(problem, "jbdqr", HybridConfig(max_outer_k=2))
+    for methods in (("jbdqr",), ("cgme", "jbdqr"), (), "hyb_cgme"):
+        with pytest.raises(ValueError):
+            run_hybrid(problem, methods, HybridConfig(max_outer_k=2))
 
 
 def test_run_hybrid_semi_convergence_on_shaw():
     problem = build_problem("shaw", 1000, 1e-2, 20240101)
-    record = run_hybrid(problem, "hyb_tcgme", HybridConfig(max_outer_k=16))
+    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=16))["hyb_tcgme"]
     curve = analyze_curve(record.rel_errors, ks=record.ks)
     assert curve.interior_minimum
     assert curve.best_error <= 0.5
@@ -177,34 +182,40 @@ def test_run_hybrid_semi_convergence_on_shaw():
 
 def test_run_hybrid_breakdown_truncates_sweep():
     problem = build_problem("baart", 200, 1e-2, 5)
-    record = run_hybrid(problem, "hyb_cgme", HybridConfig(max_outer_k=40))
+    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=40))["hyb_cgme"]
     assert record.breakdown is not None
     assert len(record.ks) < 40
     assert record.ks == list(range(1, len(record.ks) + 1))
 
 
-def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
+def beta_breakdown_problem():
     # 2x2 problem: step 2 ends with beta_3 = 0 (space exhausted), but the
     # k=2 iterate exists and recovers the exact solution.
-    from krylreg.operators import DenseOperator, IdentityOperator
-    from krylreg.problems import ProblemInstance
-
     A = DenseOperator(np.diag([2.0, 1.0]))
     x_true = np.array([0.5, 1.0])
     b = A.apply(x_true)
-    problem = ProblemInstance(
+    return ProblemInstance(
         name="custom", A=A, L=IdentityOperator(2), x_true=x_true,
         b_true=b, b=b, epsilon=0.0, seed=0, size=2, L_kind="identity",
     )
-    record = run_hybrid(problem, "cgme", HybridConfig(max_outer_k=5))
+
+
+def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
+    problem = beta_breakdown_problem()
+    A, b, x_true = problem.A, problem.b, problem.x_true
+    record = run_hybrid(problem, ("cgme",), HybridConfig(max_outer_k=5))["cgme"]
     assert record.ks == [1, 2]
     assert record.breakdown is not None
-    np.testing.assert_allclose(record.solutions[1], x_true, atol=1e-12)
+    assert record.rel_errors[1] <= 1e-12
+    state = bidiag_init(A, b)
+    with pytest.raises(GolubKahanBreakdown):
+        bidiag_extend(state, A, 2)
+    np.testing.assert_allclose(cgme_iterate(state, 2).x, x_true, atol=1e-12)
 
 
 def test_inner_iteration_counts_decrease_with_k():
     problem = build_problem("shaw", 500, 1e-2, 20240101)
-    record = run_hybrid(problem, "hyb_cgme", HybridConfig(max_outer_k=16))
+    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=16))["hyb_cgme"]
     iters = np.array(record.inner_iterations, dtype=float)
     quarter = max(len(iters) // 4, 1)
     assert iters[-quarter:].mean() <= iters[:quarter].mean()
@@ -212,12 +223,15 @@ def test_inner_iteration_counts_decrease_with_k():
 
 def test_tolerance_insensitivity_small():
     problem = build_problem("deriv2", 300, 1e-2, 11)
-    loose = run_hybrid(problem, "hyb_tcgme", HybridConfig(inner=LsqrConfig(tol=1e-6), max_outer_k=8))
-    tight = run_hybrid(problem, "hyb_tcgme", HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8))
-    k0 = int(np.argmin(tight.rel_errors)) + 1
-    for k in range(1, min(k0 + 3, len(tight.ks)) + 1):
-        xa = loose.solutions[k - 1]
-        xb = tight.solutions[k - 1]
+    loose = HybridConfig(inner=LsqrConfig(tol=1e-6), max_outer_k=8)
+    tight = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8)
+    sweep = run_hybrid(problem, ("hyb_tcgme",), tight)["hyb_tcgme"]
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, problem.A, len(sweep.ks) + 1)
+    k0 = int(np.argmin(sweep.rel_errors)) + 1
+    for k in range(1, min(k0 + 3, len(sweep.ks)) + 1):
+        xa = hyb_tcgme_step(state, problem.L, k, loose).x_L
+        xb = hyb_tcgme_step(state, problem.L, k, tight).x_L
         assert np.linalg.norm(xa - xb) <= 1e-4 * np.linalg.norm(xb)
 
 
@@ -231,7 +245,7 @@ def test_inner_backward_error_meets_tolerance_or_flags_cap():
 
 def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift():
     problem = build_problem("shaw", 300, 1e-2, 11)
-    record = run_hybrid(problem, "hyb_tcgme", HybridConfig(max_outer_k=12, reorth="none"))
+    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=12, reorth="none"))["hyb_tcgme"]
     if record.breakdown is not None and "orthogonality" in record.breakdown:
         assert len(record.ks) < 12
         assert all(np.isfinite(e) for e in record.rel_errors)
@@ -241,7 +255,87 @@ def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift():
 
 def test_pure_methods_skip_inner_solve():
     problem = build_problem("shaw", 200, 1e-2, 9)
-    record = run_hybrid(problem, "cgme", HybridConfig(max_outer_k=5))
+    sweeps = run_hybrid(problem, ("cgme", "tcgme"), HybridConfig(max_outer_k=5))
+    record, record_t = sweeps["cgme"], sweeps["tcgme"]
     assert record.inner_iterations == [0] * 5
-    record_t = run_hybrid(problem, "tcgme", HybridConfig(max_outer_k=5))
     assert len(record_t.ks) == 5
+
+
+# baart(200) breaks down on alpha_11: at max_outer_k=10 only the *tcgme
+# methods read step 11, so only they may report it.
+JOINT_CASES = {
+    "baart-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=40)),
+    "baart-tcgme-only-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=10)),
+    "beta-breakdown": (beta_breakdown_problem, HybridConfig(max_outer_k=5)),
+    "reorth-none": (lambda: build_problem("shaw", 300, 1e-2, 11), HybridConfig(max_outer_k=12, reorth="none")),
+    "blur2d": (
+        lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
+        HybridConfig(max_outer_k=30),
+    ),
+    "blur2d-reorth-none": (
+        lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
+        HybridConfig(max_outer_k=30, reorth="none"),
+    ),
+}
+
+
+def sweep_answer(sweep):
+    return (sweep.ks, sweep.rel_errors, sweep.inner_iterations, sweep.fallbacks,
+            sweep.breakdown, sweep.error)
+
+
+@pytest.mark.parametrize("case", JOINT_CASES)
+def test_joint_sweep_matches_each_method_alone(case):
+    build, cfg = JOINT_CASES[case]
+    problem = build()
+    joint = run_hybrid(problem, METHODS, cfg)
+    assert list(joint) == list(METHODS)
+    for method in METHODS:
+        alone = run_hybrid(problem, (method,), cfg)
+        assert list(alone) == [method]
+        assert sweep_answer(joint[method]) == sweep_answer(alone[method]), method
+    if case == "baart-tcgme-only-breakdown":
+        assert joint["cgme"].breakdown is None and joint["hyb_cgme"].breakdown is None
+        assert joint["cgme"].ks == list(range(1, 11))
+        assert "alpha_11" in joint["tcgme"].breakdown and "alpha_11" in joint["hyb_tcgme"].breakdown
+    if case.endswith("reorth-none"):
+        assert "orthogonality" in joint["hyb_tcgme"].breakdown
+
+
+def test_joint_sweep_charges_each_row_its_own_krylov_columns(monkeypatch):
+    # a clock that only Krylov columns advance, by 1 ms each: cgme rows
+    # pay for column k, tcgme rows for column k+1 (columns 1 and 2 at k=1)
+    import krylreg.hybrid as hybrid
+
+    now = [0.0]
+    real_extend = hybrid.bidiag_extend
+
+    def extend(state, A, steps):
+        now[0] += 1e-3 * steps
+        return real_extend(state, A, steps)
+
+    monkeypatch.setattr(hybrid, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(hybrid, "bidiag_extend", extend)
+    problem = build_problem("shaw", 100, 1e-2, 3)
+    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=6))
+    for method in ("cgme", "hyb_cgme"):
+        assert sweeps[method].wall_ms == pytest.approx([1.0] * 6)
+    for method in ("tcgme", "hyb_tcgme"):
+        assert sweeps[method].wall_ms == pytest.approx([2.0] + [1.0] * 5)
+
+
+def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
+    import krylreg.hybrid as hybrid
+
+    def broken(state, k):
+        raise FloatingPointError("tcgme kernel failed")
+
+    monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
+    problem = build_problem("shaw", 100, 1e-2, 3)
+    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=4))
+    for method in ("tcgme", "hyb_tcgme"):
+        assert sweeps[method].error == "FloatingPointError: tcgme kernel failed"
+        assert sweeps[method].ks == []
+    for method in ("cgme", "hyb_cgme"):
+        assert sweeps[method].error is None
+        assert sweeps[method].ks == [1, 2, 3, 4]

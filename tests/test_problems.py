@@ -14,6 +14,7 @@ from krylreg.problems import (
     make_L,
     problem_digest,
     save_problem,
+    with_noise,
 )
 
 GENERATORS = {"shaw": gen_shaw, "baart": gen_baart, "deriv2": gen_deriv2, "heat": gen_heat}
@@ -117,6 +118,18 @@ def test_add_noise_seeds_decorrelated():
     e2 = add_noise(b_true, 0.1, seed=2) - b_true
     rho = (e1 @ e2) / (np.linalg.norm(e1) * np.linalg.norm(e2))
     assert abs(rho) < 0.2
+
+
+@pytest.mark.parametrize("name,size", [("shaw", 64), ("baart", 40), ("blur2d", 10)])
+def test_with_noise_equals_a_fresh_build(name, size):
+    base = build_problem(name, size, 0.1, 7)
+    moved = with_noise(base, 0.01, 7)
+    fresh = build_problem(name, size, 0.01, 7)
+    assert moved.A is base.A and moved.L is base.L
+    for attr in ("b", "b_true", "x_true"):
+        np.testing.assert_array_equal(getattr(moved, attr), getattr(fresh, attr))
+    assert (moved.epsilon, moved.seed, moved.L_kind) == (fresh.epsilon, fresh.seed, fresh.L_kind)
+    assert problem_digest(moved) == problem_digest(fresh)
 
 
 def test_add_noise_validation():
