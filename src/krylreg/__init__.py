@@ -45,7 +45,7 @@ from .hybrid import (
     inner_solve,
     run_hybrid,
 )
-from .lsqr import LsqrConfig, LsqrReport, NumericalFailure, lsqr_solve, operator_norm_estimate
+from .lsqr import LsqrConfig, LsqrReport, NumericalFailure, lsqr_solve
 from .metrics import ErrorCurve, GammaGapReport, analyze_curve, gamma_gaps, projected_condition, relative_error
 from .operators import (
     DenseOperator,
@@ -58,7 +58,6 @@ from .operators import (
     OrthonormalityError,
     ProjectedOperator,
     Stacked2DDifferenceOperator,
-    project_complement,
 )
 from .problems import (
     L_KINDS,

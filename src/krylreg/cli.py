@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", action="append", choices=METHODS, help="solver (repeatable)")
     run.add_argument("--L", choices=L_KINDS, dest="L_kind")
     run.add_argument("--max-k", type=int, default=50)
-    run.add_argument("--tol", type=float, default=1e-6, help="inner LSQR tolerance (unused where the direct solve runs: --L first_diff_2d)")
+    run.add_argument("--tol", type=float, default=1e-6, help="inner LSQR tolerance (unused where an exact inner solve runs: --L identity or first_diff_2d)")
     run.add_argument("--out", required=True, help="output prefix: writes <out>.csv, <out>.summary.csv, <out>.json")
     run.add_argument(
         "--deterministic-output",

@@ -14,18 +14,25 @@ the general-form regularized solution of the projected problem.
 
 How the inner problem is solved follows from the type of ``L``:
 
+- ``L = I`` (``identity``) needs no inner solve at all.  Every Krylov
+  iterate lies in range(Q), so ``x_k`` is already the minimum-norm point
+  of ``Q^T x = Q^T x_k`` and the correction is exactly ``z_k = 0``: the
+  hybrid iterate equals its plain method's, ``inner_iterations`` reads
+  0, and a ``reorth="none"`` sweep no longer stops its hybrids on lost
+  basis orthogonality before their plain methods;
 - the 2-D difference stack (``first_diff_2d``) takes the exact direct
   solve of :mod:`krylreg.dct_solve`, one per sweep and shared by both
   hybrids, which runs no inner iterations (``inner_iterations`` reads 0)
   and ignores the LSQR tolerance.  When it cannot vouch for its answer,
   the step falls back to LSQR and the sweep records the step and the
   reason in ``SweepResult.fallbacks``;
-- every other ``L`` (``first_diff_1d``, ``identity``, dense operators)
-  uses LSQR over a :class:`ProjectedOperator`, which applies
-  ``L (I - Q Q^T)`` without ever forming it.  LSQR from the zero vector
-  returns the minimum-norm solution, which the closed-form
-  pseudo-inverse expression for ``x_{L,k}`` requires.  It is also the
-  reference the direct solve is tested against.
+- every other ``L`` (``first_diff_1d``, dense operators) uses LSQR over a
+  :class:`ProjectedOperator`, which applies ``L (I - Q Q^T)`` without
+  ever forming it.  LSQR from the zero vector returns the minimum-norm
+  solution, which the closed-form pseudo-inverse expression for
+  ``x_{L,k}`` requires.  It is also the reference both exact paths are
+  tested against, and the path :func:`hyb_cgme_step` and
+  :func:`hyb_tcgme_step` take when no direct solver is passed.
 
 :func:`run_hybrid` is the one outer loop: it bidiagonalizes a problem once
 and sweeps every requested method over that state, so a (problem, noise
@@ -45,6 +52,7 @@ from .dct_solve import Difference2DSolver, DirectSolveRejected
 from .lsqr import LsqrConfig, LsqrReport, lsqr_solve
 from .metrics import relative_error
 from .operators import (
+    IdentityOperator,
     LinearOperator,
     OrthonormalityError,
     ProjectedOperator,
@@ -60,6 +68,7 @@ __all__ = [
     "SweepResult",
     "METHODS",
     "inner_solve",
+    "IdentitySolver",
     "direct_solver",
     "hyb_cgme_step",
     "hyb_tcgme_step",
@@ -133,7 +142,7 @@ def _inner_cap(cfg: LsqrConfig, op: ProjectedOperator) -> LsqrConfig:
     k = op.Q.shape[1]
     cap = max(2 * (n - k), 1)
     current = cfg.max_iters if cfg.max_iters is not None else min(op.rows, n)
-    return LsqrConfig(tol=cfg.tol, max_iters=min(current, cap), atol_rhs=cfg.atol_rhs)
+    return LsqrConfig(tol=cfg.tol, max_iters=min(current, cap))
 
 
 def inner_solve(L: LinearOperator, Q, x_k, cfg: LsqrConfig) -> tuple[np.ndarray, LsqrReport]:
@@ -144,16 +153,35 @@ def inner_solve(L: LinearOperator, Q, x_k, cfg: LsqrConfig) -> tuple[np.ndarray,
     return report.solution, report
 
 
-def direct_solver(L: LinearOperator) -> Difference2DSolver | None:
-    """A fresh direct inner solver for one sweep with regularizer ``L``, or
+class IdentitySolver:
+    """Exact corrected iterates for ``L = I``: ``x_L = x_k``.
+
+    ``x_L`` minimizes ``|x|`` over the feasible set ``x_k + null(Q^T)``.
+    A CGME or TCGME iterate is ``x_k = Q y`` for the very block ``Q`` its
+    hybrid passes, so ``x_k`` is orthogonal to ``null(Q^T)`` and is the
+    minimizer, whether or not ``Q`` has kept its orthogonality: ``z_k = 0``
+    with a zero backward error.
+    """
+
+    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float]:
+        return x_k, 0.0
+
+
+DirectSolver = Difference2DSolver | IdentitySolver
+
+
+def direct_solver(L: LinearOperator) -> DirectSolver | None:
+    """A fresh exact inner solver for one sweep with regularizer ``L``, or
     None when ``L`` has no structure it exploits (LSQR runs instead)."""
+    if isinstance(L, IdentityOperator):
+        return IdentitySolver()
     if isinstance(L, Stacked2DDifferenceOperator):
         return Difference2DSolver(L)
     return None
 
 
 def _corrected(x_k: np.ndarray, k: int, method, Q, L, cfg: HybridConfig,
-               direct: Difference2DSolver | None) -> HybridIterate:
+               direct: DirectSolver | None) -> HybridIterate:
     fallback = None
     if direct is not None:
         try:
@@ -178,7 +206,7 @@ def _corrected(x_k: np.ndarray, k: int, method, Q, L, cfg: HybridConfig,
 
 
 def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig,
-                  direct: Difference2DSolver | None = None) -> HybridIterate:
+                  direct: DirectSolver | None = None) -> HybridIterate:
     """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``).
 
     ``direct`` is the sweep's :func:`direct_solver`; without one the
@@ -189,7 +217,7 @@ def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConf
 
 
 def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig,
-                   direct: Difference2DSolver | None = None) -> HybridIterate:
+                   direct: DirectSolver | None = None) -> HybridIterate:
     """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``); ``direct``
     as for :func:`hyb_cgme_step`."""
     x_k = tcgme_iterate(state, k).x

@@ -15,10 +15,15 @@ the bidiagonal coefficients.  Stopping there means the computed solution
 exactly solves a perturbed problem ``min |(M + E) z - d|`` with
 ``|E| / |M| <= tol``, which is the contract the outer hybrid iterations
 rely on.
+
+The loop runs once per inner iteration of every hybrid step, so it keeps
+its scalars in Python floats and updates its four vectors in place; the
+only arrays it allocates per iteration are the two operator products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -31,12 +36,11 @@ __all__ = [
     "LsqrConfig",
     "LsqrReport",
     "lsqr_solve",
-    "operator_norm_estimate",
 ]
 
-_TINY = np.finfo(np.float64).tiny
+_TINY = float(np.finfo(np.float64).tiny)
 
-StopReason = Literal["backward_error", "residual", "max_iters", "exact_breakdown"]
+StopReason = Literal["backward_error", "max_iters", "exact_breakdown"]
 
 
 class NumericalFailure(FloatingPointError):
@@ -48,21 +52,17 @@ class LsqrConfig:
     """Stopping controls.
 
     ``tol`` is the relative backward-error tolerance; ``max_iters``
-    defaults to ``min(rows, cols)``; ``atol_rhs`` optionally stops once
-    ``|r| <= atol_rhs * |d|``.
+    defaults to ``min(rows, cols)``.
     """
 
     tol: float = 1e-6
     max_iters: int | None = None
-    atol_rhs: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.atol_rhs < 0.0:
-            raise ValueError("atol_rhs must be non-negative")
 
 
 @dataclass
@@ -87,20 +87,29 @@ class LsqrReport:
 def _sym_ortho(a: float, b: float) -> tuple[float, float, float]:
     """Stable Givens rotation (c, s, r) with r = hypot(a, b)."""
     if b == 0.0:
-        return np.sign(a) if a != 0 else 1.0, 0.0, abs(a)
+        return math.copysign(1.0, a) if a != 0 else 1.0, 0.0, abs(a)
     if a == 0.0:
-        return 0.0, np.sign(b), abs(b)
+        return 0.0, math.copysign(1.0, b), abs(b)
     if abs(b) > abs(a):
         tau = a / b
-        s = np.sign(b) / np.sqrt(1.0 + tau * tau)
+        s = math.copysign(1.0, b) / math.sqrt(1.0 + tau * tau)
         return s * tau, s, b / s
     tau = b / a
-    c = np.sign(a) / np.sqrt(1.0 + tau * tau)
+    c = math.copysign(1.0, a) / math.sqrt(1.0 + tau * tau)
     return c, c * tau, a / c
 
 
+def _nonfinite(name: str, value, itn: int) -> NumericalFailure:
+    return NumericalFailure(f"non-finite {name} = {value} at iteration {itn}")
+
+
 def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrReport:
-    """Minimum-norm least-squares solve of ``min |M z - d|``."""
+    """Minimum-norm least-squares solve of ``min |M z - d|``.
+
+    Raises :class:`NumericalFailure` as soon as a bidiagonal coefficient
+    (``alfa``, ``beta``) or a rotation quantity (``rho``, ``phi``) is
+    non-finite, and at exit if any entry of the solution is.
+    """
     if cfg is None:
         cfg = LsqrConfig()
     d = _as_vector(d, M.rows, "right-hand side")
@@ -110,19 +119,22 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
     max_iters = cfg.max_iters if cfg.max_iters is not None else min(M.rows, n)
 
     x = np.zeros(n)
-    bnorm = float(np.linalg.norm(d))
+    bnorm = math.sqrt(d @ d)
     if bnorm == 0.0:
         return LsqrReport(x, 0, 0.0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
 
     beta = bnorm
     u = d / beta
     v = M.apply_adjoint(u)
-    alfa = float(np.linalg.norm(v))
+    alfa = math.sqrt(v @ v)
+    if not math.isfinite(alfa):
+        raise _nonfinite("alfa", alfa, 0)
     if alfa == 0.0:
         # d is orthogonal to the range of M: the solution is exactly 0.
         return LsqrReport(x, 0, 0.0, bnorm, "exact_breakdown", 0.0, np.array([bnorm]))
     v /= alfa
     w = v.copy()
+    step = np.empty(n)
 
     rhobar = alfa
     phibar = beta
@@ -130,26 +142,35 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
     rnorm = bnorm
     history = [bnorm]
 
+    # A NaN or Inf in u or v shows in beta or alfa within the iteration it
+    # appears in, before any division by them.
+    isfinite = math.isfinite
     itn = 0
     stop: StopReason | None = None
     backward_error = 1.0
     while itn < max_iters:
         itn += 1
-        u = M.apply(v) - alfa * u
-        beta = float(np.linalg.norm(u))
+        # u = M v - alfa u
+        u *= alfa
+        np.subtract(M.apply(v), u, out=u)
+        beta = math.sqrt(u @ u)
+        if not isfinite(beta):
+            raise _nonfinite("beta", beta, itn)
         exact = beta == 0.0
         if beta > 0.0:
             u /= beta
             anorm2 += beta * beta
-            v = M.apply_adjoint(u) - beta * v
-            alfa = float(np.linalg.norm(v))
+            # v = M^T u - beta v
+            v *= beta
+            np.subtract(M.apply_adjoint(u), v, out=v)
+            alfa = math.sqrt(v @ v)
+            if not isfinite(alfa):
+                raise _nonfinite("alfa", alfa, itn)
             if alfa > 0.0:
                 v /= alfa
                 anorm2 += alfa * alfa
             else:
                 exact = True
-        if not np.isfinite(beta) or not np.isfinite(alfa):
-            raise NumericalFailure(f"non-finite bidiagonal coefficient at iteration {itn}")
 
         cs, sn, rho = _sym_ortho(rhobar, beta)
         theta = sn * alfa
@@ -157,75 +178,38 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
         phi = cs * phibar
         phibar = sn * phibar
         tau = sn * phi
+        if not (isfinite(rho) and isfinite(phi)):
+            raise _nonfinite("rotation (rho, phi)", (rho, phi), itn)
 
-        x += (phi / rho) * w
-        w = v - (theta / rho) * w
+        # x += (phi / rho) w;  w = v - (theta / rho) w
+        np.multiply(w, phi / rho, out=step)
+        x += step
+        w *= theta / rho
+        np.subtract(v, w, out=w)
 
         rnorm = phibar
         arnorm = alfa * abs(tau)
-        anorm = np.sqrt(anorm2)
+        anorm = math.sqrt(anorm2)
         backward_error = arnorm / (anorm * rnorm + _TINY)
         history.append(rnorm)
-        if not np.isfinite(x[0]):
-            raise NumericalFailure(f"non-finite iterate at iteration {itn}")
 
         if exact:
             stop = "exact_breakdown"
         elif backward_error <= cfg.tol:
             stop = "backward_error"
-        elif rnorm <= cfg.atol_rhs * bnorm:
-            stop = "residual"
         if stop is not None:
             break
 
     if stop is None:
         stop = "max_iters"
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure(f"non-finite solution after {itn} iterations")
     return LsqrReport(
         solution=x,
         iterations=itn,
         final_backward_error=float(backward_error),
         residual_norm=float(rnorm),
         stop_reason=stop,
-        operator_norm_estimate=float(np.sqrt(anorm2)),
+        operator_norm_estimate=math.sqrt(anorm2),
         residual_history=np.array(history),
     )
-
-
-def operator_norm_estimate(M: LinearOperator, max_steps: int = 100, seed: int = 0x5EED) -> float:
-    """Frobenius-style norm estimate from the bidiagonal coefficients.
-
-    Runs the Golub-Kahan recurrence (no stored columns, no
-    reorthogonalization) from a fixed seeded start vector and accumulates
-    ``sqrt(sum alpha_i^2 + beta_i^2)``, the same quantity LSQR uses in
-    its stopping test.  The estimate lies between roughly
-    ``sigma_max / sqrt(min(m, n))`` and ``sqrt(rank) * sigma_max``.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(M.rows)
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        return 0.0
-    u /= nu
-    v = M.apply_adjoint(u)
-    alfa = float(np.linalg.norm(v))
-    if alfa == 0.0:
-        return 0.0
-    v /= alfa
-    anorm2 = alfa * alfa
-    steps = min(max_steps, min(M.rows, M.cols))
-    for _ in range(steps - 1):
-        u = M.apply(v) - alfa * u
-        beta = float(np.linalg.norm(u))
-        if beta == 0.0:
-            break
-        u /= beta
-        v = M.apply_adjoint(u) - beta * v
-        alfa = float(np.linalg.norm(v))
-        prev = anorm2
-        anorm2 += beta * beta + alfa * alfa
-        if alfa == 0.0:
-            break
-        v /= alfa
-        if anorm2 <= prev * (1.0 + 1e-12):
-            break
-    return float(np.sqrt(anorm2))

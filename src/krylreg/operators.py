@@ -29,7 +29,6 @@ __all__ = [
     "Stacked2DDifferenceOperator",
     "ProjectedOperator",
     "KroneckerBlurOperator",
-    "project_complement",
 ]
 
 # Orthonormality slack accepted for projector blocks.
@@ -188,9 +187,10 @@ class FirstDifferenceOperator(LinearOperator):
         return v[:-1] - v[1:]
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        w = np.zeros(self.n)
-        w[:-1] += u
-        w[1:] -= u
+        w = np.empty(self.n)
+        np.subtract(u[1:], u[:-1], out=w[1:-1])
+        w[0] = u[0]
+        w[-1] = -u[-1]
         return w
 
     def frobenius_norm(self) -> float:
@@ -249,22 +249,19 @@ def _check_orthonormal(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def project_complement(Q, v) -> np.ndarray:
-    """Project ``v`` onto the orthogonal complement of range(Q).
-
-    Returns ``v - Q (Q^T v)`` for an orthonormal column block ``Q``.
-    """
-    Q = _check_orthonormal(Q)
-    vec = _as_vector(v, Q.shape[0], "projection input")
-    return vec - Q @ (Q.T @ vec)
-
-
 class ProjectedOperator(LinearOperator):
     """The composition ``L (I - Q Q^T)`` without forming it.
 
     ``Q`` must have orthonormal columns.  Applies as
     ``L(v - Q(Q^T v))`` and its adjoint as ``w - Q(Q^T w)`` with
     ``w = L^T u``, so the dense ``p x n`` product never exists.
+
+    The operator keeps a private column-major (Fortran-order) copy of
+    ``Q``: it decouples the operator from the caller's buffer, and it makes
+    both ``Q^T v`` and ``Q c`` run on contiguous BLAS kernels whatever the
+    layout of the block passed in (a strided view of a bidiagonalization
+    buffer, say).  The vectors reaching ``_apply``/``_adjoint`` are already
+    validated, so they call ``L``'s own ``_apply``/``_adjoint`` directly.
     """
 
     def __init__(self, L: LinearOperator, Q) -> None:
@@ -274,15 +271,19 @@ class ProjectedOperator(LinearOperator):
                 f"Q has {Q.shape[0]} rows but L has {L.cols} columns"
             )
         self.L = L
-        self.Q = Q.copy()  # decouple from any live factorization buffer
+        self.Q = Q.copy(order="F")
         self._shape = OperatorShape(L.rows, L.cols)
 
+    def _complement(self, v: np.ndarray) -> np.ndarray:
+        """``v - Q (Q^T v)`` in a fresh array."""
+        out = self.Q @ (self.Q.T @ v)
+        return np.subtract(v, out, out=out)
+
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.L.apply(v - self.Q @ (self.Q.T @ v))
+        return self.L._apply(self._complement(v))
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        w = self.L.apply_adjoint(u)
-        return w - self.Q @ (self.Q.T @ w)
+        return self._complement(self.L._adjoint(u))
 
     def frobenius_norm(self) -> float:
         # |L (I - QQ^T)|_F^2 = |L|_F^2 - |L Q|_F^2 (orthogonal projector).

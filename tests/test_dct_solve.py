@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, dct, idct
-from krylreg.hybrid import HybridConfig, direct_solver, hyb_cgme_step, inner_solve, run_hybrid
+from krylreg.hybrid import HybridConfig, IdentitySolver, direct_solver, hyb_cgme_step, inner_solve, run_hybrid
 from krylreg.lsqr import LsqrConfig
 from krylreg.metrics import relative_error
 from krylreg.operators import (
@@ -121,7 +121,7 @@ def test_non_orthonormal_block_raises_like_lsqr_path():
 def test_direct_solver_chosen_by_regularizer_type():
     assert isinstance(direct_solver(Stacked2DDifferenceOperator(4)), Difference2DSolver)
     assert direct_solver(FirstDifferenceOperator(16)) is None
-    assert direct_solver(IdentityOperator(16)) is None
+    assert isinstance(direct_solver(IdentityOperator(16)), IdentitySolver)
 
 
 def centered_blur_problem(side: int = 8) -> ProblemInstance:

@@ -261,6 +261,20 @@ def test_pure_methods_skip_inner_solve():
     assert len(record_t.ks) == 5
 
 
+@pytest.mark.parametrize("reorth", ["full", "none"])
+def test_identity_hybrids_equal_plain_methods_exactly(reorth):
+    # L = I takes the exact z = 0 path: no inner iterations, and each
+    # hybrid row is its plain method's row, bit for bit
+    problem = build_problem("shaw", 300, 1e-2, 11, L_kind="identity")
+    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=15, reorth=reorth))
+    for base in ("cgme", "tcgme"):
+        plain, hybrid = sweeps[base], sweeps["hyb_" + base]
+        assert hybrid.ks == plain.ks == list(range(1, 16))
+        assert hybrid.rel_errors == plain.rel_errors
+        assert hybrid.inner_iterations == [0] * 15
+        assert hybrid.breakdown is None and hybrid.error is None and hybrid.fallbacks == []
+
+
 # baart(200) breaks down on alpha_11: at max_outer_k=10 only the *tcgme
 # methods read step 11, so only they may report it.
 JOINT_CASES = {

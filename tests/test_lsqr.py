@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krylreg.lsqr import LsqrConfig, lsqr_solve, operator_norm_estimate
+from krylreg.lsqr import LsqrConfig, NumericalFailure, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
     FirstDifferenceOperator,
@@ -117,15 +117,6 @@ def test_projected_operator_terminates_within_dimension_bound(n, k, seed):
     assert report.iterations <= n - k + 5
 
 
-def test_residual_stop_reason():
-    rng = np.random.default_rng(11)
-    A = DenseOperator(rng.standard_normal((10, 10)) + 10 * np.eye(10))
-    d = A.apply(rng.standard_normal(10))
-    report = lsqr_solve(A, d, LsqrConfig(tol=1e-15, atol_rhs=1e-3, max_iters=200))
-    assert report.stop_reason in ("residual", "backward_error")
-    assert report.residual_norm <= 1e-3 * np.linalg.norm(d) or report.final_backward_error <= 1e-15
-
-
 def test_max_iters_stop():
     rng = np.random.default_rng(12)
     M = DenseOperator(rng.standard_normal((50, 40)))
@@ -134,20 +125,50 @@ def test_max_iters_stop():
     assert report.iterations == 3
 
 
-def test_norm_estimate_identity():
-    est = operator_norm_estimate(IdentityOperator(5))
-    assert 0.447 <= est <= 2.24
-    assert est >= 1.0 - 1e-12
+class _NaNInjector(DenseOperator):
+    """A dense operator whose ``side`` product turns non-finite at entry
+    ``index`` on its ``call``-th use, and stays that way."""
+
+    def __init__(self, entries, side, call, index, value=np.nan):
+        super().__init__(entries)
+        self.side, self.call, self.index, self.value = side, call, index, value
+        self.calls = 0
+
+    def _inject(self, out):
+        self.calls += 1
+        if self.calls >= self.call:
+            out[self.index] = self.value
+        return out
+
+    def _apply(self, v):
+        out = super()._apply(v)
+        return self._inject(out) if self.side == "apply" else out
+
+    def _adjoint(self, u):
+        out = super()._adjoint(u)
+        return self._inject(out) if self.side == "adjoint" else out
 
 
-def test_norm_estimate_diagonal_dominant():
-    est = operator_norm_estimate(DenseOperator(np.diag([10.0, 1.0, 0.1])))
-    assert est >= 10.0 * (1.0 - 1e-10)
-    assert est <= np.sqrt(3) * 10.0 + 1e-9
+@pytest.mark.parametrize("side,call,value", [
+    ("apply", 3, np.nan),
+    ("adjoint", 1, np.nan),  # the start vector, before the first iteration
+    ("adjoint", 4, np.nan),
+    ("adjoint", 2, np.inf),
+])
+def test_nonfinite_away_from_index_zero_raises(side, call, value):
+    rng = np.random.default_rng(13)
+    op = _NaNInjector(rng.standard_normal((30, 20)), side, call, index=17, value=value)
+    with pytest.raises(NumericalFailure):
+        lsqr_solve(op, rng.standard_normal(30), LsqrConfig(tol=1e-12, max_iters=50))
+    assert op.calls >= call
 
 
-def test_norm_estimate_first_difference_bracket():
-    op = FirstDifferenceOperator(100)
-    sigma_max = np.linalg.svd(op.to_dense(), compute_uv=False)[0]
-    est = operator_norm_estimate(op)
-    assert sigma_max / np.sqrt(99) <= est <= np.sqrt(99) * sigma_max
+def test_in_place_updates_leave_caller_vectors_alone():
+    rng = np.random.default_rng(14)
+    entries = rng.standard_normal((25, 15))
+    d = rng.standard_normal(25)
+    d_before = d.copy()
+    first = lsqr_solve(DenseOperator(entries), d, LsqrConfig(tol=1e-10, max_iters=100))
+    np.testing.assert_array_equal(d, d_before)
+    second = lsqr_solve(DenseOperator(entries), d, LsqrConfig(tol=1e-10, max_iters=100))
+    np.testing.assert_array_equal(first.solution, second.solution)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.operators import (
     DenseOperator,
     DimensionMismatch,
@@ -12,7 +13,6 @@ from krylreg.operators import (
     OperatorShape,
     ProjectedOperator,
     Stacked2DDifferenceOperator,
-    project_complement,
 )
 
 from conftest import random_orthonormal
@@ -96,18 +96,15 @@ def test_random_dense_adjoint_identity_tight(rng):
         assert abs(av @ u - v @ A.apply_adjoint(u)) <= 1e-12 * np.linalg.norm(av) * np.linalg.norm(u) + 1e-15
 
 
-def test_project_complement_examples():
+def test_projected_identity_is_the_complement_projector():
+    # L = I: the operator is v - Q (Q^T v), with zero Q^T component
     e1 = np.eye(3)[:, :1]
-    np.testing.assert_allclose(project_complement(e1, [5.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
-    full = np.eye(3)
-    assert np.linalg.norm(project_complement(full, [0.3, -2.0, 4.0])) <= 1e-10
-
-
-def test_project_complement_random_block():
+    np.testing.assert_allclose(ProjectedOperator(IdentityOperator(3), e1).apply([5.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    full = ProjectedOperator(IdentityOperator(3), np.eye(3))
+    assert np.linalg.norm(full.apply([0.3, -2.0, 4.0])) <= 1e-10
     Q = random_orthonormal(50, 10, seed=3)
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(50)
-    res = project_complement(Q, v)
+    v = np.random.default_rng(4).standard_normal(50)
+    res = ProjectedOperator(IdentityOperator(50), Q).apply(v)
     assert np.linalg.norm(Q.T @ res) <= 1e-10 * np.linalg.norm(v)
 
 
@@ -118,24 +115,71 @@ def test_projected_operator_requires_orthonormal_columns():
         ProjectedOperator(L, bad)
 
 
-@pytest.mark.parametrize("n,k,seed", [(40, 5, 0), (200, 17, 1), (63, 1, 2)])
-def test_projected_operator_matches_dense(n, k, seed):
-    rng = np.random.default_rng(seed)
-    L = DenseOperator(rng.standard_normal((n - 1, n)))
-    Q = random_orthonormal(n, k, seed)
-    op = ProjectedOperator(L, Q)
-    dense = L.entries @ (np.eye(n) - Q @ Q.T)
-    v = rng.standard_normal(n)
-    u = rng.standard_normal(n - 1)
-    np.testing.assert_allclose(op.apply(v), dense @ v, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(op.apply_adjoint(u), dense.T @ u, rtol=1e-10, atol=1e-12)
-
-
 def _first_difference_dense(n):
     D = np.zeros((n - 1, n))
     D[np.arange(n - 1), np.arange(n - 1)] = 1.0
     D[np.arange(n - 1), np.arange(1, n)] = -1.0
     return D
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_first_difference_adjoint_is_the_dense_transpose(n):
+    L = FirstDifferenceOperator(n)
+    D = _first_difference_dense(n)
+    u = np.random.default_rng(n).standard_normal(n - 1)
+    np.testing.assert_array_equal(L.apply_adjoint(u), D.T @ u)
+    if n <= 3:
+        np.testing.assert_array_equal(L.to_dense(), D)
+
+
+def _krylov_block(n, k, seed):
+    """``Q_k`` of a bidiagonalization as the state hands it out: a strided
+    column view of a larger buffer."""
+    rng = np.random.default_rng(seed)
+    A = DenseOperator(rng.standard_normal((n, n)))
+    state = bidiag_init(A, rng.standard_normal(n))
+    bidiag_extend(state, A, k)
+    return state.Q_cols(k)
+
+
+def _layouts(n, k, seed):
+    Q = random_orthonormal(n, k, seed)
+    strided = _krylov_block(n, k, seed)
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    return {
+        "C": np.ascontiguousarray(Q),
+        "F": np.asfortranarray(Q),
+        "strided": strided,
+    }
+
+
+@pytest.mark.parametrize("n,k,seed", [(40, 5, 0), (200, 17, 1), (63, 1, 2)])
+def test_projected_operator_matches_dense(n, k, seed):
+    # every layout of Q reaches the same F-ordered private copy
+    rng = np.random.default_rng(seed)
+    for Q in _layouts(n, k, seed).values():
+        for L in (DenseOperator(rng.standard_normal((n - 1, n))), FirstDifferenceOperator(n)):
+            op = ProjectedOperator(L, Q)
+            assert op.Q.flags.f_contiguous
+            dense = L.to_dense() @ (np.eye(n) - Q @ Q.T)
+            scale = np.linalg.norm(dense, 2)
+            v = rng.standard_normal(n)
+            u = rng.standard_normal(n - 1)
+            assert np.linalg.norm(op.apply(v) - dense @ v) <= 1e-14 * scale * np.linalg.norm(v)
+            assert np.linalg.norm(op.apply_adjoint(u) - dense.T @ u) <= 1e-14 * scale * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_projected_operator_is_decoupled_from_its_source(layout):
+    n, k = 60, 4
+    source = _layouts(n, k, 5)[layout]
+    Q = source.copy()
+    op = ProjectedOperator(FirstDifferenceOperator(n), source)
+    v = np.random.default_rng(6).standard_normal(n)
+    before = op.apply(v)
+    source[...] = 0.0  # e.g. the bidiagonalization buffer being reused
+    np.testing.assert_array_equal(op.Q, Q)
+    np.testing.assert_array_equal(op.apply(v), before)
 
 
 @pytest.mark.parametrize("N", [2, 5, 16])

@@ -1,5 +1,4 @@
-"""Smoke runs of the benchmark: one traced pass each of the blur2d and
-krylov_identity workloads."""
+"""Smoke runs of the benchmark: one traced pass of each workload."""
 
 import json
 import subprocess
@@ -10,16 +9,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# One Krylov process per (problem, noise level), read by every method:
-# krylov_identity sweeps 2 problems to max_outer_k=100, so TCGME's 101
-# columns each; blur2d sweeps one.
-SHARED_BIDIAG = {
-    "blur2d": {"bidiag.inits": 1},
-    "krylov_identity": {"bidiag.inits": 2, "bidiag.steps": 202},
+# Work counts that do not depend on the machine.  One Krylov process per
+# (problem, noise level), read by every method: krylov_identity sweeps 2
+# problems to max_outer_k=100, so TCGME's 101 columns each; blur2d sweeps
+# one; desk1d 4 problems at 3 noise levels.  Only desk1d runs the inner
+# LSQR: blur2d takes the DCT solve and krylov_identity (L = I) needs none,
+# and desk1d's iteration count pins LSQR's path, step for step.
+COUNTS = {
+    "blur2d": {"bidiag.inits": 1, "lsqr.calls": 0},
+    "krylov_identity": {"bidiag.inits": 2, "bidiag.steps": 202, "lsqr.calls": 0},
+    "desk1d": {"bidiag.inits": 12, "lsqr.calls": 540, "lsqr.iters": 167_469},
 }
 
 
-@pytest.mark.parametrize("workload", SHARED_BIDIAG)
+@pytest.mark.parametrize("workload", COUNTS)
 def test_traced_pass_is_correct_and_reports_every_layer_metric(workload):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0", "--trace", "1"],
@@ -34,10 +37,7 @@ def test_traced_pass_is_correct_and_reports_every_layer_metric(workload):
     assert report["trace"]["self_check"] and all(report["trace"]["self_check"].values())
     assert report["trace"]["counts_repeat"] is True
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    for name, expected in SHARED_BIDIAG[workload].items():
+    for name, expected in COUNTS[workload].items():
         assert metrics[name] == expected, name
-    if workload == "blur2d":
-        # first_diff_2d takes the direct inner solve: no LSQR at all
-        assert metrics["lsqr.calls"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert set(metrics) == {m["name"] for m in declared["per_layer"]}
