@@ -96,15 +96,23 @@ def test_random_dense_adjoint_identity_tight(rng):
         assert abs(av @ u - v @ A.apply_adjoint(u)) <= 1e-12 * np.linalg.norm(av) * np.linalg.norm(u) + 1e-15
 
 
-def test_projected_identity_is_the_complement_projector():
-    # L = I: the operator is v - Q (Q^T v), with zero Q^T component
+def _project_complement(Q, v):
+    # at L = I the projected operator is the complement projector v - Q (Q^T v)
+    return ProjectedOperator(IdentityOperator(Q.shape[0]), Q).apply(v)
+
+
+def test_project_complement_examples():
     e1 = np.eye(3)[:, :1]
-    np.testing.assert_allclose(ProjectedOperator(IdentityOperator(3), e1).apply([5.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
-    full = ProjectedOperator(IdentityOperator(3), np.eye(3))
-    assert np.linalg.norm(full.apply([0.3, -2.0, 4.0])) <= 1e-10
+    np.testing.assert_allclose(_project_complement(e1, [5.0, 1.0, 2.0]), [0.0, 1.0, 2.0])
+    full = np.eye(3)
+    assert np.linalg.norm(_project_complement(full, [0.3, -2.0, 4.0])) <= 1e-10
+
+
+def test_project_complement_random_block():
     Q = random_orthonormal(50, 10, seed=3)
-    v = np.random.default_rng(4).standard_normal(50)
-    res = ProjectedOperator(IdentityOperator(50), Q).apply(v)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(50)
+    res = _project_complement(Q, v)
     assert np.linalg.norm(Q.T @ res) <= 1e-10 * np.linalg.norm(v)
 
 
