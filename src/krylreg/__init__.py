@@ -76,6 +76,6 @@ from .problems import (
     save_problem,
     with_noise,
 )
-from .solvers import KrylovIterate, cgme_iterate, tcgme_iterate
+from .solvers import cgme_iterate, tcgme_iterate
 
 __version__ = "0.1.0"

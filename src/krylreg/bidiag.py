@@ -7,9 +7,8 @@ Starting from ``p_1 = b / |b|``, each step computes
 
 accumulating orthonormal column blocks P (left) and Q (right) together
 with the lower-bidiagonal coefficients.  On ill-posed problems the raw
-recurrence loses orthogonality catastrophically, so the default policy
-reorthogonalizes every new column against all previous ones twice; a
-"none" policy is kept for experiments.
+recurrence loses orthogonality catastrophically, so every new column is
+reorthogonalized against all previous ones twice.
 
 A coefficient falling below ``1e-14 * |A|_F`` signals that the Krylov
 subspace is numerically exhausted (exact termination); extension then
@@ -35,8 +34,6 @@ __all__ = [
 ]
 
 BREAKDOWN_SCALE = 1e-14
-
-REORTH_POLICIES = ("full", "none")
 
 
 class GolubKahanBreakdown(RuntimeError):
@@ -79,7 +76,11 @@ class _ColumnBlock:
         self.count += 1
 
     def view(self, count: int | None = None) -> np.ndarray:
-        return self._buf[:, : (self.count if count is None else count)]
+        if count is None:
+            count = self.count
+        elif count > self.count:
+            raise ValueError(f"asked for {count} columns, only {self.count} stored")
+        return self._buf[:, :count]
 
     def last(self) -> np.ndarray:
         return self._buf[:, self.count - 1]
@@ -98,13 +99,11 @@ class BidiagState:
     """
 
     def __init__(self, p_block: _ColumnBlock, q_block: _ColumnBlock,
-                 alphas: list[float], betas: list[float],
-                 reorth: str, breakdown_tol: float):
+                 alphas: list[float], betas: list[float], breakdown_tol: float):
         self._p = p_block
         self._q = q_block
         self._alphas = alphas
         self._betas = betas
-        self.reorth = reorth
         self.breakdown_tol = breakdown_tol
         self.breakdown_step: int | None = None
 
@@ -143,7 +142,7 @@ class BidiagState:
 
     def __repr__(self) -> str:
         bd = f", breakdown at {self.breakdown_step}" if self.breakdown_step else ""
-        return f"BidiagState(k={self.k}, reorth={self.reorth!r}{bd})"
+        return f"BidiagState(k={self.k}{bd})"
 
 
 @dataclass(frozen=True)
@@ -175,10 +174,8 @@ def lower_bidiagonal(alphas, betas) -> np.ndarray:
     return B
 
 
-def bidiag_init(A: LinearOperator, b, reorth: str = "full") -> BidiagState:
+def bidiag_init(A: LinearOperator, b) -> BidiagState:
     """Set up the process with ``p_1 = b / |b|`` and no completed steps."""
-    if reorth not in REORTH_POLICIES:
-        raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
     b = _as_vector(b, A.rows, "right-hand side")
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
@@ -187,7 +184,7 @@ def bidiag_init(A: LinearOperator, b, reorth: str = "full") -> BidiagState:
     p.append(b / beta1)
     q = _ColumnBlock(A.cols)
     tol = BREAKDOWN_SCALE * A.frobenius_norm()
-    return BidiagState(p, q, [], [beta1], reorth, tol)
+    return BidiagState(p, q, [], [beta1], tol)
 
 
 def _reorthogonalize(r: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -209,13 +206,12 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
             state.breakdown_step,
             f"cannot extend past breakdown at step {state.breakdown_step}",
         )
-    full = state.reorth == "full"
     for _ in range(steps):
         j = state.k + 1
         r = A.apply_adjoint(state._p.last())
         if j >= 2:
             r -= state._betas[j - 1] * state._q.last()
-        if full and state._q.count:
+        if state._q.count:
             r = _reorthogonalize(r, state._q.view())
         alpha = float(np.linalg.norm(r))
         if alpha <= state.breakdown_tol:
@@ -225,8 +221,7 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
         state._q.append(qj)
         state._alphas.append(alpha)
         s = A.apply(qj) - alpha * state._p.last()
-        if full:
-            s = _reorthogonalize(s, state._p.view())
+        s = _reorthogonalize(s, state._p.view())
         beta = float(np.linalg.norm(s))
         state._betas.append(beta)
         if beta <= state.breakdown_tol:

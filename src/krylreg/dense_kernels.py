@@ -46,12 +46,6 @@ class SmallSVD:
     def cols(self) -> int:
         return self.V.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        s = np.zeros((self.rows, self.cols))
-        r = self.singular_values.shape[0]
-        s[np.arange(r), np.arange(r)] = self.singular_values
-        return self.U @ s @ self.V.T
-
 
 @dataclass(frozen=True)
 class TruncatedFactor:
@@ -65,12 +59,6 @@ class TruncatedFactor:
             raise ValueError(
                 f"rank must be in [1, {self.source.singular_values.shape[0]}], got {self.rank}"
             )
-
-    def matrix(self) -> np.ndarray:
-        """Dense truncated matrix (oracle/test use)."""
-        k = self.rank
-        s = self.source
-        return (s.U[:, :k] * s.singular_values[:k]) @ s.V[:, :k].T
 
 
 def svd_small(M) -> SmallSVD:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bidiag, metrics, problems, solvers
-from .bidiag import REORTH_POLICIES
 from .hybrid import METHODS, HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
 from .operators import DenseOperator
@@ -56,12 +55,14 @@ class ExperimentSpec:
     L_kind: str | None = None
     max_outer_k: int = 50
     inner_tol: float = 1e-6
-    reorth: str = "full"
     psf_sigma: float = 2.0
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
+        for name, value in (("epsilons", self.epsilons), ("methods", self.methods)):
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
         if not self.methods:
             raise ValueError("no methods given")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -80,8 +81,6 @@ class ExperimentSpec:
             raise ValueError(f"max_outer_k must be an integer >= 1, got {self.max_outer_k!r}")
         if not _is_real(self.inner_tol) or not 0.0 < self.inner_tol < 1.0:
             raise ValueError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
-        if self.reorth not in REORTH_POLICIES:
-            raise ValueError(f"unknown reorth {self.reorth!r}; expected one of {REORTH_POLICIES}")
         if self.L_kind is not None and self.L_kind not in L_KINDS:
             raise ValueError(f"unknown L_kind {self.L_kind!r}; expected one of {L_KINDS}")
         if self.L_kind == "first_diff_2d" and self.problem != "blur2d":
@@ -161,7 +160,6 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     cfg = HybridConfig(
         inner=LsqrConfig(tol=spec.inner_tol),
         max_outer_k=spec.max_outer_k,
-        reorth=spec.reorth,
     )
     base = None
     build_error: str | None = None
@@ -349,8 +347,8 @@ def _identity_collapse_check() -> VerificationCheck:
     cfg = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8)
     worst = 0.0
     for k in (2, 5, 8):
-        xc = solvers.cgme_iterate(state, k).x
-        xt = solvers.tcgme_iterate(state, k).x
+        xc = solvers.cgme_iterate(state, k)
+        xt = solvers.tcgme_iterate(state, k)
         hc = hyb_cgme_step(state, problem.L, k, cfg).x_L
         ht = hyb_tcgme_step(state, problem.L, k, cfg).x_L
         worst = max(

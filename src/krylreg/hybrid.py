@@ -17,9 +17,8 @@ How the inner problem is solved follows from the type of ``L``:
 - ``L = I`` (``identity``) needs no inner solve at all.  Every Krylov
   iterate lies in range(Q), so ``x_k`` is already the minimum-norm point
   of ``Q^T x = Q^T x_k`` and the correction is exactly ``z_k = 0``: the
-  hybrid iterate equals its plain method's, ``inner_iterations`` reads
-  0, and a ``reorth="none"`` sweep no longer stops its hybrids on lost
-  basis orthogonality before their plain methods;
+  hybrid iterate equals its plain method's, and ``inner_iterations``
+  reads 0;
 - the 2-D difference stack (``first_diff_2d``) takes the exact direct
   solve of :mod:`krylreg.dct_solve`, one per sweep and shared by both
   hybrids, which runs no inner iterations (``inner_iterations`` reads 0)
@@ -82,12 +81,10 @@ Method = Literal["cgme", "tcgme", "hyb_cgme", "hyb_tcgme"]
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Outer sweep controls: inner LSQR settings, outer depth, and the
-    reorthogonalization policy handed to the bidiagonalization."""
+    """Outer sweep controls: inner LSQR settings and outer depth."""
 
     inner: LsqrConfig = LsqrConfig()
     max_outer_k: int = 50
-    reorth: str = "full"
 
     def __post_init__(self) -> None:
         if self.max_outer_k < 1:
@@ -212,7 +209,7 @@ def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConf
     ``direct`` is the sweep's :func:`direct_solver`; without one the
     inner problem goes to LSQR.
     """
-    x_k = cgme_iterate(state, k).x
+    x_k = cgme_iterate(state, k)
     return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), L, cfg, direct)
 
 
@@ -220,7 +217,7 @@ def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridCon
                    direct: DirectSolver | None = None) -> HybridIterate:
     """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``); ``direct``
     as for :func:`hyb_cgme_step`."""
-    x_k = tcgme_iterate(state, k).x
+    x_k = tcgme_iterate(state, k)
     return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), L, cfg, direct)
 
 
@@ -252,7 +249,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
         raise ValueError(f"methods must be a non-empty sequence of names from {METHODS}, got {methods!r}")
     results = {m: SweepResult(method=m) for m in methods}
     try:
-        state = bidiag_init(problem.A, problem.b, reorth=cfg.reorth)
+        state = bidiag_init(problem.A, problem.b)
     except GolubKahanBreakdown as exc:
         for result in results.values():
             result.breakdown = str(exc)
@@ -288,7 +285,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
                 if base not in bases:
                     t0 = time.perf_counter()
                     iterate = cgme_iterate if base == "cgme" else tcgme_iterate
-                    x = iterate(state, k).x
+                    x = iterate(state, k)
                     bases[base] = (x, (time.perf_counter() - t0) * 1e3)
                 x, base_ms = bases[base]
                 wall += base_ms
@@ -303,8 +300,8 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
                         result.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
                 rel_error = relative_error(problem.L, x, problem.x_true)
             except OrthonormalityError as exc:
-                # without reorthogonalization the basis can drift past the
-                # projector tolerance; stop this sweep with the reason
+                # a basis that drifted past the projector tolerance (the
+                # reorthogonalization failed to hold it) stops this sweep
                 result.breakdown = f"basis orthogonality lost at k={k}: {exc}"
                 active.remove(method)
                 continue

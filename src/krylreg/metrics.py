@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState, extract_matrices
-from .dense_kernels import TruncatedFactor, svd_small
+from .dense_kernels import svd_small
 from .operators import DenseOperator, LinearOperator
 
 __all__ = [
@@ -87,7 +87,8 @@ def gamma_gaps(A: DenseOperator, state: BidiagState, k: int) -> GammaGapReport:
     P_k1 = state.P_cols(k + 1)
     Q_k = state.Q_cols(k)
     Q_k1 = state.Q_cols(k + 1)
-    C_k = TruncatedFactor(source=svd_small(mats.B_kp1), rank=k).matrix()
+    f = svd_small(mats.B_kp1)
+    C_k = (f.U[:, :k] * f.singular_values[:k]) @ f.V[:, :k].T
     gamma_cgme = _spectral_norm(dense - P_k @ mats.B_k @ Q_k.T)
     gamma_tcgme = _spectral_norm(dense - P_k1 @ C_k @ Q_k1.T)
     gamma_lsqr = _spectral_norm(dense - P_k1 @ mats.B_kplus @ Q_k.T)

@@ -34,9 +34,6 @@ __all__ = [
 # Orthonormality slack accepted for projector blocks.
 ORTHONORMALITY_TOL = 1e-10
 
-_FROBENIUS_PROBES = 100
-_FROBENIUS_SEED = 0x5EED
-
 
 class DimensionMismatch(ValueError):
     """A vector length does not match the operator dimension it feeds."""
@@ -72,7 +69,7 @@ class LinearOperator:
     """Abstract ``m x n`` real linear map.
 
     Subclasses set ``self._shape`` and implement ``_apply``/``_adjoint``
-    on validated float64 vectors.
+    on validated float64 vectors, and ``frobenius_norm`` exactly.
     """
 
     _shape: OperatorShape
@@ -104,18 +101,8 @@ class LinearOperator:
         raise NotImplementedError
 
     def frobenius_norm(self) -> float:
-        """Frobenius norm, exact where cheap and stochastic otherwise.
-
-        The fallback uses the identity E|A v|^2 = |A|_F^2 for standard
-        normal ``v``, averaged over a fixed number of seeded probes, so the
-        returned value is deterministic.
-        """
-        rng = np.random.default_rng(_FROBENIUS_SEED)
-        acc = 0.0
-        for _ in range(_FROBENIUS_PROBES):
-            av = self._apply(rng.standard_normal(self.cols))
-            acc += float(av @ av)
-        return float(np.sqrt(acc / _FROBENIUS_PROBES))
+        """Exact Frobenius norm ``|A|_F``."""
+        raise NotImplementedError
 
     def to_dense(self, max_entries: int = 10**6) -> np.ndarray:
         """Materialize the operator column by column (test oracles only)."""
@@ -284,14 +271,6 @@ class ProjectedOperator(LinearOperator):
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
         return self._complement(self.L._adjoint(u))
-
-    def frobenius_norm(self) -> float:
-        # |L (I - QQ^T)|_F^2 = |L|_F^2 - |L Q|_F^2 (orthogonal projector).
-        lf = self.L.frobenius_norm()
-        lq = np.linalg.norm(
-            np.column_stack([self.L.apply(q) for q in self.Q.T]), "fro"
-        )
-        return float(np.sqrt(max(lf * lf - lq * lq, 0.0)))
 
 
 class KroneckerBlurOperator(LinearOperator):

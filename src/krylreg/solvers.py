@@ -13,25 +13,12 @@ In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .bidiag import BidiagState, extract_matrices
 from .dense_kernels import TruncatedFactor, bidiag_solve, svd_small, truncated_pinv_apply
 
-__all__ = ["KrylovIterate", "cgme_iterate", "tcgme_iterate"]
-
-
-@dataclass(frozen=True)
-class KrylovIterate:
-    """A Krylov-stage iterate: ``x`` lies in range(Q_k) for cgme and
-    range(Q_{k+1}) for tcgme."""
-
-    x: np.ndarray
-    k: int
-    method: Literal["cgme", "tcgme"]
+__all__ = ["cgme_iterate", "tcgme_iterate"]
 
 
 def _require_steps(state: BidiagState, needed: int, k: int, method: str) -> None:
@@ -42,8 +29,8 @@ def _require_steps(state: BidiagState, needed: int, k: int, method: str) -> None
         raise ValueError(f"{method} iterate at k={k} needs {needed} bidiagonalization steps; {detail}")
 
 
-def cgme_iterate(state: BidiagState, k: int) -> KrylovIterate:
-    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1)``."""
+def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
+    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1)``, in range(Q_k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_steps(state, k, k, "cgme")
@@ -51,12 +38,13 @@ def cgme_iterate(state: BidiagState, k: int) -> KrylovIterate:
     rhs = np.zeros(k)
     rhs[0] = state.beta1
     y = bidiag_solve(mats.B_k, rhs)
-    return KrylovIterate(x=state.Q_cols(k) @ y, k=k, method="cgme")
+    return state.Q_cols(k) @ y
 
 
-def tcgme_iterate(state: BidiagState, k: int) -> KrylovIterate:
+def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     """TCGME iterate through the rank-k truncation of the square
-    ``(k+1) x (k+1)`` bidiagonal block (requires ``state.k >= k + 1``)."""
+    ``(k+1) x (k+1)`` bidiagonal block, in range(Q_{k+1}) (requires
+    ``state.k >= k + 1``)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_steps(state, k + 1, k, "tcgme")
@@ -65,4 +53,4 @@ def tcgme_iterate(state: BidiagState, k: int) -> KrylovIterate:
     rhs = np.zeros(k + 1)
     rhs[0] = state.beta1
     y = truncated_pinv_apply(factor, rhs)
-    return KrylovIterate(x=state.Q_cols(k + 1) @ y, k=k, method="tcgme")
+    return state.Q_cols(k + 1) @ y

@@ -100,7 +100,7 @@ def test_criterion_3_closed_form_equivalence():
                 (hyb_tcgme_step, tcgme_iterate, k + 1),
             ):
                 it = step(state, problem.L, k, tight)
-                x_k = krylov(state, k).x
+                x_k = krylov(state, k)
                 Q = state.Q_cols(cols)
                 M = Ldense @ (np.eye(200) - Q @ Q.T)
                 oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ldense @ x_k)
@@ -121,12 +121,12 @@ def test_criterion_4_identity_collapse():
     worst = 0.0
     k_cgme = min(20, reached)
     for k in range(1, k_cgme + 1):
-        x_k = cgme_iterate(state, k).x
+        x_k = cgme_iterate(state, k)
         it = hyb_cgme_step(state, problem.L, k, cfg)
         worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
     k_tcgme = min(20, reached - 1)
     for k in range(1, k_tcgme + 1):
-        x_k = tcgme_iterate(state, k).x
+        x_k = tcgme_iterate(state, k)
         it = hyb_tcgme_step(state, problem.L, k, cfg)
         worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
     report(

@@ -149,18 +149,16 @@ def test_deterministic_coefficients():
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
-def test_no_reorth_policy_runs():
+def test_column_reads_past_the_stored_count_are_rejected():
     A, x_true, b_true = gen_shaw(64)
-    b = add_noise(b_true, 1e-2, 8)
-    state = bidiag_init(A, b, reorth="none")
-    bidiag_extend(state, A, 10)
-    assert state.k == 10
-
-
-def test_unknown_policy_rejected():
-    A = DenseOperator(np.eye(3))
-    with pytest.raises(ValueError):
-        bidiag_init(A, np.ones(3), reorth="sometimes")
+    state = bidiag_init(A, add_noise(b_true, 1e-2, 8))
+    bidiag_extend(state, A, 3)
+    assert state.Q_cols(3).shape == (64, 3) and state.P_cols(4).shape == (64, 4)
+    with pytest.raises(ValueError, match="5 columns, only 3 stored"):
+        state.Q_cols(5)
+    # past the initial buffer capacity, too
+    with pytest.raises(ValueError, match="40 columns, only 4 stored"):
+        state.P_cols(40)
 
 
 def test_lower_bidiagonal_builder():

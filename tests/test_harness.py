@@ -51,7 +51,8 @@ BASE_SPEC = dict(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=("hyb
         ("max_outer_k", 0, "max_outer_k must be an integer"),
         ("inner_tol", 0.0, "inner_tol must lie in"),
         ("inner_tol", 1.0, "inner_tol must lie in"),
-        ("reorth", "partial", "unknown reorth"),
+        ("epsilons", 0.01, "epsilons must be a list"),
+        ("methods", "cgme", "methods must be a list"),
         ("L_kind", "second_diff", "unknown L_kind"),
         ("L_kind", "first_diff_2d", "first_diff_2d does not apply"),
         ("psf_sigma", 0.0, "psf_sigma must be positive"),
@@ -66,6 +67,8 @@ def test_spec_validates_each_field_at_the_boundary(field, bad, message):
 def test_spec_from_dict_names_unknown_and_missing_keys():
     with pytest.raises(ValueError, match=r"unknown ExperimentSpec keys \['max_k'\]"):
         ExperimentSpec.from_dict({**BASE_SPEC, "max_k": 5})
+    with pytest.raises(ValueError, match=r"unknown ExperimentSpec keys \['reorth'\]"):
+        ExperimentSpec.from_dict({**BASE_SPEC, "reorth": "full"})
     with pytest.raises(ValueError, match=r"missing ExperimentSpec keys \['seed'\]"):
         ExperimentSpec.from_dict({k: v for k, v in BASE_SPEC.items() if k != "seed"})
 

@@ -36,7 +36,7 @@ def dense_projected(L, Q):
 def test_inner_solve_identity_regularizer_keeps_iterate():
     problem, state = prepared("shaw", 200, 6, L_kind="identity")
     for k in (2, 5):
-        x_k = cgme_iterate(state, k).x
+        x_k = cgme_iterate(state, k)
         z, report = inner_solve(problem.L, state.Q_cols(k), x_k, TIGHT)
         np.testing.assert_allclose(x_k - z, state.Q_cols(k) @ (state.Q_cols(k).T @ x_k), atol=1e-8)
         assert np.linalg.norm(x_k - z - x_k) <= 1e-8 * np.linalg.norm(x_k) + 1e-12
@@ -54,7 +54,7 @@ def test_inner_solve_null_space_rhs_gives_zero():
 def test_inner_solve_matches_dense_pinv_oracle():
     problem, state = prepared("shaw", 200, 6)
     k = 5
-    x_k = cgme_iterate(state, k).x
+    x_k = cgme_iterate(state, k)
     z, _ = inner_solve(problem.L, state.Q_cols(k), x_k, TIGHT)
     M = dense_projected(problem.L, state.Q_cols(k))
     oracle = np.linalg.pinv(M, rcond=1e-10) @ problem.L.apply(x_k)
@@ -65,7 +65,7 @@ def test_hyb_cgme_identity_collapse():
     problem, state = prepared("shaw", 500, 12, L_kind="identity")
     cfg = HybridConfig(inner=TIGHT, max_outer_k=12)
     for k in (3, 8, 12):
-        x_k = cgme_iterate(state, k).x
+        x_k = cgme_iterate(state, k)
         it = hyb_cgme_step(state, problem.L, k, cfg)
         assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
 
@@ -74,7 +74,7 @@ def test_hyb_tcgme_identity_collapse():
     problem, state = prepared("shaw", 500, 13, L_kind="identity")
     cfg = HybridConfig(inner=TIGHT, max_outer_k=12)
     for k in (3, 8, 12):
-        x_k = tcgme_iterate(state, k).x
+        x_k = tcgme_iterate(state, k)
         it = hyb_tcgme_step(state, problem.L, k, cfg)
         assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
 
@@ -94,7 +94,7 @@ def test_hyb_cgme_matches_closed_form_oracle_on_heat():
     n = A.shape[1]
     Ldense = problem.L.to_dense()
     M = Ldense @ (np.eye(n) - np.linalg.pinv(P_cgme, rcond=1e-10) @ P_cgme)
-    x_k = cgme_iterate(state, k).x
+    x_k = cgme_iterate(state, k)
     oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ldense @ x_k)
     assert np.linalg.norm(it.x_L - oracle) <= 1e-5 * np.linalg.norm(oracle)
 
@@ -104,7 +104,7 @@ def test_hyb_tcgme_matches_closed_form_oracle_on_shaw():
     k = 5
     cfg = HybridConfig(inner=TIGHT, max_outer_k=6)
     it = hyb_tcgme_step(state, problem.L, k, cfg)
-    x_k = tcgme_iterate(state, k).x
+    x_k = tcgme_iterate(state, k)
     M = dense_projected(problem.L, state.Q_cols(k + 1))
     oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (problem.L.to_dense() @ x_k)
     assert np.linalg.norm(it.x_L - oracle) <= 1e-5 * np.linalg.norm(oracle)
@@ -118,7 +118,7 @@ def test_correction_preserves_projected_constraint():
     # cgme: the projected square system is solved exactly, both residuals
     # sit at roundoff level; compare on the scale of b.
     it = hyb_cgme_step(state, problem.L, k, cfg)
-    x_k = cgme_iterate(state, k).x
+    x_k = cgme_iterate(state, k)
     A = problem.A.entries
     Pk = state.P_cols(k)
     Qk = state.Q_cols(k)
@@ -130,7 +130,7 @@ def test_correction_preserves_projected_constraint():
     # tcgme: the rank-deficient projection leaves a genuine residual,
     # which the correction must not change in relative terms.
     it_t = hyb_tcgme_step(state, problem.L, k, cfg)
-    x_t = tcgme_iterate(state, k).x
+    x_t = tcgme_iterate(state, k)
     P1 = state.P_cols(k + 1)
     Q1 = state.Q_cols(k + 1)
     B1 = P1.T @ A @ Q1
@@ -210,7 +210,7 @@ def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
     state = bidiag_init(A, b)
     with pytest.raises(GolubKahanBreakdown):
         bidiag_extend(state, A, 2)
-    np.testing.assert_allclose(cgme_iterate(state, 2).x, x_true, atol=1e-12)
+    np.testing.assert_allclose(cgme_iterate(state, 2), x_true, atol=1e-12)
 
 
 def test_inner_iteration_counts_decrease_with_k():
@@ -243,9 +243,9 @@ def test_inner_backward_error_meets_tolerance_or_flags_cap():
         assert it.inner_backward_error <= 1e-6 or it.inner_cap_hit
 
 
-def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift():
+def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift(no_reorth):
     problem = build_problem("shaw", 300, 1e-2, 11)
-    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=12, reorth="none"))["hyb_tcgme"]
+    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=12))["hyb_tcgme"]
     if record.breakdown is not None and "orthogonality" in record.breakdown:
         assert len(record.ks) < 12
         assert all(np.isfinite(e) for e in record.rel_errors)
@@ -262,11 +262,13 @@ def test_pure_methods_skip_inner_solve():
 
 
 @pytest.mark.parametrize("reorth", ["full", "none"])
-def test_identity_hybrids_equal_plain_methods_exactly(reorth):
+def test_identity_hybrids_equal_plain_methods_exactly(reorth, request):
     # L = I takes the exact z = 0 path: no inner iterations, and each
     # hybrid row is its plain method's row, bit for bit
+    if reorth == "none":
+        request.getfixturevalue("no_reorth")
     problem = build_problem("shaw", 300, 1e-2, 11, L_kind="identity")
-    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=15, reorth=reorth))
+    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=15))
     for base in ("cgme", "tcgme"):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
         assert hybrid.ks == plain.ks == list(range(1, 16))
@@ -275,20 +277,21 @@ def test_identity_hybrids_equal_plain_methods_exactly(reorth):
         assert hybrid.breakdown is None and hybrid.error is None and hybrid.fallbacks == []
 
 
+# The *reorth-none cases run under the no_reorth fixture.
 # baart(200) breaks down on alpha_11: at max_outer_k=10 only the *tcgme
 # methods read step 11, so only they may report it.
 JOINT_CASES = {
     "baart-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=40)),
     "baart-tcgme-only-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=10)),
     "beta-breakdown": (beta_breakdown_problem, HybridConfig(max_outer_k=5)),
-    "reorth-none": (lambda: build_problem("shaw", 300, 1e-2, 11), HybridConfig(max_outer_k=12, reorth="none")),
+    "reorth-none": (lambda: build_problem("shaw", 300, 1e-2, 11), HybridConfig(max_outer_k=12)),
     "blur2d": (
         lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
         HybridConfig(max_outer_k=30),
     ),
     "blur2d-reorth-none": (
         lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
-        HybridConfig(max_outer_k=30, reorth="none"),
+        HybridConfig(max_outer_k=30),
     ),
 }
 
@@ -299,7 +302,9 @@ def sweep_answer(sweep):
 
 
 @pytest.mark.parametrize("case", JOINT_CASES)
-def test_joint_sweep_matches_each_method_alone(case):
+def test_joint_sweep_matches_each_method_alone(case, request):
+    if case.endswith("reorth-none"):
+        request.getfixturevalue("no_reorth")
     build, cfg = JOINT_CASES[case]
     problem = build()
     joint = run_hybrid(problem, METHODS, cfg)
