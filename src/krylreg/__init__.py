@@ -56,7 +56,6 @@ from .operators import (
     LinearOperator,
     OperatorShape,
     OrthonormalityError,
-    ProjectedOperator,
     Stacked2DDifferenceOperator,
 )
 from .problems import (
@@ -70,10 +69,7 @@ from .problems import (
     gen_deriv2,
     gen_heat,
     gen_shaw,
-    load_problem,
     make_L,
-    problem_digest,
-    save_problem,
     with_noise,
 )
 from .solvers import cgme_iterate, tcgme_iterate

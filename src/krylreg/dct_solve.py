@@ -105,7 +105,7 @@ class Difference2DSolver:
 
     def _grow(self, Q: np.ndarray) -> None:
         for j in range(self._hat.count, Q.shape[1]):
-            # ProjectedOperator's orthonormality check, one new column at a
+            # the LSQR path's orthonormality check, one new column at a
             # time: O(nk) per step instead of O(nk^2)
             gram = Q[:, : j + 1].T @ Q[:, j]
             gram[j] -= 1.0

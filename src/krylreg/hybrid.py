@@ -25,11 +25,12 @@ How the inner problem is solved follows from the type of ``L``:
   and ignores the LSQR tolerance.  When it cannot vouch for its answer,
   the step falls back to LSQR and the sweep records the step and the
   reason in ``SweepResult.fallbacks``;
-- every other ``L`` (``first_diff_1d``, dense operators) uses LSQR over a
-  :class:`ProjectedOperator`, which applies ``L (I - Q Q^T)`` without
-  ever forming it.  LSQR from the zero vector returns the minimum-norm
-  solution, which the closed-form pseudo-inverse expression for
-  ``x_{L,k}`` requires.  It is also the reference both exact paths are
+- every other ``L`` (``first_diff_1d``, dense operators) uses LSQR on
+  ``L`` over the subspace ``null(Q^T)`` (:func:`lsqr_solve` with ``Q``),
+  which applies ``L``, ``L^T`` and the projector once per iteration and
+  never forms ``L (I - Q Q^T)``.  LSQR from the zero vector returns the
+  minimum-norm solution, which the closed-form pseudo-inverse expression
+  for ``x_{L,k}`` requires.  It is also the reference both exact paths are
   tested against, and the path :func:`hyb_cgme_step` and
   :func:`hyb_tcgme_step` take when no direct solver is passed.
 
@@ -54,7 +55,6 @@ from .operators import (
     IdentityOperator,
     LinearOperator,
     OrthonormalityError,
-    ProjectedOperator,
     Stacked2DDifferenceOperator,
 )
 from .problems import ProblemInstance
@@ -132,21 +132,22 @@ class SweepResult:
     error: str | None = None
 
 
-def _inner_cap(cfg: LsqrConfig, op: ProjectedOperator) -> LsqrConfig:
+def _inner_cap(cfg: LsqrConfig, L: LinearOperator, Q) -> LsqrConfig:
     # Exact termination needs at most n - k inner iterations; cap at twice
-    # that for floating-point slack, on top of any user-provided cap.
-    n = op.cols
-    k = op.Q.shape[1]
+    # that for floating-point slack, on top of any user-provided cap.  The
+    # default cap min(p, n) (n - 1 for first differences) is the lower one
+    # until k passes about n / 2, so below that the slack never binds.
+    n = L.cols
+    k = Q.shape[1]
     cap = max(2 * (n - k), 1)
-    current = cfg.max_iters if cfg.max_iters is not None else min(op.rows, n)
+    current = cfg.max_iters if cfg.max_iters is not None else min(L.rows, n)
     return LsqrConfig(tol=cfg.tol, max_iters=min(current, cap))
 
 
 def inner_solve(L: LinearOperator, Q, x_k, cfg: LsqrConfig) -> tuple[np.ndarray, LsqrReport]:
-    """Minimum-norm solution of ``min | L(I - QQ^T) z - L x_k |``."""
-    op = ProjectedOperator(L, Q)
-    rhs = L.apply(x_k)
-    report = lsqr_solve(op, rhs, _inner_cap(cfg, op))
+    """Minimum-norm solution of ``min | L(I - QQ^T) z - L x_k |`` for an
+    ``n x k`` block ``Q`` with orthonormal columns."""
+    report = lsqr_solve(L, L.apply(x_k), _inner_cap(cfg, L, Q), Q=Q)
     return report.solution, report
 
 
@@ -265,7 +266,10 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
             try:
                 bidiag_extend(state, problem.A, 1)
             except GolubKahanBreakdown as exc:
-                failure = exc
+                # without its traceback, which would tie this frame (the
+                # problem, the state) into a cycle only the garbage
+                # collector frees
+                failure = exc.with_traceback(None)
             column_ms.append((time.perf_counter() - t0) * 1e3)
         bases: dict[str, tuple[np.ndarray, float]] = {}
         for method in tuple(active):

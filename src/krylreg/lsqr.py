@@ -1,4 +1,4 @@
-"""Matrix-free LSQR for ``min |M z - d|`` over a :class:`LinearOperator`.
+"""Matrix-free LSQR for ``min |M (I - Q Q^T) z - d|`` over a :class:`LinearOperator`.
 
 The implementation follows the Paige-Saunders recurrences (Golub-Kahan
 bidiagonalization of ``M`` driven by ``d``, with the QR factorization of
@@ -16,9 +16,19 @@ exactly solves a perturbed problem ``min |(M + E) z - d|`` with
 ``|E| / |M| <= tol``, which is the contract the outer hybrid iterations
 rely on.
 
+With an orthonormal block ``Q`` the solve runs on the subspace
+``null(Q^T)``: every right vector ``v`` of the bidiagonalization of
+``M P`` (``P = I - Q Q^T``) lies in ``range(P M^T) ⊆ null(Q^T)``, so
+``M P v = M v`` and one projection per iteration, on the whole update
+``v <- P (M^T u - beta v) / alfa``, gives in exact arithmetic the same
+coefficients, stop test and iterates as LSQR on ``M P``.  In floating
+point each ``v`` is projected afresh, so the solution stays in
+``null(Q^T)`` to rounding.  Without ``Q`` the block has no columns and the
+projection subtracts an exact zero.
+
 The loop runs once per inner iteration of every hybrid step, so it keeps
-its scalars in Python floats and updates its four vectors in place; the
-only arrays it allocates per iteration are the two operator products.
+its scalars in Python floats and updates its vectors in place; the
+only arrays it allocates per iteration are the two products with ``M``.
 """
 
 from __future__ import annotations
@@ -29,7 +39,13 @@ from typing import Literal
 
 import numpy as np
 
-from .operators import LinearOperator, _as_vector
+from .operators import (
+    ORTHONORMALITY_TOL,
+    DimensionMismatch,
+    LinearOperator,
+    OrthonormalityError,
+    _as_vector,
+)
 
 __all__ = [
     "NumericalFailure",
@@ -103,8 +119,34 @@ def _nonfinite(name: str, value, itn: int) -> NumericalFailure:
     return NumericalFailure(f"non-finite {name} = {value} at iteration {itn}")
 
 
-def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrReport:
-    """Minimum-norm least-squares solve of ``min |M z - d|``.
+def _orthonormal_block(Q, n: int) -> np.ndarray:
+    """Private column-major copy of ``Q``, validated as an ``n x k`` block
+    with orthonormal columns (a missing block has no columns)."""
+    if Q is None:
+        return np.empty((n, 0), order="F")
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.ndim != 2 or Q.shape[0] < Q.shape[1]:
+        raise ValueError(f"expected a tall orthonormal block, got shape {Q.shape}")
+    if Q.shape[0] != n:
+        raise DimensionMismatch(f"Q has {Q.shape[0]} rows but M has {n} columns")
+    Q = Q.copy(order="F")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must be finite")
+    gram_err = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0)
+    if gram_err > ORTHONORMALITY_TOL:
+        raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
+    return Q
+
+
+def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -> LsqrReport:
+    """Minimum-norm least-squares solve of ``min |M (I - Q Q^T) z - d|``.
+
+    ``Q`` is an ``n x k`` block (``n = M.cols``) whose columns must be
+    orthonormal to ``ORTHONORMALITY_TOL``, or :class:`OrthonormalityError`
+    is raised; without it the solve is ``min |M z - d|``.  The solution
+    lies in ``null(Q^T)``.  The operator's private ``_apply``/``_adjoint``
+    run on the loop's own vectors, which have the right lengths by
+    construction.  The caller's ``d`` and ``Q`` are left untouched.
 
     Raises :class:`NumericalFailure` as soon as a bidiagonal coefficient
     (``alfa``, ``beta``) or a rotation quantity (``rho``, ``phi``) is
@@ -116,6 +158,7 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
     if not np.all(np.isfinite(d)):
         raise ValueError("right-hand side must be finite")
     n = M.cols
+    Q = _orthonormal_block(Q, n)
     max_iters = cfg.max_iters if cfg.max_iters is not None else min(M.rows, n)
 
     x = np.zeros(n)
@@ -123,18 +166,28 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
     if bnorm == 0.0:
         return LsqrReport(x, 0, 0.0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
 
+    Qt = Q.T
+    qtv = np.empty(Q.shape[1])
+    step = np.empty(n)
+
+    def project(v: np.ndarray) -> None:
+        # v -= Q (Q^T v), through the preallocated buffers
+        np.matmul(Qt, v, out=qtv)
+        np.matmul(Q, qtv, out=step)
+        v -= step
+
     beta = bnorm
     u = d / beta
-    v = M.apply_adjoint(u)
+    v = M._adjoint(u)
+    project(v)
     alfa = math.sqrt(v @ v)
     if not math.isfinite(alfa):
         raise _nonfinite("alfa", alfa, 0)
     if alfa == 0.0:
-        # d is orthogonal to the range of M: the solution is exactly 0.
+        # d is orthogonal to the range of M P: the solution is exactly 0.
         return LsqrReport(x, 0, 0.0, bnorm, "exact_breakdown", 0.0, np.array([bnorm]))
     v /= alfa
     w = v.copy()
-    step = np.empty(n)
 
     rhobar = alfa
     phibar = beta
@@ -150,9 +203,9 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
     backward_error = 1.0
     while itn < max_iters:
         itn += 1
-        # u = M v - alfa u
+        # u = M v - alfa u  (M P v = M v, since v lies in null(Q^T))
         u *= alfa
-        np.subtract(M.apply(v), u, out=u)
+        np.subtract(M._apply(v), u, out=u)
         beta = math.sqrt(u @ u)
         if not isfinite(beta):
             raise _nonfinite("beta", beta, itn)
@@ -160,9 +213,10 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None) -> LsqrRepor
         if beta > 0.0:
             u /= beta
             anorm2 += beta * beta
-            # v = M^T u - beta v
+            # v = P (M^T u - beta v)
             v *= beta
-            np.subtract(M.apply_adjoint(u), v, out=v)
+            np.subtract(M._adjoint(u), v, out=v)
+            project(v)
             alfa = math.sqrt(v @ v)
             if not isfinite(alfa):
                 raise _nonfinite("alfa", alfa, itn)

@@ -4,8 +4,8 @@ Every solver in this package works against the :class:`LinearOperator`
 interface: an ``m x n`` real map exposing ``apply`` (the action of the
 matrix) and ``apply_adjoint`` (the action of its transpose).  Concrete
 operators either wrap a dense array or implement their action directly so
-that large structured matrices (2-D difference stacks, Kronecker blurs,
-projected regularizers) are never materialized.
+that large structured matrices (2-D difference stacks, Kronecker blurs)
+are never materialized.
 
 All vectors are 1-D float64 numpy arrays.  Operators are immutable after
 construction and safe to share across threads; ``apply``/``apply_adjoint``
@@ -27,7 +27,6 @@ __all__ = [
     "IdentityOperator",
     "FirstDifferenceOperator",
     "Stacked2DDifferenceOperator",
-    "ProjectedOperator",
     "KroneckerBlurOperator",
 ]
 
@@ -222,55 +221,6 @@ class Stacked2DDifferenceOperator(LinearOperator):
     def frobenius_norm(self) -> float:
         n = self.grid_side
         return float(np.sqrt(4.0 * n * (n - 1)))
-
-
-def _check_orthonormal(Q: np.ndarray) -> np.ndarray:
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim == 1:
-        Q = Q[:, None]
-    if Q.ndim != 2 or Q.shape[0] < Q.shape[1]:
-        raise ValueError(f"expected a tall orthonormal block, got shape {Q.shape}")
-    gram_err = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()
-    if gram_err > ORTHONORMALITY_TOL:
-        raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
-    return Q
-
-
-class ProjectedOperator(LinearOperator):
-    """The composition ``L (I - Q Q^T)`` without forming it.
-
-    ``Q`` must have orthonormal columns.  Applies as
-    ``L(v - Q(Q^T v))`` and its adjoint as ``w - Q(Q^T w)`` with
-    ``w = L^T u``, so the dense ``p x n`` product never exists.
-
-    The operator keeps a private column-major (Fortran-order) copy of
-    ``Q``: it decouples the operator from the caller's buffer, and it makes
-    both ``Q^T v`` and ``Q c`` run on contiguous BLAS kernels whatever the
-    layout of the block passed in (a strided view of a bidiagonalization
-    buffer, say).  The vectors reaching ``_apply``/``_adjoint`` are already
-    validated, so they call ``L``'s own ``_apply``/``_adjoint`` directly.
-    """
-
-    def __init__(self, L: LinearOperator, Q) -> None:
-        Q = _check_orthonormal(Q)
-        if Q.shape[0] != L.cols:
-            raise DimensionMismatch(
-                f"Q has {Q.shape[0]} rows but L has {L.cols} columns"
-            )
-        self.L = L
-        self.Q = Q.copy(order="F")
-        self._shape = OperatorShape(L.rows, L.cols)
-
-    def _complement(self, v: np.ndarray) -> np.ndarray:
-        """``v - Q (Q^T v)`` in a fresh array."""
-        out = self.Q @ (self.Q.T @ v)
-        return np.subtract(v, out, out=out)
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.L._apply(self._complement(v))
-
-    def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        return self._complement(self.L._adjoint(u))
 
 
 class KroneckerBlurOperator(LinearOperator):

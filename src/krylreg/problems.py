@@ -14,10 +14,7 @@ reproducible from ``(name, size, epsilon, seed)``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +40,6 @@ __all__ = [
     "add_noise",
     "with_noise",
     "build_problem",
-    "serialize_problem",
-    "save_problem",
-    "load_problem",
-    "problem_digest",
 ]
 
 _MIN_N = 8
@@ -263,64 +256,3 @@ def build_problem(
         name=name, A=A, L=L, x_true=x_true, b_true=b_true, b=b,
         epsilon=epsilon, seed=seed, size=size, L_kind=kind, psf_sigma=sigma,
     )
-
-
-_FORMAT = "krylreg-problem"
-_VECTORS = ("x_true", "b_true", "b")
-
-
-def serialize_problem(problem: ProblemInstance) -> bytes:
-    """Container bytes: one JSON header line, then the raw little-endian
-    float64 payload of x_true, b_true, b."""
-    header = {
-        "format": _FORMAT,
-        "version": 1,
-        "name": problem.name,
-        "size": problem.size,
-        "epsilon": problem.epsilon,
-        "seed": problem.seed,
-        "L_kind": problem.L_kind,
-        "psf_sigma": problem.psf_sigma,
-        "dtype": "<f8",
-        "vectors": {v: int(getattr(problem, v).shape[0]) for v in _VECTORS},
-    }
-    parts = [json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
-    parts += [np.ascontiguousarray(getattr(problem, v), dtype="<f8").tobytes() for v in _VECTORS]
-    return b"".join(parts)
-
-
-def save_problem(problem: ProblemInstance, path) -> None:
-    Path(path).write_bytes(serialize_problem(problem))
-
-
-def load_problem(path) -> ProblemInstance:
-    """Rebuild a problem saved by :func:`save_problem`.
-
-    Operators are regenerated from the header parameters; the stored
-    vectors are used verbatim.
-    """
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != _FORMAT:
-        raise ValueError(f"{path} is not a {_FORMAT} file")
-    rebuilt = build_problem(
-        header["name"],
-        header["size"],
-        header["epsilon"],
-        header["seed"],
-        L_kind=header["L_kind"],
-        psf_sigma=header["psf_sigma"] or 2.0,
-    )
-    offset = nl + 1
-    for v in _VECTORS:
-        length = header["vectors"][v]
-        vec = np.frombuffer(raw, dtype="<f8", count=length, offset=offset).copy()
-        setattr(rebuilt, v, vec)
-        offset += 8 * length
-    return rebuilt
-
-
-def problem_digest(problem: ProblemInstance) -> str:
-    """SHA-256 of the serialized container (regression checks)."""
-    return hashlib.sha256(serialize_problem(problem)).hexdigest()

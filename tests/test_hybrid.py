@@ -1,3 +1,4 @@
+import gc
 import types
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_inner_solve_matches_dense_pinv_oracle():
     M = dense_projected(problem.L, state.Q_cols(k))
     oracle = np.linalg.pinv(M, rcond=1e-10) @ problem.L.apply(x_k)
     assert np.linalg.norm(z - oracle) <= 1e-5 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_inner_correction_stays_in_the_complement_of_the_krylov_basis(k):
+    # one projection per LSQR iteration keeps every right vector, so z,
+    # in null(Q^T) to rounding
+    problem, state = prepared("shaw", 200, 10)
+    Q = state.Q_cols(k)
+    z, _ = inner_solve(problem.L, Q, cgme_iterate(state, k), TIGHT)
+    assert np.linalg.norm(Q.T @ z) <= 1e-13 * np.linalg.norm(z)
 
 
 def test_hyb_cgme_identity_collapse():
@@ -186,6 +197,20 @@ def test_run_hybrid_breakdown_truncates_sweep():
     assert record.breakdown is not None
     assert len(record.ks) < 40
     assert record.ks == list(range(1, len(record.ks) + 1))
+
+
+def test_breakdown_leaves_no_reference_cycle():
+    # a kept traceback would hold the sweep's frame, and with it the problem
+    # and the Krylov state, until the cyclic garbage collector ran
+    problem = build_problem("baart", 200, 1e-2, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=40))["hyb_cgme"]
+        assert record.breakdown is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def beta_breakdown_problem():

@@ -4,9 +4,9 @@ import pytest
 from krylreg.lsqr import LsqrConfig, NumericalFailure, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
+    DimensionMismatch,
     FirstDifferenceOperator,
     IdentityOperator,
-    ProjectedOperator,
 )
 
 from conftest import random_orthonormal
@@ -110,10 +110,9 @@ def test_projected_operator_terminates_within_dimension_bound(n, k, seed):
     # operator, so the least-squares residual stays bounded away from 0.
     L = FirstDifferenceOperator(n)
     Q = random_orthonormal(n, k, seed=seed)
-    op = ProjectedOperator(L, Q)
     rng = np.random.default_rng(10)
     d = L.apply(rng.standard_normal(n))
-    report = lsqr_solve(op, d, LsqrConfig(tol=1e-10, max_iters=3 * n))
+    report = lsqr_solve(L, d, LsqrConfig(tol=1e-10, max_iters=3 * n), Q=Q)
     assert report.iterations <= n - k + 5
 
 
@@ -161,6 +160,33 @@ def test_nonfinite_away_from_index_zero_raises(side, call, value):
     with pytest.raises(NumericalFailure):
         lsqr_solve(op, rng.standard_normal(30), LsqrConfig(tol=1e-12, max_iters=50))
     assert op.calls >= call
+
+
+@pytest.mark.parametrize("side,call,value", [
+    ("apply", 3, np.nan),
+    ("adjoint", 1, np.nan),  # the start vector, before the first iteration
+    ("adjoint", 4, np.inf),
+])
+def test_nonfinite_on_the_projected_path_raises(side, call, value):
+    rng = np.random.default_rng(15)
+    op = _NaNInjector(rng.standard_normal((30, 20)), side, call, index=17, value=value)
+    Q = random_orthonormal(20, 3, seed=16)
+    # the projector turns an Inf into NaNs, which numpy warns about
+    with pytest.raises(NumericalFailure), np.errstate(invalid="ignore"):
+        lsqr_solve(op, rng.standard_normal(30), LsqrConfig(tol=1e-12, max_iters=50), Q=Q)
+    assert op.calls >= call
+
+
+@pytest.mark.parametrize("bad,error", [
+    (np.ones((19, 3)), DimensionMismatch),
+    (np.ones((20, 21)), ValueError),
+    (np.ones(20) / np.sqrt(20), ValueError),
+    (np.full((20, 1), np.nan), ValueError),
+])
+def test_block_is_validated_at_the_boundary(bad, error):
+    # a NaN block would pass the Gram check, since NaN > tol is false
+    with pytest.raises(error):
+        lsqr_solve(DenseOperator(np.ones((30, 20))), np.ones(30), Q=bad)
 
 
 def test_in_place_updates_leave_caller_vectors_alone():
