@@ -18,7 +18,7 @@ import numpy as np
 from . import bidiag, metrics, problems, solvers
 from .hybrid import METHODS, HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
-from .operators import DenseOperator
+from .operators import DenseOperator, _is_int
 from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem, with_noise
 
 __all__ = [
@@ -107,10 +107,6 @@ class ExperimentSpec:
             if key in data and isinstance(data[key], list):
                 data[key] = tuple(data[key])
         return cls(**data)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -56,6 +56,7 @@ from .operators import (
     LinearOperator,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
+    _is_int,
 )
 from .problems import ProblemInstance
 from .solvers import cgme_iterate, tcgme_iterate
@@ -87,8 +88,8 @@ class HybridConfig:
     max_outer_k: int = 50
 
     def __post_init__(self) -> None:
-        if self.max_outer_k < 1:
-            raise ValueError("max_outer_k must be >= 1")
+        if not _is_int(self.max_outer_k) or self.max_outer_k < 1:
+            raise ValueError(f"max_outer_k must be an integer >= 1, got {self.max_outer_k!r}")
 
 
 @dataclass(frozen=True)

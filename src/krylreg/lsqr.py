@@ -26,9 +26,26 @@ point each ``v`` is projected afresh, so the solution stays in
 ``null(Q^T)`` to rounding.  Without ``Q`` the block has no columns and the
 projection subtracts an exact zero.
 
-The loop runs once per inner iteration of every hybrid step, so it keeps
-its scalars in Python floats and updates its vectors in place; the
-only arrays it allocates per iteration are the two products with ``M``.
+The loop runs once per inner iteration of every hybrid step, and on short
+vectors its cost is the number of numpy calls, so it makes 11 per
+iteration: the two products with ``M``, the projection (two gemvs and a
+subtraction) and six vector operations.  ``u`` and ``v`` are kept
+unnormalized, as their Golub-Kahan vectors times scales the loop tracks in
+Python floats; ``1/beta`` and ``1/alfa`` are folded into the coefficients
+of the next update, and a vector is rescaled, exactly, by a power of two
+only when its scale leaves a safe range.  The search direction ``w`` and
+the solution ``x`` are not updated every iteration either: the right
+vectors of up to ``_BLOCK`` iterations are written into the rows of a
+fixed ring, and every ``_BLOCK`` iterations, and at exit, a
+back-substitution over the block's rotation scalars gives the
+coefficients of one product with the ring that advances ``x`` and the
+carried ``w``.
+Memory is ``_BLOCK + 1`` vectors of length ``n`` whatever the iteration
+count.  The iterates are those of the textbook recurrence up to rounding,
+and starting from ``d`` itself, not ``d / |d|``, removes the one rounding
+that the hybrids' inner problems magnify most: there ``d = L x_k`` with
+``x_k`` in ``range(Q)``, so ``P M^T d`` can be a small remainder of
+``M^T d``.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from .operators import (
     LinearOperator,
     OrthonormalityError,
     _as_vector,
+    _is_int,
 )
 
 __all__ = [
@@ -55,6 +73,16 @@ __all__ = [
 ]
 
 _TINY = float(np.finfo(np.float64).tiny)
+# Right vectors held between two updates of the solution: memory is
+# (_BLOCK + 1) vectors of length n, whatever the iteration count.
+_BLOCK = 64
+# A tracked scale is brought back into [0.5, 1), by a power of two, once it
+# leaves [_SCALE_LO, _SCALE_HI].  It grows by about alfa * beta per
+# iteration, and each norm is taken of a vector up to _SCALE_HI times the
+# normalized recurrence's, so the range is kept narrow: the squared norms
+# overflow or underflow only for alfa or beta within 2^64 of where the
+# normalized recurrence's would.
+_SCALE_LO, _SCALE_HI = 2.0**-64, 2.0**64
 
 StopReason = Literal["backward_error", "max_iters", "exact_breakdown"]
 
@@ -77,8 +105,8 @@ class LsqrConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if self.max_iters is not None and (not _is_int(self.max_iters) or self.max_iters < 1):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass
@@ -138,6 +166,41 @@ def _orthonormal_block(Q, n: int) -> np.ndarray:
     return Q
 
 
+def _rescale(vec: np.ndarray, scale: float) -> float:
+    """Multiply ``vec`` by the power of two that brings ``scale`` into
+    ``[0.5, 1)``, and return the new scale.  The product is exact."""
+    factor = math.ldexp(1.0, -math.frexp(scale)[1])
+    vec *= factor
+    return scale * factor
+
+
+def _back_substitute(f: list, t: list, scales: list, carry: bool) -> np.ndarray:
+    """Coefficients that apply one block of LSQR's ``x``/``w`` updates.
+
+    Row 0 of the block holds the search direction ``w`` carried into it
+    and row ``r >= 1`` the right vector that iteration ``r - 1`` produced,
+    each ``scales[r]`` times its true length.  Iteration ``l`` sets
+    ``x += f[l] w_l`` and ``w_{l+1} = v_{l+1} - t[l] w_l``, so the block's
+    increment of ``x`` is ``sum_r G_r w_r`` with ``G_l = f[l] - t[l] G_{l+1}``,
+    and the direction it carries out is ``w_m = sum_r E_r v_r`` with
+    ``E_l = -t[l] E_{l+1}``, ``E_m = 1``.  Returns the coefficients on the
+    stored rows: ``G`` over rows ``0 .. m-1``, and with ``carry`` a second
+    row ``E`` over rows ``0 .. m`` (``G`` padded with a zero).
+    """
+    m = len(f)
+    coef = np.zeros((2 if carry else 1, m + 1 if carry else m))
+    g, e = 0.0, 1.0
+    if carry:
+        coef[1, m] = 1.0 / scales[m]
+    for r in range(m - 1, -1, -1):
+        g = f[r] - t[r] * g
+        coef[0, r] = g / scales[r]
+        if carry:
+            e = -t[r] * e
+            coef[1, r] = e / scales[r]
+    return coef
+
+
 def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -> LsqrReport:
     """Minimum-norm least-squares solve of ``min |M (I - Q Q^T) z - d|``.
 
@@ -166,28 +229,39 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
     if bnorm == 0.0:
         return LsqrReport(x, 0, 0.0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
 
+    dot, subtract, multiply = np.dot, np.subtract, np.multiply
+    apply, adjoint = M._apply, M._adjoint
+    sqrt, isfinite = math.sqrt, math.isfinite
     Qt = Q.T
     qtv = np.empty(Q.shape[1])
     step = np.empty(n)
+    # ``u`` and ``v`` are the Golub-Kahan vectors times the scales ``cu``
+    # and ``cv``, their computed norms.  Row 0 of the ring holds the
+    # carried search direction (at first ``w = v``), the rows after it the
+    # right vectors of the current block, each with its scale.
+    ring = np.empty((_BLOCK + 1, n))
+    f: list[float] = []
+    t: list[float] = []
 
-    def project(v: np.ndarray) -> None:
-        # v -= Q (Q^T v), through the preallocated buffers
-        np.matmul(Qt, v, out=qtv)
-        np.matmul(Q, qtv, out=step)
-        v -= step
-
-    beta = bnorm
-    u = d / beta
-    v = M._adjoint(u)
-    project(v)
-    alfa = math.sqrt(v @ v)
-    if not math.isfinite(alfa):
+    beta = cu = bnorm
+    u = d.copy()
+    if not _SCALE_LO <= cu <= _SCALE_HI:
+        cu = _rescale(u, cu)
+    v = ring[0]
+    v[:] = adjoint(u)
+    dot(Qt, v, out=qtv)
+    dot(Q, qtv, out=step)
+    v -= step
+    cv = sqrt(dot(v, v))
+    alfa = cv / cu
+    if not isfinite(alfa):
         raise _nonfinite("alfa", alfa, 0)
     if alfa == 0.0:
         # d is orthogonal to the range of M P: the solution is exactly 0.
         return LsqrReport(x, 0, 0.0, bnorm, "exact_breakdown", 0.0, np.array([bnorm]))
-    v /= alfa
-    w = v.copy()
+    if not _SCALE_LO <= cv <= _SCALE_HI:
+        cv = _rescale(v, cv)
+    scales = [cv]
 
     rhobar = alfa
     phibar = beta
@@ -197,34 +271,42 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
 
     # A NaN or Inf in u or v shows in beta or alfa within the iteration it
     # appears in, before any division by them.
-    isfinite = math.isfinite
     itn = 0
     stop: StopReason | None = None
     backward_error = 1.0
     while itn < max_iters:
         itn += 1
-        # u = M v - alfa u  (M P v = M v, since v lies in null(Q^T))
-        u *= alfa
-        np.subtract(M._apply(v), u, out=u)
-        beta = math.sqrt(u @ u)
+        # u = M v - alfa u  (M P v = M v, since v lies in null(Q^T)), times cv
+        u *= alfa * cv / cu
+        subtract(apply(v), u, out=u)
+        cu = sqrt(dot(u, u))
+        beta = cu / cv
         if not isfinite(beta):
             raise _nonfinite("beta", beta, itn)
         exact = beta == 0.0
         if beta > 0.0:
-            u /= beta
             anorm2 += beta * beta
-            # v = P (M^T u - beta v)
-            v *= beta
-            np.subtract(M._adjoint(u), v, out=v)
-            project(v)
-            alfa = math.sqrt(v @ v)
+            if not _SCALE_LO <= cu <= _SCALE_HI:
+                cu = _rescale(u, cu)
+            # v = P (M^T u - beta v), times cu, into the next row
+            row = ring[len(scales)]
+            multiply(v, beta * cu / cv, out=row)
+            subtract(adjoint(u), row, out=row)
+            dot(Qt, row, out=qtv)
+            dot(Q, qtv, out=step)
+            row -= step
+            v = row
+            cv = sqrt(dot(v, v))
+            alfa = cv / cu
             if not isfinite(alfa):
                 raise _nonfinite("alfa", alfa, itn)
             if alfa > 0.0:
-                v /= alfa
                 anorm2 += alfa * alfa
+                if not _SCALE_LO <= cv <= _SCALE_HI:
+                    cv = _rescale(v, cv)
             else:
                 exact = True
+            scales.append(cv)
 
         cs, sn, rho = _sym_ortho(rhobar, beta)
         theta = sn * alfa
@@ -234,16 +316,13 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
         tau = sn * phi
         if not (isfinite(rho) and isfinite(phi)):
             raise _nonfinite("rotation (rho, phi)", (rho, phi), itn)
-
-        # x += (phi / rho) w;  w = v - (theta / rho) w
-        np.multiply(w, phi / rho, out=step)
-        x += step
-        w *= theta / rho
-        np.subtract(v, w, out=w)
+        # x += (phi / rho) w;  w = v - (theta / rho) w, applied per block
+        f.append(phi / rho)
+        t.append(theta / rho)
 
         rnorm = phibar
         arnorm = alfa * abs(tau)
-        anorm = math.sqrt(anorm2)
+        anorm = sqrt(anorm2)
         backward_error = arnorm / (anorm * rnorm + _TINY)
         history.append(rnorm)
 
@@ -253,7 +332,17 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
             stop = "backward_error"
         if stop is not None:
             break
+        if len(f) == _BLOCK:
+            # advance x and carry w into row 0; v stays in its row
+            out = dot(_back_substitute(f, t, scales, carry=True), ring)
+            x += out[0]
+            ring[0] = out[1]
+            f.clear()
+            t.clear()
+            scales = [1.0]
 
+    if f:
+        x += dot(_back_substitute(f, t, scales, carry=False)[0], ring[: len(f)])
     if stop is None:
         stop = "max_iters"
     if not np.all(np.isfinite(x)):

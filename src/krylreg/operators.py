@@ -64,6 +64,10 @@ def _as_vector(v, length: int, what: str) -> np.ndarray:
     return vec
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class LinearOperator:
     """Abstract ``m x n`` real linear map.
 

@@ -176,6 +176,13 @@ def test_run_hybrid_single_step():
     assert record.breakdown is None
 
 
+@pytest.mark.parametrize("depth", [2.5, 3.0, True, 0])
+def test_outer_depth_must_be_a_positive_integer(depth):
+    # 2.5 used to pass here and fail later, inside run_hybrid's range()
+    with pytest.raises(ValueError, match="max_outer_k"):
+        HybridConfig(max_outer_k=depth)
+
+
 def test_run_hybrid_rejects_unknown_method():
     problem = build_problem("shaw", 100, 1e-2, 3)
     for methods in (("jbdqr",), ("cgme", "jbdqr"), (), "hyb_cgme"):

@@ -1,6 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from krylreg import lsqr as lsqr_module
+from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.lsqr import LsqrConfig, NumericalFailure, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
@@ -8,8 +13,11 @@ from krylreg.operators import (
     FirstDifferenceOperator,
     IdentityOperator,
 )
+from krylreg.problems import build_problem
+from krylreg.solvers import cgme_iterate
 
 from conftest import random_orthonormal
+from textbook_lsqr import extended_lsqr, textbook_lsqr
 
 
 def rank_deficient(rng, m, n, r):
@@ -69,6 +77,17 @@ def test_config_validation():
         LsqrConfig(tol=1.5)
     with pytest.raises(ValueError):
         LsqrConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
+def test_iteration_cap_must_be_an_integer(cap):
+    # 2.5 used to run 3 iterations, one past its cap
+    with pytest.raises(ValueError, match="max_iters"):
+        LsqrConfig(max_iters=cap)
+
+
+def test_numpy_integer_cap_accepted():
+    assert LsqrConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_monotone_residual_history(rng):
@@ -198,3 +217,156 @@ def test_in_place_updates_leave_caller_vectors_alone():
     np.testing.assert_array_equal(d, d_before)
     second = lsqr_solve(DenseOperator(entries), d, LsqrConfig(tol=1e-10, max_iters=100))
     np.testing.assert_array_equal(first.solution, second.solution)
+
+
+ORACLE_RTOL = 1e-10
+ORACLE_TOLS = (1e-6, 1e-8, 1e-10, 1e-12)
+
+
+def rel_dist(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def spectral_operator(seed, m, n, rank, top):
+    """``m x n`` dense operator of the given rank, singular values in [1, top]."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    return DenseOperator(U @ np.diag(rng.uniform(1.0, top, rank)) @ V.T)
+
+
+def oracle_case(name):
+    """(M, Q, d) for one case of the textbook comparison."""
+    rng = np.random.default_rng(40)
+    diff = FirstDifferenceOperator(300)
+    if name == "tall":
+        return spectral_operator(0, 80, 30, 30, 2.0), None, rng.standard_normal(80)
+    if name == "rank_deficient":
+        return spectral_operator(1, 60, 50, 40, 3.0), None, rng.standard_normal(60)
+    if name == "wide_consistent":
+        return spectral_operator(2, 30, 80, 30, 2.0), None, rng.standard_normal(30)
+    if name == "diff_consistent":
+        return diff, None, rng.standard_normal(299)
+    k = int(name.split("_")[1])
+    Q = random_orthonormal(300, k, seed=k)
+    z = rng.standard_normal(300)
+    if name.endswith("consistent"):
+        z -= Q @ (Q.T @ z)
+    return diff, Q, diff.apply(z)
+
+
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+@pytest.mark.parametrize("case", [
+    "tall", "rank_deficient", "wide_consistent", "diff_consistent", "diffQ_10",
+])
+def test_matches_textbook_lsqr(case, tol):
+    # The diff cases run 211-299 iterations, several solution blocks each.
+    M, Q, d = oracle_case(case)
+    cfg = LsqrConfig(tol=tol)
+    report = lsqr_solve(M, d, cfg, Q=Q)
+    ref = textbook_lsqr(M, d, cfg, Q=Q)
+    assert (report.iterations, report.stop_reason) == (ref.iterations, ref.stop_reason)
+    assert rel_dist(report.solution, ref.solution) <= ORACLE_RTOL
+    np.testing.assert_allclose(report.residual_history, ref.residual_history,
+                               rtol=ORACLE_RTOL, atol=ORACLE_RTOL * ref.residual_history[0])
+
+
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+def test_consistent_projected_system_matches_textbook_solution(tol):
+    # On this consistent system the residual reaches rounding level long
+    # before the cap, and the backward error |M^T r| / (|M| |r|) then sits
+    # at its noise floor, near 1e-6 here: whether and when it dips below tol
+    # is decided by rounding, for the textbook loop as for this one.
+    # Only the solutions are compared.
+    M, Q, d = oracle_case("diffQ_10_consistent")
+    cfg = LsqrConfig(tol=tol)
+    report = lsqr_solve(M, d, cfg, Q=Q)
+    ref = textbook_lsqr(M, d, cfg, Q=Q)
+    assert rel_dist(report.solution, ref.solution) <= ORACLE_RTOL
+
+
+EXTENDED = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended precision here")
+
+
+@EXTENDED
+@pytest.mark.parametrize("case", ["diffQ_1", "diffQ_1_consistent"])
+def test_unconverged_projected_solve_is_within_rounding_of_extended_precision(case):
+    # With one Krylov column, L (I - qq^T) keeps L's conditioning and the
+    # solve stops at its 299-iteration cap far from convergence.  Each
+    # float64 loop then carries up to 7e-11 of rounding error, so the two
+    # differ by up to 1.3e-10: both are judged against extended precision.
+    M, Q, d = oracle_case(case)
+    report = lsqr_solve(M, d, Q=Q)
+    ref = textbook_lsqr(M, d, Q=Q)
+    assert (report.iterations, report.stop_reason) == (ref.iterations, "max_iters")
+    exact = extended_lsqr(M.to_dense(), d, Q, ref.iterations)
+    assert rel_dist(report.solution, exact) <= ORACLE_RTOL
+    assert rel_dist(ref.solution, exact) <= ORACLE_RTOL
+
+
+@EXTENDED
+@pytest.mark.parametrize("k", [2, 3])
+def test_unrounded_start_vector_is_more_accurate_on_baart(k):
+    # In the hybrids' inner problem d = L x_k with x_k in range(Q), so on
+    # baart P L^T d is a small remainder of L^T d.  The textbook loop
+    # normalizes d first, and that rounding, magnified by the cancellation,
+    # sets its error; this loop starts from d itself.  Measured at n=200:
+    # 6.7e-11 against 6.9e-10 at k=2, 1.2e-10 against 1.5e-9 at k=3.
+    problem = build_problem("baart", 200, 1e-2, 20240101, L_kind="first_diff_1d")
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, problem.A, 4)
+    L, Q = problem.L, state.Q_cols(k)
+    d = L.apply(cgme_iterate(state, k))
+    report = lsqr_solve(L, d, Q=Q)
+    ref = textbook_lsqr(L, d, Q=Q)
+    assert report.iterations == ref.iterations
+    exact = extended_lsqr(L.to_dense(), d, Q, ref.iterations)
+    assert rel_dist(report.solution, exact) <= rel_dist(ref.solution, exact) / 4
+
+
+@pytest.mark.parametrize("power", [-400, 400])
+def test_tracked_scales_rescale_exactly(power, monkeypatch):
+    # Scaling M by 2^power scales every alfa and beta by 2^power, so the
+    # tracked scales leave their range at every iteration.  Rescaling by
+    # powers of two is exact: the solution is scaled by exactly 2^-power.
+    rng = np.random.default_rng(17)
+    entries = rng.standard_normal((40, 30))
+    d = rng.standard_normal(40)
+    cfg = LsqrConfig(tol=1e-10)
+    plain = lsqr_solve(DenseOperator(entries), d, cfg)
+
+    rescales = []
+    rescale = lsqr_module._rescale
+
+    def counting(vec, scale):
+        rescales.append(scale)
+        return rescale(vec, scale)
+
+    monkeypatch.setattr(lsqr_module, "_rescale", counting)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        scaled = lsqr_solve(DenseOperator(np.ldexp(entries, power)), d, cfg)
+    assert len(rescales) >= 2 * scaled.iterations
+    assert (scaled.iterations, scaled.stop_reason) == (plain.iterations, plain.stop_reason)
+    np.testing.assert_array_equal(np.ldexp(scaled.solution, power), plain.solution)
+
+
+def test_memory_stays_bounded_whatever_the_iteration_count():
+    # The right vectors of one block are all the solve keeps: peak memory
+    # is linear in n and does not grow with the iteration count.
+    n = 4000
+    block = lsqr_module._BLOCK
+    L = FirstDifferenceOperator(n)
+    Q = random_orthonormal(n, 2, seed=3)
+    d = L.apply(np.random.default_rng(18).standard_normal(n))
+    bound = (block + 16) * n * 8
+    for iters in (4 * block, 8 * block):
+        tracemalloc.start()
+        try:
+            report = lsqr_solve(L, d, LsqrConfig(tol=1e-15, max_iters=iters), Q=Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == iters
+        assert peak < bound, (iters, peak, bound)
