@@ -15,14 +15,6 @@ from .bidiag import (
     extract_matrices,
 )
 from .dct_solve import Difference2DSolver, DirectSolveRejected
-from .dense_kernels import (
-    IllConditionedTruncation,
-    SmallSVD,
-    TruncatedFactor,
-    bidiag_solve,
-    svd_small,
-    truncated_pinv_apply,
-)
 from .harness import (
     ExperimentSpec,
     RunRecord,
@@ -72,6 +64,6 @@ from .problems import (
     make_L,
     with_noise,
 )
-from .solvers import cgme_iterate, tcgme_iterate
+from .solvers import IllConditionedTruncation, cgme_iterate, tcgme_iterate
 
 __version__ = "0.1.0"

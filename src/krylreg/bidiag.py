@@ -178,6 +178,8 @@ def bidiag_init(A: LinearOperator, b) -> BidiagState:
     """Set up the process with ``p_1 = b / |b|`` and no completed steps."""
     b = _as_vector(b, A.rows, "right-hand side")
     beta1 = float(np.linalg.norm(b))
+    if not np.isfinite(beta1):
+        raise ValueError("right-hand side must be finite")
     if beta1 == 0.0:
         raise GolubKahanBreakdown(0, "zero right-hand side")
     p = _ColumnBlock(A.rows)

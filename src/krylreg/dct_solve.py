@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bidiag import _ColumnBlock
-from .operators import ORTHONORMALITY_TOL, OrthonormalityError, Stacked2DDifferenceOperator
+from .operators import Stacked2DDifferenceOperator, check_orthonormal
 
 __all__ = ["dct", "idct", "DirectSolveRejected", "Difference2DSolver"]
 
@@ -104,16 +104,10 @@ class Difference2DSolver:
         return idct(idct(image, axis=0), axis=1).ravel(order="F")
 
     def _grow(self, Q: np.ndarray) -> None:
+        # the LSQR path's orthonormality check on the new columns only:
+        # O(nk) per step instead of O(nk^2)
+        check_orthonormal(Q, first=self._hat.count)
         for j in range(self._hat.count, Q.shape[1]):
-            # the LSQR path's orthonormality check, one new column at a
-            # time: O(nk) per step instead of O(nk^2)
-            gram = Q[:, : j + 1].T @ Q[:, j]
-            gram[j] -= 1.0
-            gram_err = np.abs(gram).max()
-            if gram_err > ORTHONORMALITY_TOL:
-                raise OrthonormalityError(
-                    f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}"
-                )
             self._hat.append(self._forward(Q[:, j]))
             hat = self._hat.view()
             row = hat.T @ (self._inv_lam * hat[:, j])

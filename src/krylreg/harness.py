@@ -198,7 +198,11 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
             ]
             record.total_wall_ms = sum(sweep.wall_ms)
             if sweep.ks:
-                curve = metrics.analyze_curve(sweep.rel_errors, ks=sweep.ks)
+                try:
+                    curve = metrics.analyze_curve(sweep.rel_errors, ks=sweep.ks)
+                except ValueError as exc:
+                    record.error = f"ValueError: {exc}"
+                    continue
                 record.best_k = curve.best_k
                 record.best_error = curve.best_error
     return records

@@ -56,14 +56,7 @@ from typing import Literal
 
 import numpy as np
 
-from .operators import (
-    ORTHONORMALITY_TOL,
-    DimensionMismatch,
-    LinearOperator,
-    OrthonormalityError,
-    _as_vector,
-    _is_int,
-)
+from .operators import DimensionMismatch, LinearOperator, _as_vector, _is_int, check_orthonormal
 
 __all__ = [
     "NumericalFailure",
@@ -160,9 +153,7 @@ def _orthonormal_block(Q, n: int) -> np.ndarray:
     Q = Q.copy(order="F")
     if not np.all(np.isfinite(Q)):
         raise ValueError("Q must be finite")
-    gram_err = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0)
-    if gram_err > ORTHONORMALITY_TOL:
-        raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
+    check_orthonormal(Q)
     return Q
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState, extract_matrices
-from .dense_kernels import svd_small
 from .operators import DenseOperator, LinearOperator
 
 __all__ = [
@@ -87,8 +86,8 @@ def gamma_gaps(A: DenseOperator, state: BidiagState, k: int) -> GammaGapReport:
     P_k1 = state.P_cols(k + 1)
     Q_k = state.Q_cols(k)
     Q_k1 = state.Q_cols(k + 1)
-    f = svd_small(mats.B_kp1)
-    C_k = (f.U[:, :k] * f.singular_values[:k]) @ f.V[:, :k].T
+    U, s, Vt = np.linalg.svd(mats.B_kp1)
+    C_k = (U[:, :k] * s[:k]) @ Vt.T[:, :k].T
     gamma_cgme = _spectral_norm(dense - P_k @ mats.B_k @ Q_k.T)
     gamma_tcgme = _spectral_norm(dense - P_k1 @ C_k @ Q_k1.T)
     gamma_lsqr = _spectral_norm(dense - P_k1 @ mats.B_kplus @ Q_k.T)
@@ -133,11 +132,13 @@ def analyze_curve(rel_errors, ks=None) -> ErrorCurve:
     """Locate the best index of a relative-error sequence.
 
     ``ks`` defaults to ``1..len(rel_errors)``.  Ties resolve to the
-    smallest index (the cheaper solution).
+    smallest index (the cheaper solution).  Every error must be finite.
     """
     errors = tuple(float(e) for e in rel_errors)
     if not errors:
         raise ValueError("cannot analyze an empty error sequence")
+    if not np.all(np.isfinite(errors)):
+        raise ValueError(f"relative errors must be finite, got {errors}")
     if ks is None:
         ks = tuple(range(1, len(errors) + 1))
     else:

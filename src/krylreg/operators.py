@@ -42,6 +42,18 @@ class OrthonormalityError(ValueError):
     """A column block required to be orthonormal is not (beyond tolerance)."""
 
 
+def check_orthonormal(Q: np.ndarray, first: int = 0) -> None:
+    """Raise :class:`OrthonormalityError` unless columns ``first:`` of ``Q``
+    are orthonormal to all of ``Q`` within ``ORTHONORMALITY_TOL``, using
+    one product ``Q^T Q[:, first:]``."""
+    gram = Q.T @ Q[:, first:]
+    new = np.arange(gram.shape[1])
+    gram[first + new, new] -= 1.0
+    gram_err = np.abs(gram).max(initial=0.0)
+    if gram_err > ORTHONORMALITY_TOL:
+        raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
+
+
 @dataclass(frozen=True)
 class OperatorShape:
     """Dimensions of an ``m x n`` operator."""
@@ -241,6 +253,8 @@ class KroneckerBlurOperator(LinearOperator):
             raise ValueError("left_factor must be square")
         if right.shape != left.shape:
             raise ValueError("factors must have identical square shapes")
+        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+            raise ValueError("factors must be finite")
         self.left_factor = left
         self.right_factor = right
         n2 = left.shape[0] ** 2

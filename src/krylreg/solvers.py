@@ -8,20 +8,30 @@ best rank-k approximation ``C_k`` and solves
 ``x_k = Q_{k+1} pinv(C_k) P_{k+1}^T b``, a strictly better rank-k
 approximation route when the discarded singular value is small.
 
-In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``.
+In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``, so both
+iterates are read straight from the recurrence coefficients.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .bidiag import BidiagState, extract_matrices
-from .dense_kernels import TruncatedFactor, bidiag_solve, svd_small, truncated_pinv_apply
+from .bidiag import BidiagState, lower_bidiagonal
 
-__all__ = ["cgme_iterate", "tcgme_iterate"]
+__all__ = ["IllConditionedTruncation", "cgme_iterate", "tcgme_iterate"]
+
+_PINV_CONDITION_SCALE = 1e-14
 
 
-def _require_steps(state: BidiagState, needed: int, k: int, method: str) -> None:
+class IllConditionedTruncation(UserWarning):
+    """The retained singular values span more than ~14 orders of magnitude."""
+
+
+def _require_steps(state: BidiagState, k: int, needed: int, method: str) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if state.k < needed:
         detail = f"have {state.k} completed steps"
         if state.breakdown_step is not None:
@@ -30,27 +40,41 @@ def _require_steps(state: BidiagState, needed: int, k: int, method: str) -> None
 
 
 def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
-    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1)``, in range(Q_k)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1)``, in range(Q_k).
+
+    ``B_k`` is lower bidiagonal with diagonal ``alpha_1..alpha_k`` and
+    subdiagonal ``beta_2..beta_k``; forward substitution is O(k).  Every
+    stored ``alpha`` exceeds the breakdown threshold, so none is zero.
+    """
     _require_steps(state, k, k, "cgme")
-    mats = extract_matrices(state, k)
-    rhs = np.zeros(k)
-    rhs[0] = state.beta1
-    y = bidiag_solve(mats.B_k, rhs)
+    alphas, betas = state._alphas, state._betas
+    y = np.empty(k)
+    y[0] = state.beta1 / alphas[0]
+    for i in range(1, k):
+        y[i] = (0.0 - betas[i] * y[i - 1]) / alphas[i]
     return state.Q_cols(k) @ y
 
 
 def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     """TCGME iterate through the rank-k truncation of the square
     ``(k+1) x (k+1)`` bidiagonal block, in range(Q_{k+1}) (requires
-    ``state.k >= k + 1``)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _require_steps(state, k + 1, k, "tcgme")
-    mats = extract_matrices(state, k)
-    factor = TruncatedFactor(source=svd_small(mats.B_kp1), rank=k)
-    rhs = np.zeros(k + 1)
-    rhs[0] = state.beta1
-    y = truncated_pinv_apply(factor, rhs)
-    return state.Q_cols(k + 1) @ y
+    ``state.k >= k + 1``).
+
+    With ``B_{k+1} = U diag(s) V^T``, ``pinv(C_k) beta_1 e_1`` is
+    ``V_k diag(1/s_1..1/s_k) U_k^T beta_1 e_1``, and ``U_k^T e_1`` is the
+    first row of ``U_k``.  Warns (without failing) when the retained
+    values are themselves nearly rank-deficient.
+    """
+    _require_steps(state, k, k + 1, "tcgme")
+    U, s, Vt = np.linalg.svd(lower_bidiagonal(state._alphas[: k + 1], state._betas[1 : k + 1]))
+    kept = s[:k]
+    if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
+        warnings.warn(
+            f"retained singular values span [{kept[-1]:.3e}, {kept[0]:.3e}]; "
+            "pseudo-inverse application is ill conditioned",
+            IllConditionedTruncation,
+            stacklevel=2,
+        )
+    # Moore-Penrose semantics: exactly zero values are excluded, not inverted.
+    inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
+    return state.Q_cols(k + 1) @ (Vt.T[:, :k] @ ((U[0, :k] * state.beta1) * inv))

@@ -33,6 +33,14 @@ def test_init_zero_rhs_raises():
         bidiag_init(A, np.zeros(3))
 
 
+def test_init_rejects_nonfinite_rhs():
+    # rejected at the boundary, before any iterate silently carries it
+    A = DenseOperator(np.eye(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            bidiag_init(A, [1.0, bad, 0.0])
+
+
 def test_identity_invariant_subspace_breaks_down():
     A = IdentityOperator(2)
     state = bidiag_init(A, np.array([1.0, 0.0]))

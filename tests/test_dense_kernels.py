@@ -1,145 +1,152 @@
+"""The small dense algebra inside the CGME and TCGME iterates.
+
+``cgme_iterate`` forward-substitutes through ``B_k`` and ``tcgme_iterate``
+applies the pseudo-inverse of the rank-k truncation of ``B_{k+1}``, both
+straight from the recurrence coefficients.  The states are built by hand
+with identity ``P`` and ``Q`` blocks, so an iterate's leading entries are
+its coefficient vector ``y``.
+"""
+
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solvers import make_state
 
-from krylreg.bidiag import lower_bidiagonal
-from krylreg.dense_kernels import (
-    IllConditionedTruncation,
-    TruncatedFactor,
-    bidiag_solve,
-    svd_small,
-    truncated_pinv_apply,
-)
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, lower_bidiagonal
+from krylreg.metrics import gamma_gaps
+from krylreg.operators import DenseOperator
+from krylreg.solvers import IllConditionedTruncation, cgme_iterate, tcgme_iterate
 
 
-def reconstruct(f):
-    """Dense ``U diag(s) V^T`` of a :class:`SmallSVD` (test oracle)."""
-    s = np.zeros((f.rows, f.cols))
-    r = f.singular_values.shape[0]
-    s[np.arange(r), np.arange(r)] = f.singular_values
-    return f.U @ s @ f.V.T
+def random_coefficients(k, seed, low=1.5, high=2.0):
+    """``alpha_1..alpha_k`` and ``beta_1..beta_{k+1}`` on a random scale.
+
+    With the default diagonals in ``[1.5, 2]`` and subdiagonals in
+    ``[0, 1]``, every leading block has singular values in ``scale * [0.5, 3]``."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return scale * rng.uniform(low, high, k), scale * rng.uniform(0.0, 1.0, k + 1)
 
 
-def truncated_matrix(factor):
-    """Dense rank-``factor.rank`` truncation of its source (test oracle)."""
-    k, s = factor.rank, factor.source
-    return (s.U[:, :k] * s.singular_values[:k]) @ s.V[:, :k].T
-
-
-def test_svd_diagonal():
-    f = svd_small(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(f.singular_values, [3.0, 1.0])
-
-
-def test_svd_nilpotent():
-    f = svd_small([[0.0, 2.0], [0.0, 0.0]])
-    np.testing.assert_allclose(f.singular_values, [2.0, 0.0], atol=1e-15)
-
-
-def test_svd_reconstructs_random_bidiagonal(rng):
-    B = lower_bidiagonal(rng.uniform(0.5, 2.0, 20), rng.uniform(0.5, 2.0, 19))
-    f = svd_small(B)
-    err = np.linalg.norm(B - reconstruct(f))
-    assert err <= 1e-12 * f.singular_values[0]
-    assert np.all(np.diff(f.singular_values) <= 0)
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        svd_small([[np.inf, 0.0], [0.0, 1.0]])
-
-
-def test_svd_rectangular_factors_are_square(rng):
-    M = rng.standard_normal((5, 3))
-    f = svd_small(M)
-    assert f.U.shape == (5, 5) and f.V.shape == (3, 3)
-    np.testing.assert_allclose(reconstruct(f), M, atol=1e-12)
+def truncation(B, k):
+    """Dense rank-``k`` truncation of ``B`` (test oracle)."""
+    U, s, Vt = np.linalg.svd(B)
+    return (U[:, :k] * s[:k]) @ Vt[:k]
 
 
 def test_bidiag_solve_scalar():
-    np.testing.assert_allclose(bidiag_solve([[2.0]], [6.0]), [3.0])
+    state = make_state(alphas=[2.0], betas=[6.0, 1.0])
+    np.testing.assert_allclose(cgme_iterate(state, 1), [3.0, 0.0])
 
 
 def test_bidiag_solve_forward_substitution():
-    B = [[1.0, 0.0], [1.0, 1.0]]
-    np.testing.assert_allclose(bidiag_solve(B, [1.0, 3.0]), [1.0, 2.0])
+    # [[1, 0], [2, 1]] y = [3, 0]
+    state = make_state(alphas=[1.0, 1.0], betas=[3.0, 2.0, 1.0])
+    np.testing.assert_allclose(cgme_iterate(state, 2), [3.0, -6.0, 0.0])
 
 
-def test_bidiag_solve_matches_dense_oracle(rng):
-    B = lower_bidiagonal(rng.uniform(1.0, 2.0, 30), rng.uniform(0.0, 1.0, 29))
-    rhs = rng.standard_normal(30)
-    y = bidiag_solve(B, rhs)
+def test_bidiag_solve_matches_dense_oracle():
+    alphas, betas = random_coefficients(30, seed=1234)
+    state = make_state(alphas, betas)
+    y = cgme_iterate(state, 30)
+    B = lower_bidiagonal(alphas, betas[1:30])
+    rhs = np.zeros(30)
+    rhs[0] = betas[0]
     oracle = np.linalg.solve(B, rhs)
-    assert np.linalg.norm(y - oracle) <= 1e-12 * np.linalg.norm(oracle)
-    assert np.linalg.norm(B @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert y[30] == 0.0
+    assert np.linalg.norm(y[:30] - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(B @ y[:30] - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_bidiag_solve_zero_diagonal():
-    with pytest.raises(np.linalg.LinAlgError):
-        bidiag_solve([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+    # A zero alpha never reaches the substitution: the recurrence records a
+    # breakdown instead of storing it, and the iterate at that k is refused.
+    A = DenseOperator([[1.0, 0.0], [0.0, 0.0]])
+    state = bidiag_init(A, [1.0, 1.0])
+    with pytest.raises(GolubKahanBreakdown, match="alpha_2"):
+        bidiag_extend(state, A, 2)
+    assert state.k == 1 and np.all(state.alphas > 0.0)
+    with pytest.raises(ValueError, match="needs 2"):
+        cgme_iterate(state, 2)
 
 
 def test_truncated_pinv_diagonal_example():
-    f = TruncatedFactor(source=svd_small(np.diag([4.0, 2.0, 1.0])), rank=2)
-    np.testing.assert_allclose(truncated_pinv_apply(f, [4.0, 2.0, 1.0]), [1.0, 1.0, 0.0], atol=1e-14)
+    # B_3 = diag(4, 2, 1): truncation to rank 2 drops the 1
+    state = make_state(alphas=[4.0, 2.0, 1.0], betas=[4.0, 0.0, 0.0, 1.0])
+    np.testing.assert_allclose(tcgme_iterate(state, 2), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    # B_3 = diag(1, 4, 2): now the dropped direction is the one b lies in
+    state = make_state(alphas=[1.0, 4.0, 2.0], betas=[4.0, 0.0, 0.0, 1.0])
+    np.testing.assert_allclose(tcgme_iterate(state, 2), np.zeros(4), atol=1e-14)
 
 
-def test_full_rank_truncation_matches_solve(rng):
-    M = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    f = TruncatedFactor(source=svd_small(M), rank=6)
-    rhs = rng.standard_normal(6)
-    np.testing.assert_allclose(
-        truncated_pinv_apply(f, rhs), np.linalg.solve(M, rhs), rtol=1e-12, atol=1e-12
-    )
+def test_full_rank_truncation_matches_solve():
+    # beta_3 = 0 makes B_3 = diag(B_2, alpha_3), and alpha_3 lies below the
+    # spectrum of B_2: the truncation keeps all of B_2, so TCGME is the
+    # forward substitution through it.
+    state = make_state(alphas=[2.0, 1.5, 0.1], betas=[3.0, 0.5, 0.0, 1.0])
+    y = np.linalg.solve([[2.0, 0.0], [0.5, 1.5]], [3.0, 0.0])
+    np.testing.assert_allclose(tcgme_iterate(state, 2), [*y, 0.0, 0.0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(cgme_iterate(state, 2), [*y, 0.0, 0.0], rtol=1e-12)
 
 
-def test_truncated_pinv_matches_dense_oracle(rng):
-    k = 7
-    M = rng.standard_normal((k + 1, k + 1))
-    f = TruncatedFactor(source=svd_small(M), rank=k)
-    rhs = rng.standard_normal(k + 1)
-    ck = truncated_matrix(f)
-    oracle = np.linalg.pinv(ck) @ rhs
-    got = truncated_pinv_apply(f, rhs)
-    assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=10**6))
+def test_truncated_pinv_matches_dense_oracle(k, seed):
+    alphas, betas = random_coefficients(k + 1, seed)
+    got = tcgme_iterate(make_state(alphas, betas), k)
+    rhs = np.zeros(k + 1)
+    rhs[0] = betas[0]
+    oracle = np.linalg.pinv(truncation(lower_bidiagonal(alphas, betas[1 : k + 1]), k)) @ rhs
+    assert got[k + 1] == 0.0
+    assert np.linalg.norm(got[: k + 1] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-def test_truncation_rank_validation(rng):
-    f = svd_small(rng.standard_normal((4, 4)))
-    with pytest.raises(ValueError):
-        TruncatedFactor(source=f, rank=0)
-    with pytest.raises(ValueError):
-        TruncatedFactor(source=f, rank=5)
-
-
-def test_ill_conditioned_truncation_warns():
-    f = TruncatedFactor(source=svd_small(np.diag([1.0, 1e-15])), rank=2)
-    with pytest.warns(IllConditionedTruncation):
-        out = truncated_pinv_apply(f, [1.0, 0.0])
-    assert np.all(np.isfinite(out))
+def test_pinv_contract_on_truncations():
+    # y = pinv(C_k) beta_1 e_1 is the minimum-norm least-squares solution:
+    # its residual is orthogonal to range(C_k), and y has no component
+    # along null(C_k), the dropped right singular vector.
+    k = 8
+    alphas, betas = random_coefficients(k + 1, seed=99, low=0.5)
+    B = lower_bidiagonal(alphas, betas[1 : k + 1])
+    C = truncation(B, k)
+    y = tcgme_iterate(make_state(alphas, betas), k)[: k + 1]
+    rhs = np.zeros(k + 1)
+    rhs[0] = betas[0]
+    scale = np.linalg.norm(C, 2)
+    assert np.linalg.norm(C.T @ (C @ y - rhs)) <= 1e-12 * scale * np.linalg.norm(rhs)
+    v_dropped = np.linalg.svd(B)[2][k]
+    assert abs(v_dropped @ y) <= 1e-12 * np.linalg.norm(y)
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    r=st.integers(min_value=2, max_value=40),
-    c=st.integers(min_value=2, max_value=40),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_eckart_young_gap(r, c, seed):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((r, c))
-    f = svd_small(M)
-    for rank in range(1, min(r, c)):
-        trunc = truncated_matrix(TruncatedFactor(source=f, rank=rank))
-        gap = np.linalg.norm(M - trunc, 2)
-        expected = f.singular_values[rank]
-        assert abs(gap - expected) <= 1e-10 * max(expected, 1e-30) + 1e-12
+@given(k=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=10**6))
+def test_eckart_young_gap(k, seed):
+    # With P and Q the identity and A = B_{k+1}, gamma_gaps' TCGME gap is
+    # |B_{k+1} - C_k|_2, which Eckart-Young puts at sigma_{k+1}(B_{k+1}).
+    alphas, betas = random_coefficients(k + 1, seed, low=0.5)
+    B = lower_bidiagonal(alphas, betas[1 : k + 1])
+    report = gamma_gaps(DenseOperator(B), make_state(alphas, betas, m=k + 1, n=k + 1), k)
+    s = np.linalg.svd(B, compute_uv=False)
+    assert abs(report.gamma_tcgme - s[k]) <= 1e-10 * s[k] + 1e-13 * s[0]
 
 
-def test_pinv_contract_on_truncations(rng):
-    M = rng.standard_normal((9, 9))
-    f = TruncatedFactor(source=svd_small(M), rank=5)
-    ck = truncated_matrix(f)
-    pinv = np.column_stack([truncated_pinv_apply(f, e) for e in np.eye(9)])
-    assert np.linalg.norm(ck @ pinv @ ck - ck) <= 1e-10 * np.linalg.norm(ck)
+def test_ill_conditioned_truncation_warns():
+    state = make_state(alphas=[1.0, 1e-15, 1e-16], betas=[1.0, 0.0, 0.0, 1.0])
+    with pytest.warns(IllConditionedTruncation):
+        out = tcgme_iterate(state, 2)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+
+
+def test_zero_singular_value_is_excluded():
+    # B_3 = [[1, 0, 0], [1, 0, 0], [0, 0, 0]] has singular values
+    # (sqrt 2, 0, 0); the rank-2 truncation retains an exact zero, which
+    # the pseudo-inverse drops instead of inverting.
+    state = make_state(alphas=[1.0, 0.0, 0.0], betas=[1.0, 1.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedTruncation)
+        out = tcgme_iterate(state, 2)
+    np.testing.assert_allclose(out, [0.5, 0.0, 0.0, 0.0], atol=1e-15)

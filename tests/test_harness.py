@@ -165,6 +165,25 @@ def test_run_experiment_keeps_noise_and_method_failures_in_their_runs(monkeypatc
         assert by_run[(0.05, method)].rows == []
 
 
+def test_run_experiment_keeps_a_nonfinite_error_curve_in_its_run(monkeypatch):
+    import krylreg.hybrid as hybrid
+
+    real_error = hybrid.relative_error
+
+    def nan_at_k3(L, x, x_true):
+        nan_at_k3.calls += 1
+        return float("nan") if nan_at_k3.calls == 3 else real_error(L, x, x_true)
+
+    nan_at_k3.calls = 0
+    monkeypatch.setattr(hybrid, "relative_error", nan_at_k3)
+    spec = ExperimentSpec(problem="shaw", size=64, epsilons=(0.1, 0.05), seed=3,
+                          methods=("cgme",), max_outer_k=4)
+    first, second = run_experiment(spec)
+    assert first.error.startswith("ValueError: relative errors must be finite")
+    assert first.best_k is None and len(first.rows) == 4
+    assert second.error is None and second.best_k is not None
+
+
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)

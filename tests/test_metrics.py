@@ -170,6 +170,13 @@ def test_analyze_curve_custom_ks_and_validation():
         analyze_curve([1.0], ks=[1, 2])
 
 
+def test_analyze_curve_rejects_nonfinite_errors():
+    # argmin would pick the first NaN and report it as the best error
+    for errors in ([0.5, np.nan, 0.2], [np.inf], [0.3, -np.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            analyze_curve(errors)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
 def test_analyze_curve_properties(errors):

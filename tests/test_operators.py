@@ -15,6 +15,7 @@ from krylreg.operators import (
     OperatorShape,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
+    check_orthonormal,
 )
 
 from conftest import random_orthonormal
@@ -60,6 +61,25 @@ def test_dimension_mismatch():
 def test_dense_rejects_nonfinite():
     with pytest.raises(ValueError):
         DenseOperator([[1.0, np.nan]])
+
+
+def test_kronecker_blur_rejects_nonfinite():
+    with pytest.raises(ValueError, match="finite"):
+        KroneckerBlurOperator(np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        KroneckerBlurOperator([[np.inf, 0.0], [0.0, 1.0]], np.eye(2))
+
+
+def test_orthonormality_check_reads_columns_from_first_on():
+    Q = random_orthonormal(20, 4, seed=5)
+    Q[:, 1] *= 1.1  # an old column off unit length, still orthogonal to the rest
+    check_orthonormal(Q, first=2)
+    with pytest.raises(OrthonormalityError, match="max \\|Q'Q - I\\| = 2.100e-01"):
+        check_orthonormal(Q)
+    Q[:, 3] += 1e-6 * Q[:, 0]  # a new column bent toward an old one
+    with pytest.raises(OrthonormalityError):
+        check_orthonormal(Q, first=3)
+    check_orthonormal(Q[:, :3], first=3)  # no new columns
 
 
 def _operators_for_adjoint_check(seed):
