@@ -8,8 +8,8 @@ that large structured matrices (2-D difference stacks, Kronecker blurs)
 are never materialized.
 
 All vectors are 1-D float64 numpy arrays.  Operators are immutable after
-construction and safe to share across threads; ``apply``/``apply_adjoint``
-allocate their own work buffers.
+construction (``DenseOperator.entries`` is read-only) and safe to share
+across threads; ``apply``/``apply_adjoint`` allocate their own buffers.
 """
 
 from __future__ import annotations
@@ -136,15 +136,26 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by an explicit row-major array."""
+    """Operator backed by an explicit row-major array, held read-only."""
 
     def __init__(self, entries) -> None:
         # private copy: operators are immutable after construction
-        mat = np.array(entries, dtype=np.float64, order="C", copy=True)
+        self._own(np.array(entries, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, mat: np.ndarray) -> "DenseOperator":
+        """The operator on ``mat`` itself, uncopied: for the problem
+        generators, which hand over the array they built."""
+        op = cls.__new__(cls)
+        op._own(mat)
+        return op
+
+    def _own(self, mat: np.ndarray) -> None:
         if mat.ndim != 2:
             raise ValueError("entries must be a 2-D array")
         if not np.all(np.isfinite(mat)):
             raise ValueError("entries must be finite")
+        mat.flags.writeable = False
         self.entries = mat
         self._shape = OperatorShape(*mat.shape)
 

@@ -5,6 +5,8 @@ deriv2, heat) are built on midpoint grids; the clean right-hand side is
 always computed as ``b_true = A @ x_true`` so the consistency assumption
 of the solvers holds to machine precision rather than to quadrature
 accuracy.  A separable Gaussian blur provides a desk-scale 2-D problem.
+Each 1-D matrix is built in place in one n x n buffer (two for shaw), which
+the returned :class:`DenseOperator` adopts without a copy.
 
 Noise is Gaussian white noise rescaled so the relative noise level
 ``|e| / |b_true|`` equals the requested epsilon exactly.  All randomness
@@ -25,6 +27,7 @@ from .operators import (
     KroneckerBlurOperator,
     LinearOperator,
     Stacked2DDifferenceOperator,
+    _is_int,
 )
 
 __all__ = [
@@ -63,8 +66,8 @@ class ProblemInstance:
 
 
 def _check_n(n: int, name: str, even: bool = False) -> None:
-    if n < _MIN_N:
-        raise ValueError(f"{name} needs n >= {_MIN_N}, got {n}")
+    if not _is_int(n) or n < _MIN_N:
+        raise ValueError(f"{name} needs an integer n >= {_MIN_N}, got {n!r}")
     if even and n % 2 != 0:
         raise ValueError(f"{name} needs even n, got {n}")
 
@@ -81,11 +84,21 @@ def gen_shaw(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     t = -np.pi / 2 + (np.arange(1, n + 1) - 0.5) * h
     co = np.cos(t)
     psi = np.pi * np.sin(t)
-    u = psi[:, None] + psi[None, :]
-    entries = h * (co[:, None] + co[None, :]) ** 2 * np.sinc(u / np.pi) ** 2
+    # h (co_i + co_j)^2 sinc(u / pi)^2 in two n x n buffers, each step in
+    # np.sinc's order so that every entry keeps its bits
+    u = np.add.outer(psi, psi)
+    u /= np.pi
+    u *= np.pi
+    u[u == 0.0] = np.finfo(np.float64).eps  # np.sinc's guard: sin(y)/y = 1
+    sinc2 = np.sin(u)
+    sinc2 /= u
+    sinc2 *= sinc2
+    entries = np.add.outer(co, co, out=u)
+    entries *= entries
+    entries *= h
+    entries *= sinc2
     x_true = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
-    A = DenseOperator(entries)
-    return A, x_true, entries @ x_true
+    return DenseOperator._adopt(entries), x_true, entries @ x_true
 
 
 def gen_baart(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
@@ -99,10 +112,11 @@ def gen_baart(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     ht = np.pi / n
     s = (np.arange(1, n + 1) - 0.5) * hs
     t = (np.arange(1, n + 1) - 0.5) * ht
-    entries = ht * np.exp(s[:, None] * np.cos(t[None, :]))
+    entries = np.multiply.outer(s, np.cos(t))
+    np.exp(entries, out=entries)
+    entries *= ht
     x_true = np.sin(t)
-    A = DenseOperator(entries)
-    return A, x_true, entries @ x_true
+    return DenseOperator._adopt(entries), x_true, entries @ x_true
 
 
 def gen_deriv2(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
@@ -114,12 +128,12 @@ def gen_deriv2(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     _check_n(n, "deriv2")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
-    s_col = t[:, None]
-    t_row = t[None, :]
-    entries = h * np.where(s_col < t_row, s_col * (t_row - 1.0), t_row * (s_col - 1.0))
+    entries = np.multiply.outer(t, t - 1.0)  # s (t - 1)
+    for i in range(1, n):
+        entries[i, :i] = entries[:i, i]  # t (s - 1) below the diagonal: the transpose
+    entries *= h
     x_true = t.copy()
-    A = DenseOperator(entries)
-    return A, x_true, entries @ x_true
+    return DenseOperator._adopt(entries), x_true, entries @ x_true
 
 
 def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
@@ -134,9 +148,10 @@ def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
     kern = (h / (2.0 * np.sqrt(np.pi))) * t ** (-1.5) * np.exp(-0.25 / t)
-    idx = np.arange(n)
-    lag = idx[:, None] - idx[None, :]
-    entries = np.where(lag >= 0, kern[np.abs(lag)], 0.0)
+    # row i is kern[i], ..., kern[0], then zeros: a window that slides
+    # one place per row along kern reversed and n - 1 zeros
+    padded = np.concatenate([kern[::-1], np.zeros(n - 1)])
+    entries = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
     x_true = np.zeros(n)
     ti = np.arange(1, n // 2 + 1) * (20.0 / n)
     half = np.where(
@@ -145,8 +160,7 @@ def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
         np.where(ti < 3.0, 0.75 + (ti - 2.0) * (3.0 - ti), 0.75 * np.exp(-(ti - 3.0) * 2.0)),
     )
     x_true[: n // 2] = half
-    A = DenseOperator(entries)
-    return A, x_true, entries @ x_true
+    return DenseOperator._adopt(entries), x_true, entries @ x_true
 
 
 def _piecewise_image(n: int) -> np.ndarray:
@@ -195,8 +209,8 @@ def make_L(kind: str, dims: int) -> LinearOperator:
 def add_noise(b_true, epsilon: float, seed: int) -> np.ndarray:
     """Add seeded Gaussian noise rescaled so ``|e| = epsilon |b_true|``."""
     b_true = np.asarray(b_true, dtype=np.float64)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     bnorm = np.linalg.norm(b_true)
     if bnorm == 0.0:
         raise ValueError("cannot scale noise against a zero right-hand side")

@@ -4,9 +4,10 @@ import types
 import numpy as np
 import pytest
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, extract_matrices
 from krylreg.hybrid import (
     HybridConfig,
+    direct_solver,
     hyb_cgme_step,
     hyb_tcgme_step,
     inner_solve,
@@ -16,7 +17,7 @@ from krylreg.hybrid import METHODS
 from krylreg.lsqr import LsqrConfig
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
-from krylreg.problems import ProblemInstance, build_problem
+from krylreg.problems import ProblemInstance, add_noise, build_problem, make_L
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 TIGHT = LsqrConfig(tol=1e-10)
@@ -390,3 +391,51 @@ def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
     for method in ("cgme", "hyb_cgme"):
         assert sweeps[method].error is None
         assert sweeps[method].ks == [1, 2, 3, 4]
+
+
+def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):
+    """baart's kernel ``exp(s cos t)`` on ``m`` midpoints ``s`` in
+    ``[0, pi/2]`` and ``n`` midpoints ``t`` in ``[0, pi]``: an ``m x n`` ``A``."""
+    s = (np.arange(1, m + 1) - 0.5) * ((np.pi / 2) / m)
+    t = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
+    A = DenseOperator((np.pi / n) * np.exp(np.multiply.outer(s, np.cos(t))))
+    x_true = np.sin(t)
+    b_true = A.apply(x_true)
+    return ProblemInstance(
+        name="baart-rect", A=A, L=make_L(L_kind, n), x_true=x_true, b_true=b_true,
+        b=add_noise(b_true, eps, seed), epsilon=eps, seed=seed, size=n, L_kind=L_kind,
+    )
+
+
+@pytest.mark.parametrize("m,n", [(120, 80), (80, 120)])
+def test_rectangular_operator_sweeps(m, n):
+    problem = rectangular_baart(m, n, "first_diff_1d")
+    assert (problem.A.rows, problem.A.cols, problem.L.cols) == (m, n, n)
+    cfg = HybridConfig(max_outer_k=20)
+    sweeps = run_hybrid(problem, METHODS, cfg)
+    for sweep in sweeps.values():
+        assert sweep.error is None and sweep.fallbacks == [] and sweep.ks
+        assert all(np.isfinite(sweep.rel_errors))
+    assert all(iters > 0 for iters in sweeps["hyb_tcgme"].inner_iterations)
+
+    state = bidiag_init(problem.A, problem.b)
+    try:
+        bidiag_extend(state, problem.A, cfg.max_outer_k + 1)
+    except GolubKahanBreakdown:
+        pass
+    k = state.k
+    dense = problem.A.entries
+    residual = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ extract_matrices(state, k).B_kplus, "fro")
+    assert residual <= 1e-10 * problem.A.frobenius_norm()
+
+    # at L = I each hybrid is its plain method, bit for bit
+    identity = rectangular_baart(m, n, "identity")
+    sweeps = run_hybrid(identity, METHODS, cfg)
+    for base in ("cgme", "tcgme"):
+        plain, hybrid = sweeps[base], sweeps["hyb_" + base]
+        assert hybrid.ks == plain.ks and hybrid.rel_errors == plain.rel_errors
+        assert hybrid.error is None and hybrid.inner_iterations == [0] * len(plain.ks)
+    direct = direct_solver(identity.L)
+    for j in range(1, k):
+        assert np.array_equal(hyb_cgme_step(state, identity.L, j, cfg, direct).x_L, cgme_iterate(state, j))
+        assert np.array_equal(hyb_tcgme_step(state, identity.L, j, cfg, direct).x_L, tcgme_iterate(state, j))

@@ -17,6 +17,7 @@ from krylreg.operators import (
     Stacked2DDifferenceOperator,
     check_orthonormal,
 )
+from krylreg.problems import gen_baart
 
 from conftest import random_orthonormal
 
@@ -61,6 +62,31 @@ def test_dimension_mismatch():
 def test_dense_rejects_nonfinite():
     with pytest.raises(ValueError):
         DenseOperator([[1.0, np.nan]])
+
+
+def test_dense_entries_are_read_only():
+    source = np.diag([2.0, 3.0])
+    public = DenseOperator(source)
+    source[0, 0] = 5.0  # the constructor copied its input, which stays writable
+    assert public.entries[0, 0] == 2.0
+    built, *_ = gen_baart(16)  # the adopt path
+    for A in (public, built):
+        before = A.entries.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            A.entries[0, 0] = 1.0
+        dense = A.to_dense()
+        dense[0, 0] = 1.0  # a writable copy
+        np.testing.assert_array_equal(A.entries, before)
+
+
+def test_dense_adopt_runs_the_constructor_checks():
+    with pytest.raises(ValueError, match="2-D"):
+        DenseOperator._adopt(np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        DenseOperator._adopt(np.array([[1.0, np.inf]]))
+    mat = np.ones((2, 3))
+    A = DenseOperator._adopt(mat)
+    assert A.entries is mat and A.shape == OperatorShape(2, 3)
 
 
 def test_kronecker_blur_rejects_nonfinite():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from broadcast_problems import REFERENCES
 from krylreg.operators import Stacked2DDifferenceOperator
 from krylreg.problems import (
     add_noise,
@@ -64,6 +67,43 @@ def test_minimum_size_enforced():
     for gen in GENERATORS.values():
         with pytest.raises(ValueError):
             gen(4)
+
+
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in GENERATORS for n in (8, 10, 64, 1000, 2000)
+] + [("baart", 63), ("deriv2", 63)])
+def test_generators_match_broadcast_reference(name, n):
+    A, x_true, b_true = GENERATORS[name](n)
+    entries, ref_x, ref_b = REFERENCES[name](n)
+    assert A.entries.flags.c_contiguous
+    assert np.array_equal(A.entries, entries)
+    assert np.array_equal(x_true, ref_x)
+    assert np.array_equal(b_true, ref_b)
+
+
+@pytest.mark.parametrize("name,bound", [("shaw", 2.25), ("baart", 1.25), ("deriv2", 1.25), ("heat", 1.25)])
+def test_build_peak_memory(name, bound):
+    # peak traced allocation of one build, in n x n float64 buffers: the
+    # generators fill one buffer in place (two for shaw) and the operator
+    # adopts it without a copy
+    n = 1000
+    tracemalloc.start()
+    try:
+        build_problem(name, n, 0.01, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
+
+
+@pytest.mark.parametrize("name", [*GENERATORS, "blur2d"])
+def test_generators_require_integer_sizes(name):
+    gen = gen_blur2d if name == "blur2d" else GENERATORS[name]
+    for size in (100.5, 64.0, True):
+        with pytest.raises(ValueError, match=f"{name} needs an integer"):
+            gen(size)
+    A, x_true, _ = gen(np.int64(16))
+    assert A.cols == x_true.shape[0] == (256 if name == "blur2d" else 16)
 
 
 def test_blur_delta_kernel_limit():
@@ -134,3 +174,9 @@ def test_add_noise_validation():
         add_noise(np.zeros(4), 0.1, 0)
     with pytest.raises(ValueError):
         add_noise(np.ones(4), -0.5, 0)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_add_noise_rejects_nonfinite_level(epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        add_noise(np.ones(4), epsilon, 0)
