@@ -30,11 +30,10 @@ from .hybrid import (
     HybridConfig,
     HybridIterate,
     InnerFallback,
-    SweepResult,
-    direct_solver,
+    LsqrSolver,
     hyb_cgme_step,
     hyb_tcgme_step,
-    inner_solve,
+    inner_solvers,
     run_hybrid,
 )
 from .lsqr import LsqrConfig, LsqrReport, NumericalFailure, lsqr_solve

@@ -116,9 +116,10 @@ class Difference2DSolver:
             S[j, :] = S[:, j] = row
             self._S = S
 
-    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
         """``argmin |L x|`` subject to ``Q^T x = Q^T x_k``, with the backward
-        error of ``z = x_k - x_L`` in LSQR's stop test.
+        error of ``z = x_k - x_L`` in LSQR's stop test, no inner iterations
+        and no cap hit (the shape of every inner solver's answer).
 
         Raises :class:`DirectSolveRejected` when the answer cannot be
         vouched for, and :class:`OrthonormalityError` when ``Q`` is not
@@ -172,4 +173,4 @@ class Difference2DSolver:
             raise DirectSolveRejected(
                 f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}"
             )
-        return x_L, backward_error
+        return x_L, backward_error, 0, False

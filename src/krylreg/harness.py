@@ -10,13 +10,13 @@ repeated executions produce byte-identical files (the mode used by the
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bidiag, metrics, problems, solvers
-from .hybrid import METHODS, HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from .hybrid import METHODS, HybridConfig, RunRecord, RunRow, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
 from .operators import DenseOperator, _is_int
 from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem, with_noise
@@ -68,6 +68,8 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must be distinct, got {self.methods!r}")
         for eps in self.epsilons:
             if not _is_real(eps) or not 0.0 < eps < 1.0:
                 raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
@@ -113,45 +115,15 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RunRow:
-    """One outer step.  ``wall_ms`` is what the step costs its method alone
-    (see :func:`krylreg.hybrid.run_hybrid`), not the shared sweep's time."""
-
-    k: int
-    rel_error: float
-    inner_iterations: int
-    wall_ms: float
-
-
-@dataclass
-class RunRecord:
-    """One (method, epsilon) run: the ExperimentSpec echo, per-k rows, bests,
-    and the outer steps whose direct inner solve fell back to LSQR.
-    ``total_wall_ms`` is the sum of the rows' ``wall_ms``."""
-
-    method: str
-    problem: str
-    size: int
-    epsilon: float
-    seed: int
-    rows: list[RunRow] = field(default_factory=list)
-    best_k: int | None = None
-    best_error: float | None = None
-    total_wall_ms: float = 0.0
-    breakdown: str | None = None
-    error: str | None = None
-    fallbacks: list[InnerFallback] = field(default_factory=list)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     """Run every (method, epsilon) pair of an ExperimentSpec.
 
     The problem is built once; each noise level gets its own data and one
-    sweep shared by all methods.  Failures are recorded on the RunRecords
-    they belong to and do not abort the remaining runs: a build failure on
-    every run, a failure of the noise or of the shared sweep on the runs of
-    that noise level, and a failure of one method on its own run.
+    :func:`~krylreg.hybrid.run_hybrid` sweep shared by all methods.
+    Failures are recorded on the RunRecords they belong to and do not abort
+    the remaining runs: a build failure on every run, a failure of the
+    noise or of the shared sweep on the runs of that noise level, and a
+    failure of one method on its own run.
     """
     cfg = HybridConfig(
         inner=LsqrConfig(tol=spec.inner_tol),
@@ -168,43 +140,18 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
         build_error = f"{type(exc).__name__}: {exc}"
     records: list[RunRecord] = []
     for epsilon in spec.epsilons:
-        runs = [
-            RunRecord(method=method, problem=spec.problem, size=spec.size,
-                      epsilon=epsilon, seed=spec.seed)
-            for method in spec.methods
-        ]
-        records.extend(runs)
         error = build_error
         if base is not None:
             try:
-                sweeps = run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods, cfg)
+                records.extend(run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods, cfg).values())
+                continue
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
-        for record in runs:
-            if error is not None:
-                record.error = error
-                continue
-            sweep = sweeps[record.method]
-            if sweep.error is not None:
-                record.error = sweep.error
-                continue
-            record.breakdown = sweep.breakdown
-            record.fallbacks = sweep.fallbacks
-            record.rows = [
-                RunRow(k=k, rel_error=e, inner_iterations=it, wall_ms=w)
-                for k, e, it, w in zip(
-                    sweep.ks, sweep.rel_errors, sweep.inner_iterations, sweep.wall_ms
-                )
-            ]
-            record.total_wall_ms = sum(sweep.wall_ms)
-            if sweep.ks:
-                try:
-                    curve = metrics.analyze_curve(sweep.rel_errors, ks=sweep.ks)
-                except ValueError as exc:
-                    record.error = f"ValueError: {exc}"
-                    continue
-                record.best_k = curve.best_k
-                record.best_error = curve.best_error
+        records.extend(
+            RunRecord(method=method, problem=spec.problem, size=spec.size,
+                      epsilon=epsilon, seed=spec.seed, error=error)
+            for method in spec.methods
+        )
     return records
 
 

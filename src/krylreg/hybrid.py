@@ -12,31 +12,31 @@ range(Q), so the projected data-fit constraint is untouched while the
 seminorm ``|L x|`` is minimized over the feasible set: this is exactly
 the general-form regularized solution of the projected problem.
 
-How the inner problem is solved follows from the type of ``L``:
+Every sweep tries one ordered chain of inner solvers, :func:`inner_solvers`,
+chosen by the type of ``L``.  Each link's ``solve(Q, x_k)`` returns ``x_L``,
+its backward error, its inner iterations and whether it hit its cap; a link
+that cannot vouch for its answer raises ``DirectSolveRejected``, and the
+step falls to the next link and records why in ``RunRecord.fallbacks``.
 
-- ``L = I`` (``identity``) needs no inner solve at all.  Every Krylov
-  iterate lies in range(Q), so ``x_k`` is already the minimum-norm point
-  of ``Q^T x = Q^T x_k`` and the correction is exactly ``z_k = 0``: the
-  hybrid iterate equals its plain method's, and ``inner_iterations``
-  reads 0;
-- the 2-D difference stack (``first_diff_2d``) takes the exact direct
-  solve of :mod:`krylreg.dct_solve`, one per sweep and shared by both
-  hybrids, which runs no inner iterations (``inner_iterations`` reads 0)
-  and ignores the LSQR tolerance.  When it cannot vouch for its answer,
-  the step falls back to LSQR and the sweep records the step and the
-  reason in ``SweepResult.fallbacks``;
-- every other ``L`` (``first_diff_1d``, dense operators) uses LSQR on
-  ``L`` over the subspace ``null(Q^T)`` (:func:`lsqr_solve` with ``Q``),
-  which applies ``L``, ``L^T`` and the projector once per iteration and
-  never forms ``L (I - Q Q^T)``.  LSQR from the zero vector returns the
-  minimum-norm solution, which the closed-form pseudo-inverse expression
-  for ``x_{L,k}`` requires.  It is also the reference both exact paths are
-  tested against, and the path :func:`hyb_cgme_step` and
-  :func:`hyb_tcgme_step` take when no direct solver is passed.
+- ``L = I`` starts with :class:`IdentitySolver`: every Krylov iterate lies
+  in range(Q), so ``x_k`` is already the minimum-norm point of
+  ``Q^T x = Q^T x_k`` and the hybrid iterate is its plain method's;
+- ``first_diff_2d`` starts with the exact direct solve of
+  :mod:`krylreg.dct_solve`, one per sweep and shared by both hybrids;
+  like the identity link it runs no inner iterations and ignores the
+  LSQR tolerance;
+- every chain ends in :class:`LsqrSolver`, LSQR on ``L`` over ``null(Q^T)``
+  (:func:`lsqr_solve` with ``Q``), which applies ``L``, ``L^T`` and the
+  projector once per iteration and never forms ``L (I - Q Q^T)``.  From
+  the zero vector it returns the minimum-norm solution that the
+  closed-form expression for ``x_{L,k}`` requires.  It is the whole chain
+  for any other ``L``, the reference the exact links are tested against,
+  and the solver of :func:`hyb_cgme_step` and :func:`hyb_tcgme_step`.
 
 :func:`run_hybrid` is the one outer loop: it bidiagonalizes a problem once
 and sweeps every requested method over that state, so a (problem, noise
-level) pair costs one Krylov process however many methods read it.
+level) pair costs one Krylov process however many methods read it, and
+returns each method's finished :class:`RunRecord`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
 from .dct_solve import Difference2DSolver, DirectSolveRejected
-from .lsqr import LsqrConfig, LsqrReport, lsqr_solve
-from .metrics import relative_error
+from .lsqr import LsqrConfig, lsqr_solve
+from .metrics import analyze_curve, relative_error
 from .operators import (
     IdentityOperator,
     LinearOperator,
@@ -65,11 +65,12 @@ __all__ = [
     "HybridConfig",
     "HybridIterate",
     "InnerFallback",
-    "SweepResult",
+    "RunRow",
+    "RunRecord",
     "METHODS",
-    "inner_solve",
     "IdentitySolver",
-    "direct_solver",
+    "LsqrSolver",
+    "inner_solvers",
     "hyb_cgme_step",
     "hyb_tcgme_step",
     "run_hybrid",
@@ -96,8 +97,8 @@ class HybridConfig:
 class HybridIterate:
     """One corrected iterate with its inner-solve diagnostics.
 
-    ``fallback`` is the reason the direct inner solve was rejected, when
-    LSQR produced this iterate in its place.
+    ``fallback`` is the reason an earlier link of the inner chain was
+    rejected, when a later one produced this iterate in its place.
     """
 
     x_L: np.ndarray
@@ -117,39 +118,36 @@ class InnerFallback:
     reason: str
 
 
-@dataclass
-class SweepResult:
-    """Per-k record of one method's sweep: errors, inner work, timing, the
-    steps whose direct inner solve fell back to LSQR, and why it stopped
-    early (``breakdown``) or failed (``error``)."""
+@dataclass(frozen=True)
+class RunRow:
+    """One outer step.  ``wall_ms`` is what the step costs its method alone
+    (see :func:`run_hybrid`), not the shared sweep's time."""
 
-    method: Method
-    ks: list[int] = field(default_factory=list)
-    rel_errors: list[float] = field(default_factory=list)
-    inner_iterations: list[int] = field(default_factory=list)
-    wall_ms: list[float] = field(default_factory=list)
-    fallbacks: list[InnerFallback] = field(default_factory=list)
+    k: int
+    rel_error: float
+    inner_iterations: int
+    wall_ms: float
+
+
+@dataclass
+class RunRecord:
+    """One (method, epsilon) run: the problem's name, size, noise level and
+    seed, per-k rows, bests, the outer steps whose direct inner solve fell
+    back to LSQR, and why the sweep stopped early (``breakdown``) or failed
+    (``error``).  ``total_wall_ms`` is the sum of the rows' ``wall_ms``."""
+
+    method: str
+    problem: str
+    size: int
+    epsilon: float
+    seed: int
+    rows: list[RunRow] = field(default_factory=list)
+    best_k: int | None = None
+    best_error: float | None = None
+    total_wall_ms: float = 0.0
     breakdown: str | None = None
     error: str | None = None
-
-
-def _inner_cap(cfg: LsqrConfig, L: LinearOperator, Q) -> LsqrConfig:
-    # Exact termination needs at most n - k inner iterations; cap at twice
-    # that for floating-point slack, on top of any user-provided cap.  The
-    # default cap min(p, n) (n - 1 for first differences) is the lower one
-    # until k passes about n / 2, so below that the slack never binds.
-    n = L.cols
-    k = Q.shape[1]
-    cap = max(2 * (n - k), 1)
-    current = cfg.max_iters if cfg.max_iters is not None else min(L.rows, n)
-    return LsqrConfig(tol=cfg.tol, max_iters=min(current, cap))
-
-
-def inner_solve(L: LinearOperator, Q, x_k, cfg: LsqrConfig) -> tuple[np.ndarray, LsqrReport]:
-    """Minimum-norm solution of ``min | L(I - QQ^T) z - L x_k |`` for an
-    ``n x k`` block ``Q`` with orthonormal columns."""
-    report = lsqr_solve(L, L.apply(x_k), _inner_cap(cfg, L, Q), Q=Q)
-    return report.solution, report
+    fallbacks: list[InnerFallback] = field(default_factory=list)
 
 
 class IdentitySolver:
@@ -162,65 +160,70 @@ class IdentitySolver:
     with a zero backward error.
     """
 
-    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float]:
-        return x_k, 0.0
+    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+        return x_k, 0.0, 0, False
 
 
-DirectSolver = Difference2DSolver | IdentitySolver
+@dataclass(frozen=True)
+class LsqrSolver:
+    """The reference inner solve, and the last link of every chain:
+    ``x_L = x_k - z`` with ``z`` the minimum-norm LSQR solution of
+    ``min | L(I - QQ^T) z - L x_k |`` for an ``n x k`` block ``Q`` with
+    orthonormal columns."""
+
+    L: LinearOperator
+    cfg: LsqrConfig
+
+    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+        # Exact termination needs at most n - k inner iterations; cap at twice
+        # that for floating-point slack, on top of any user-provided cap.  The
+        # default cap min(p, n) (n - 1 for first differences) is the lower one
+        # until k passes about n / 2, so below that the slack never binds.
+        n = self.L.cols
+        current = self.cfg.max_iters if self.cfg.max_iters is not None else min(self.L.rows, n)
+        cfg = LsqrConfig(tol=self.cfg.tol, max_iters=min(current, max(2 * (n - Q.shape[1]), 1)))
+        report = lsqr_solve(self.L, self.L.apply(x_k), cfg, Q=Q)
+        return (x_k - report.solution, report.final_backward_error, report.iterations,
+                report.stop_reason == "max_iters")
 
 
-def direct_solver(L: LinearOperator) -> DirectSolver | None:
-    """A fresh exact inner solver for one sweep with regularizer ``L``, or
-    None when ``L`` has no structure it exploits (LSQR runs instead)."""
+def inner_solvers(L: LinearOperator, cfg: LsqrConfig) -> tuple:
+    """Fresh inner solvers for one sweep with regularizer ``L``, in the
+    order they are tried: an exact solver when ``L`` has structure one
+    exploits, then always :class:`LsqrSolver` with ``cfg``."""
     if isinstance(L, IdentityOperator):
-        return IdentitySolver()
+        return IdentitySolver(), LsqrSolver(L, cfg)
     if isinstance(L, Stacked2DDifferenceOperator):
-        return Difference2DSolver(L)
-    return None
+        return Difference2DSolver(L), LsqrSolver(L, cfg)
+    return (LsqrSolver(L, cfg),)
 
 
-def _corrected(x_k: np.ndarray, k: int, method, Q, L, cfg: HybridConfig,
-               direct: DirectSolver | None) -> HybridIterate:
+def _corrected(x_k: np.ndarray, k: int, method, Q, chain) -> HybridIterate:
     fallback = None
-    if direct is not None:
+    for solver in chain:
         try:
-            x_L, backward_error = direct.solve(Q, x_k)
+            x_L, backward_error, iterations, cap_hit = solver.solve(Q, x_k)
+            return HybridIterate(
+                x_L=x_L, k=k, method=method, inner_iterations=iterations,
+                inner_backward_error=backward_error, inner_cap_hit=cap_hit, fallback=fallback,
+            )
         except DirectSolveRejected as exc:
             fallback = str(exc)
-        else:
-            return HybridIterate(
-                x_L=x_L, k=k, method=method, inner_iterations=0,
-                inner_backward_error=backward_error, inner_cap_hit=False,
-            )
-    z, report = inner_solve(L, Q, x_k, cfg.inner)
-    return HybridIterate(
-        x_L=x_k - z,
-        k=k,
-        method=method,
-        inner_iterations=report.iterations,
-        inner_backward_error=report.final_backward_error,
-        inner_cap_hit=report.stop_reason == "max_iters",
-        fallback=fallback,
-    )
+    raise DirectSolveRejected(f"every inner solver rejected the step: {fallback}")
 
 
-def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig,
-                  direct: DirectSolver | None = None) -> HybridIterate:
-    """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``).
-
-    ``direct`` is the sweep's :func:`direct_solver`; without one the
-    inner problem goes to LSQR.
-    """
+def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig) -> HybridIterate:
+    """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``), with the inner
+    problem solved by the reference :class:`LsqrSolver`."""
     x_k = cgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), L, cfg, direct)
+    return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), (LsqrSolver(L, cfg.inner),))
 
 
-def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig,
-                   direct: DirectSolver | None = None) -> HybridIterate:
-    """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``); ``direct``
-    as for :func:`hyb_cgme_step`."""
+def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig) -> HybridIterate:
+    """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``), with the
+    inner problem solved as in :func:`hyb_cgme_step`."""
     x_k = tcgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), L, cfg, direct)
+    return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), (LsqrSolver(L, cfg.inner),))
 
 
 def _needed(method: str, k: int) -> int:
@@ -229,37 +232,43 @@ def _needed(method: str, k: int) -> int:
 
 
 def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
-               cfg: HybridConfig) -> dict[str, SweepResult]:
+               cfg: HybridConfig) -> dict[str, RunRecord]:
     """Sweep outer iterations ``k = 1 .. max_outer_k`` of every method in
-    ``methods`` over one shared bidiagonalization of ``problem``.
+    ``methods`` (distinct names) over one shared bidiagonalization of
+    ``problem``, and return each method's :class:`RunRecord`.
 
     At each ``k`` the state is extended to the largest step count an
     active method reads, each base iterate (CGME, TCGME) is computed once
     for its plain and its hybrid method, and each hybrid runs its inner
-    solve; the hybrids share one :func:`direct_solver` when ``L`` allows
-    it.  Relative errors are the L-seminorm errors against ``x_true``.
+    solve through the sweep's one :func:`inner_solvers` chain.  Relative
+    errors are the L-seminorm errors against ``x_true``; ``best_k`` and
+    ``best_error`` are :func:`analyze_curve`'s.
 
     Every method's result is the one it gets when swept alone.  A Krylov
     breakdown is recorded, with its original message, on the methods that
     read the step where it occurred, and ends each sweep once the state
     falls short of that method; a lost basis orthogonality stops only the
-    method that found it, and any other exception is recorded in that
-    method's ``error``.  Each row's ``wall_ms`` charges its own iterate and
-    inner solve plus the Krylov columns the method newly reads at ``k``.
+    method that found it.  Any other exception is recorded in that method's
+    ``error`` and leaves it no rows, breakdown or fallbacks; a non-finite
+    error curve keeps its rows and sets ``error``.  Each row's ``wall_ms``
+    charges its own iterate and inner solve plus the Krylov columns the
+    method newly reads at ``k``.
     """
-    if not methods or any(m not in METHODS for m in methods):
-        raise ValueError(f"methods must be a non-empty sequence of names from {METHODS}, got {methods!r}")
-    results = {m: SweepResult(method=m) for m in methods}
+    if not methods or any(m not in METHODS for m in methods) or len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be a non-empty sequence of distinct names from {METHODS}, "
+                         f"got {methods!r}")
+    records = {m: RunRecord(method=m, problem=problem.name, size=problem.size,
+                            epsilon=problem.epsilon, seed=problem.seed) for m in methods}
     try:
         state = bidiag_init(problem.A, problem.b)
     except GolubKahanBreakdown as exc:
-        for result in results.values():
-            result.breakdown = str(exc)
-        return results
-    direct = direct_solver(problem.L) if any(m.startswith("hyb_") for m in methods) else None
+        for record in records.values():
+            record.breakdown = str(exc)
+        return records
+    chain = inner_solvers(problem.L, cfg.inner)
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
-    active = list(results)
+    active = list(records)
     for k in range(1, cfg.max_outer_k + 1):
         target = max(_needed(m, k) for m in active)
         while state.k < target and failure is None:
@@ -274,11 +283,11 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
             column_ms.append((time.perf_counter() - t0) * 1e3)
         bases: dict[str, tuple[np.ndarray, float]] = {}
         for method in tuple(active):
-            result = results[method]
+            record = records[method]
             needed = _needed(method, k)
-            if failure is not None and failure.step <= needed and result.breakdown is None:
+            if failure is not None and failure.step <= needed and record.breakdown is None:
                 # the method's own sweep would have run into it at this k
-                result.breakdown = str(failure)
+                record.breakdown = str(failure)
             if state.k < needed:
                 # a beta-side breakdown still completes its step, so the
                 # iterate may exist; stop once the state truly falls short
@@ -297,27 +306,36 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
                 inner_iters = 0
                 if method != base:
                     t0 = time.perf_counter()
-                    hybrid = _corrected(x, k, method, state.Q_cols(needed), problem.L, cfg, direct)
+                    hybrid = _corrected(x, k, method, state.Q_cols(needed), chain)
                     wall += (time.perf_counter() - t0) * 1e3
                     x = hybrid.x_L
                     inner_iters = hybrid.inner_iterations
                     if hybrid.fallback is not None:
-                        result.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
+                        record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
                 rel_error = relative_error(problem.L, x, problem.x_true)
             except OrthonormalityError as exc:
                 # a basis that drifted past the projector tolerance (the
                 # reorthogonalization failed to hold it) stops this sweep
-                result.breakdown = f"basis orthogonality lost at k={k}: {exc}"
+                record.breakdown = f"basis orthogonality lost at k={k}: {exc}"
                 active.remove(method)
                 continue
             except Exception as exc:  # a failure stays in its own method
-                result.error = f"{type(exc).__name__}: {exc}"
+                record.error = f"{type(exc).__name__}: {exc}"
                 active.remove(method)
                 continue
-            result.ks.append(k)
-            result.rel_errors.append(rel_error)
-            result.inner_iterations.append(inner_iters)
-            result.wall_ms.append(wall)
+            record.rows.append(RunRow(k=k, rel_error=rel_error, inner_iterations=inner_iters, wall_ms=wall))
         if not active:
             break
-    return results
+    for record in records.values():
+        if record.error is not None:
+            record.rows, record.breakdown, record.fallbacks = [], None, []
+            continue
+        record.total_wall_ms = sum(row.wall_ms for row in record.rows)
+        if record.rows:
+            try:
+                curve = analyze_curve([r.rel_error for r in record.rows], ks=[r.k for r in record.rows])
+            except ValueError as exc:
+                record.error = f"ValueError: {exc}"
+                continue
+            record.best_k, record.best_error = curve.best_k, curve.best_error
+    return records

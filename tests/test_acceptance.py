@@ -157,7 +157,7 @@ def test_criterion_5_conditioning_monotonicity_and_inner_work():
     # inner LSQR work decreases with k on shaw(1000)
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
     record = run_hybrid(shaw, ("hyb_cgme",), HybridConfig(max_outer_k=20))["hyb_cgme"]
-    iters = np.array(record.inner_iterations, dtype=float)
+    iters = np.array([row.inner_iterations for row in record.rows], dtype=float)
     quarter = max(len(iters) // 4, 1)
     first, last = iters[:quarter].mean(), iters[-quarter:].mean()
     ok &= last <= first
@@ -207,9 +207,10 @@ def test_criterion_7_desk_scale_error_bands():
     baart = build_problem("baart", 1000, 1e-2, SEED)
     baart_tc = run_hybrid(baart, ("hyb_tcgme",), cfg)["hyb_tcgme"]
 
-    shaw_curve = analyze_curve(shaw_tc.rel_errors, ks=shaw_tc.ks)
-    cg_curve = analyze_curve(shaw_cg.rel_errors, ks=shaw_cg.ks)
-    baart_curve = analyze_curve(baart_tc.rel_errors, ks=baart_tc.ks)
+    def curve(record):
+        return analyze_curve([row.rel_error for row in record.rows], ks=[row.k for row in record.rows])
+
+    shaw_curve, cg_curve, baart_curve = curve(shaw_tc), curve(shaw_cg), curve(baart_tc)
 
     ok = (
         shaw_curve.best_error <= 0.5

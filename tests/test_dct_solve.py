@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, dct, idct
-from krylreg.hybrid import HybridConfig, IdentitySolver, direct_solver, hyb_cgme_step, inner_solve, run_hybrid
+from krylreg.hybrid import HybridConfig, IdentitySolver, LsqrSolver, hyb_cgme_step, inner_solvers, run_hybrid
 from krylreg.lsqr import LsqrConfig
 from krylreg.metrics import relative_error
 from krylreg.operators import (
@@ -16,7 +16,8 @@ from krylreg.operators import (
     OrthonormalityError,
     Stacked2DDifferenceOperator,
 )
-from krylreg.problems import ProblemInstance, gen_blur2d
+from krylreg.problems import ProblemInstance, build_problem, gen_blur2d
+from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 
 def cosine_matrix(n: int) -> np.ndarray:
@@ -57,10 +58,11 @@ def test_direct_solve_matches_pinv_oracle(side, frac, seed):
     k = 1 + int(frac * (n - 2))
     Q = random_orthonormal(n, k, seed)
     x_k = np.random.default_rng(seed + 1).standard_normal(n)
-    x_L, backward_error = Difference2DSolver(L).solve(Q, x_k)
+    x_L, backward_error, iterations, cap_hit = Difference2DSolver(L).solve(Q, x_k)
     oracle = pinv_oracle(L, Q, x_k)
     assert np.linalg.norm(x_L - oracle) <= 1e-10 * np.linalg.norm(oracle)
     assert backward_error <= 1e-10
+    assert (iterations, cap_hit) == (0, False)
 
 
 def test_direct_solve_grows_and_reuses_its_basis():
@@ -71,8 +73,8 @@ def test_direct_solve_grows_and_reuses_its_basis():
     x_k = np.random.default_rng(6).standard_normal(36)
     solver = Difference2DSolver(L)
     for m in (1, 2, 5, 9, 4):
-        x_L, _ = solver.solve(Q[:, :m], x_k)
-        fresh, _ = Difference2DSolver(L).solve(Q[:, :m], x_k)
+        x_L, *_ = solver.solve(Q[:, :m], x_k)
+        fresh, *_ = Difference2DSolver(L).solve(Q[:, :m], x_k)
         np.testing.assert_allclose(x_L, fresh, atol=1e-12)
         np.testing.assert_allclose(x_L, pinv_oracle(L, Q[:, :m], x_k), atol=1e-10)
 
@@ -115,13 +117,36 @@ def test_non_orthonormal_block_raises_like_lsqr_path():
     with pytest.raises(OrthonormalityError):
         Difference2DSolver(L).solve(Q, np.ones(25))
     with pytest.raises(OrthonormalityError):
-        inner_solve(L, Q, np.ones(25), LsqrConfig())
+        LsqrSolver(L, LsqrConfig()).solve(Q, np.ones(25))
 
 
 def test_direct_solver_chosen_by_regularizer_type():
-    assert isinstance(direct_solver(Stacked2DDifferenceOperator(4)), Difference2DSolver)
-    assert direct_solver(FirstDifferenceOperator(16)) is None
-    assert isinstance(direct_solver(IdentityOperator(16)), IdentitySolver)
+    def kinds(L):
+        return [type(solver) for solver in inner_solvers(L, LsqrConfig())]
+
+    assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
+    assert kinds(FirstDifferenceOperator(16)) == [LsqrSolver]
+    assert kinds(IdentityOperator(16)) == [IdentitySolver, LsqrSolver]
+
+
+@pytest.mark.parametrize("L_kind", ["identity", "first_diff_1d", "first_diff_2d"])
+def test_every_chain_link_meets_one_contract(L_kind):
+    # each link, run on its own, gives a finite x_L that keeps the projected
+    # constraint and agrees with the chain's closing LSQR link
+    name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
+    problem = build_problem(name, 8 if name == "blur2d" else 64, 1e-2, 5, L_kind=L_kind)
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, problem.A, 7)
+    chain = inner_solvers(problem.L, LsqrConfig(tol=1e-12))
+    assert isinstance(chain[-1], LsqrSolver)
+    for k in (1, 3, 6):
+        for x_k, Q in ((cgme_iterate(state, k), state.Q_cols(k)), (tcgme_iterate(state, k), state.Q_cols(k + 1))):
+            reference = chain[-1].solve(Q, x_k)[0]
+            for solver in chain:
+                x_L = solver.solve(Q, x_k)[0]
+                assert np.all(np.isfinite(x_L))
+                assert np.linalg.norm(Q.T @ x_L - Q.T @ x_k) <= 1e-10 * np.linalg.norm(Q.T @ x_k)
+                assert np.linalg.norm(x_L - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 def centered_blur_problem(side: int = 8) -> ProblemInstance:
@@ -142,16 +167,18 @@ def test_sweep_records_lsqr_fallback_with_reason():
     problem = centered_blur_problem()
     cfg = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=3)
     sweep = run_hybrid(problem, ("hyb_cgme",), cfg)["hyb_cgme"]
-    assert sweep.ks == [1, 2, 3]
+    assert [row.k for row in sweep.rows] == [1, 2, 3]
     assert [fb.k for fb in sweep.fallbacks] == [1, 2, 3]
     assert all("constants numerically orthogonal" in fb.reason for fb in sweep.fallbacks)
-    assert all(it > 0 for it in sweep.inner_iterations)
-    # the fallback iterate is the LSQR one
+    assert all(row.inner_iterations > 0 for row in sweep.rows)
+    # the chain's direct link refuses, and the fallback iterate is the LSQR one
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, 3)
-    fallen = hyb_cgme_step(state, problem.L, 3, cfg, direct_solver(problem.L))
+    direct, lsqr = inner_solvers(problem.L, cfg.inner)
+    with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
+        direct.solve(state.Q_cols(3), cgme_iterate(state, 3))
+    fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3))[0]
     reference = hyb_cgme_step(state, problem.L, 3, cfg)
-    assert "constants numerically orthogonal" in fallen.fallback
     assert reference.fallback is None
-    np.testing.assert_allclose(fallen.x_L, reference.x_L, atol=1e-12)
-    assert sweep.rel_errors[2] == relative_error(problem.L, reference.x_L, problem.x_true)
+    np.testing.assert_allclose(fallen, reference.x_L, atol=1e-12)
+    assert sweep.rows[2].rel_error == relative_error(problem.L, reference.x_L, problem.x_true)

@@ -39,6 +39,17 @@ def test_spec_validation():
         ExperimentSpec(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=("jbdqr",))
 
 
+def test_spec_rejects_duplicate_methods():
+    # a repeated method would run twice per noise level, and the repeats
+    # would share one fallbacks list
+    for methods in (("hyb_cgme", "hyb_cgme"), ["cgme", "tcgme", "cgme"]):
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentSpec(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=methods)
+    with pytest.raises(ValueError, match="distinct"):
+        ExperimentSpec.from_dict({"problem": "shaw", "size": 64, "epsilons": [0.1], "seed": 1,
+                                  "methods": ["hyb_tcgme", "hyb_tcgme"]})
+
+
 BASE_SPEC = dict(problem="shaw", size=64, epsilons=(0.1,), seed=1, methods=("hyb_cgme",))
 
 
@@ -131,7 +142,7 @@ def test_run_experiment_builds_once_and_sweeps_once_per_noise_level(monkeypatch)
     for rec in records:
         # the same answer as a fresh build at this noise level
         fresh = real_run(real_build("heat", 64, rec.epsilon, 17), (rec.method,), cfg)[rec.method]
-        assert [row.rel_error for row in rec.rows] == fresh.rel_errors
+        assert [row.rel_error for row in rec.rows] == [row.rel_error for row in fresh.rows]
         assert rec.total_wall_ms == sum(row.wall_ms for row in rec.rows)
 
 

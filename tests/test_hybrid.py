@@ -7,10 +7,10 @@ import pytest
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, extract_matrices
 from krylreg.hybrid import (
     HybridConfig,
-    direct_solver,
+    LsqrSolver,
     hyb_cgme_step,
     hyb_tcgme_step,
-    inner_solve,
+    inner_solvers,
     run_hybrid,
 )
 from krylreg.hybrid import METHODS
@@ -35,29 +35,43 @@ def dense_projected(L, Q):
     return L.to_dense() @ (np.eye(n) - Q @ Q.T)
 
 
+def ks(record):
+    return [row.k for row in record.rows]
+
+
+def rel_errors(record):
+    return [row.rel_error for row in record.rows]
+
+
+def inner_iterations(record):
+    return [row.inner_iterations for row in record.rows]
+
+
 def test_inner_solve_identity_regularizer_keeps_iterate():
     problem, state = prepared("shaw", 200, 6, L_kind="identity")
     for k in (2, 5):
         x_k = cgme_iterate(state, k)
-        z, report = inner_solve(problem.L, state.Q_cols(k), x_k, TIGHT)
-        np.testing.assert_allclose(x_k - z, state.Q_cols(k) @ (state.Q_cols(k).T @ x_k), atol=1e-8)
-        assert np.linalg.norm(x_k - z - x_k) <= 1e-8 * np.linalg.norm(x_k) + 1e-12
+        x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k)
+        np.testing.assert_allclose(x_L, state.Q_cols(k) @ (state.Q_cols(k).T @ x_k), atol=1e-8)
+        assert np.linalg.norm(x_L - x_k) <= 1e-8 * np.linalg.norm(x_k) + 1e-12
 
 
 def test_inner_solve_null_space_rhs_gives_zero():
     problem, state = prepared("shaw", 100, 4)
     L = problem.L
     x_null = np.ones(100)  # constants are in the null space of first differences
-    z, report = inner_solve(L, state.Q_cols(3), x_null, TIGHT)
-    assert report.stop_reason == "exact_breakdown"
-    np.testing.assert_allclose(z, np.zeros(100), atol=1e-14)
+    x_L, backward_error, iterations, cap_hit = LsqrSolver(L, TIGHT).solve(state.Q_cols(3), x_null)
+    # L x_null = 0 stops LSQR on an exact breakdown before its first iteration
+    assert (backward_error, iterations, cap_hit) == (0.0, 0, False)
+    np.testing.assert_allclose(x_null - x_L, np.zeros(100), atol=1e-14)
 
 
 def test_inner_solve_matches_dense_pinv_oracle():
     problem, state = prepared("shaw", 200, 6)
     k = 5
     x_k = cgme_iterate(state, k)
-    z, _ = inner_solve(problem.L, state.Q_cols(k), x_k, TIGHT)
+    x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k)
+    z = x_k - x_L
     M = dense_projected(problem.L, state.Q_cols(k))
     oracle = np.linalg.pinv(M, rcond=1e-10) @ problem.L.apply(x_k)
     assert np.linalg.norm(z - oracle) <= 1e-5 * np.linalg.norm(oracle)
@@ -69,7 +83,9 @@ def test_inner_correction_stays_in_the_complement_of_the_krylov_basis(k):
     # in null(Q^T) to rounding
     problem, state = prepared("shaw", 200, 10)
     Q = state.Q_cols(k)
-    z, _ = inner_solve(problem.L, Q, cgme_iterate(state, k), TIGHT)
+    x_k = cgme_iterate(state, k)
+    x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(Q, x_k)
+    z = x_k - x_L
     assert np.linalg.norm(Q.T @ z) <= 1e-13 * np.linalg.norm(z)
 
 
@@ -172,9 +188,10 @@ def test_hyb_tcgme_minimizes_seminorm_over_feasible_set():
 def test_run_hybrid_single_step():
     problem = build_problem("shaw", 100, 1e-2, 3)
     record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=1))["hyb_cgme"]
-    assert record.ks == [1]
-    assert len(record.rel_errors) == 1
+    assert ks(record) == [1]
+    assert len(rel_errors(record)) == 1
     assert record.breakdown is None
+    assert (record.best_k, record.best_error) == (1, record.rows[0].rel_error)
 
 
 @pytest.mark.parametrize("depth", [2.5, 3.0, True, 0])
@@ -191,10 +208,18 @@ def test_run_hybrid_rejects_unknown_method():
             run_hybrid(problem, methods, HybridConfig(max_outer_k=2))
 
 
+def test_run_hybrid_rejects_duplicate_methods():
+    # a dict keyed by method would silently fold the repeats into one run
+    problem = build_problem("shaw", 100, 1e-2, 3)
+    for methods in (("cgme", "cgme"), ("hyb_cgme", "tcgme", "hyb_cgme")):
+        with pytest.raises(ValueError, match="distinct"):
+            run_hybrid(problem, methods, HybridConfig(max_outer_k=2))
+
+
 def test_run_hybrid_semi_convergence_on_shaw():
     problem = build_problem("shaw", 1000, 1e-2, 20240101)
     record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=16))["hyb_tcgme"]
-    curve = analyze_curve(record.rel_errors, ks=record.ks)
+    curve = analyze_curve(rel_errors(record), ks=ks(record))
     assert curve.interior_minimum
     assert curve.best_error <= 0.5
 
@@ -203,8 +228,8 @@ def test_run_hybrid_breakdown_truncates_sweep():
     problem = build_problem("baart", 200, 1e-2, 5)
     record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=40))["hyb_cgme"]
     assert record.breakdown is not None
-    assert len(record.ks) < 40
-    assert record.ks == list(range(1, len(record.ks) + 1))
+    assert len(ks(record)) < 40
+    assert ks(record) == list(range(1, len(ks(record)) + 1))
 
 
 def test_breakdown_leaves_no_reference_cycle():
@@ -237,9 +262,9 @@ def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
     problem = beta_breakdown_problem()
     A, b, x_true = problem.A, problem.b, problem.x_true
     record = run_hybrid(problem, ("cgme",), HybridConfig(max_outer_k=5))["cgme"]
-    assert record.ks == [1, 2]
+    assert ks(record) == [1, 2]
     assert record.breakdown is not None
-    assert record.rel_errors[1] <= 1e-12
+    assert rel_errors(record)[1] <= 1e-12
     state = bidiag_init(A, b)
     with pytest.raises(GolubKahanBreakdown):
         bidiag_extend(state, A, 2)
@@ -249,7 +274,7 @@ def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
 def test_inner_iteration_counts_decrease_with_k():
     problem = build_problem("shaw", 500, 1e-2, 20240101)
     record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=16))["hyb_cgme"]
-    iters = np.array(record.inner_iterations, dtype=float)
+    iters = np.array(inner_iterations(record), dtype=float)
     quarter = max(len(iters) // 4, 1)
     assert iters[-quarter:].mean() <= iters[:quarter].mean()
 
@@ -260,9 +285,9 @@ def test_tolerance_insensitivity_small():
     tight = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8)
     sweep = run_hybrid(problem, ("hyb_tcgme",), tight)["hyb_tcgme"]
     state = bidiag_init(problem.A, problem.b)
-    bidiag_extend(state, problem.A, len(sweep.ks) + 1)
-    k0 = int(np.argmin(sweep.rel_errors)) + 1
-    for k in range(1, min(k0 + 3, len(sweep.ks)) + 1):
+    bidiag_extend(state, problem.A, len(sweep.rows) + 1)
+    k0 = int(np.argmin(rel_errors(sweep))) + 1
+    for k in range(1, min(k0 + 3, len(sweep.rows)) + 1):
         xa = hyb_tcgme_step(state, problem.L, k, loose).x_L
         xb = hyb_tcgme_step(state, problem.L, k, tight).x_L
         assert np.linalg.norm(xa - xb) <= 1e-4 * np.linalg.norm(xb)
@@ -280,18 +305,18 @@ def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift(no_reorth):
     problem = build_problem("shaw", 300, 1e-2, 11)
     record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=12))["hyb_tcgme"]
     if record.breakdown is not None and "orthogonality" in record.breakdown:
-        assert len(record.ks) < 12
-        assert all(np.isfinite(e) for e in record.rel_errors)
+        assert len(ks(record)) < 12
+        assert all(np.isfinite(e) for e in rel_errors(record))
     else:
-        assert len(record.ks) == 12
+        assert len(ks(record)) == 12
 
 
 def test_pure_methods_skip_inner_solve():
     problem = build_problem("shaw", 200, 1e-2, 9)
     sweeps = run_hybrid(problem, ("cgme", "tcgme"), HybridConfig(max_outer_k=5))
     record, record_t = sweeps["cgme"], sweeps["tcgme"]
-    assert record.inner_iterations == [0] * 5
-    assert len(record_t.ks) == 5
+    assert inner_iterations(record) == [0] * 5
+    assert len(ks(record_t)) == 5
 
 
 @pytest.mark.parametrize("reorth", ["full", "none"])
@@ -304,9 +329,9 @@ def test_identity_hybrids_equal_plain_methods_exactly(reorth, request):
     sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=15))
     for base in ("cgme", "tcgme"):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
-        assert hybrid.ks == plain.ks == list(range(1, 16))
-        assert hybrid.rel_errors == plain.rel_errors
-        assert hybrid.inner_iterations == [0] * 15
+        assert ks(hybrid) == ks(plain) == list(range(1, 16))
+        assert rel_errors(hybrid) == rel_errors(plain)
+        assert inner_iterations(hybrid) == [0] * 15
         assert hybrid.breakdown is None and hybrid.error is None and hybrid.fallbacks == []
 
 
@@ -329,9 +354,9 @@ JOINT_CASES = {
 }
 
 
-def sweep_answer(sweep):
-    return (sweep.ks, sweep.rel_errors, sweep.inner_iterations, sweep.fallbacks,
-            sweep.breakdown, sweep.error)
+def sweep_answer(record):
+    return (ks(record), rel_errors(record), inner_iterations(record), record.fallbacks,
+            record.breakdown, record.error, record.best_k, record.best_error)
 
 
 @pytest.mark.parametrize("case", JOINT_CASES)
@@ -348,7 +373,7 @@ def test_joint_sweep_matches_each_method_alone(case, request):
         assert sweep_answer(joint[method]) == sweep_answer(alone[method]), method
     if case == "baart-tcgme-only-breakdown":
         assert joint["cgme"].breakdown is None and joint["hyb_cgme"].breakdown is None
-        assert joint["cgme"].ks == list(range(1, 11))
+        assert ks(joint["cgme"]) == list(range(1, 11))
         assert "alpha_11" in joint["tcgme"].breakdown and "alpha_11" in joint["hyb_tcgme"].breakdown
     if case.endswith("reorth-none"):
         assert "orthogonality" in joint["hyb_tcgme"].breakdown
@@ -371,9 +396,10 @@ def test_joint_sweep_charges_each_row_its_own_krylov_columns(monkeypatch):
     problem = build_problem("shaw", 100, 1e-2, 3)
     sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=6))
     for method in ("cgme", "hyb_cgme"):
-        assert sweeps[method].wall_ms == pytest.approx([1.0] * 6)
+        assert [row.wall_ms for row in sweeps[method].rows] == pytest.approx([1.0] * 6)
+        assert sweeps[method].total_wall_ms == pytest.approx(6.0)
     for method in ("tcgme", "hyb_tcgme"):
-        assert sweeps[method].wall_ms == pytest.approx([2.0] + [1.0] * 5)
+        assert [row.wall_ms for row in sweeps[method].rows] == pytest.approx([2.0] + [1.0] * 5)
 
 
 def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
@@ -387,10 +413,10 @@ def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
     sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=4))
     for method in ("tcgme", "hyb_tcgme"):
         assert sweeps[method].error == "FloatingPointError: tcgme kernel failed"
-        assert sweeps[method].ks == []
+        assert sweeps[method].rows == [] and sweeps[method].best_k is None
     for method in ("cgme", "hyb_cgme"):
         assert sweeps[method].error is None
-        assert sweeps[method].ks == [1, 2, 3, 4]
+        assert ks(sweeps[method]) == [1, 2, 3, 4]
 
 
 def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):
@@ -414,9 +440,9 @@ def test_rectangular_operator_sweeps(m, n):
     cfg = HybridConfig(max_outer_k=20)
     sweeps = run_hybrid(problem, METHODS, cfg)
     for sweep in sweeps.values():
-        assert sweep.error is None and sweep.fallbacks == [] and sweep.ks
-        assert all(np.isfinite(sweep.rel_errors))
-    assert all(iters > 0 for iters in sweeps["hyb_tcgme"].inner_iterations)
+        assert sweep.error is None and sweep.fallbacks == [] and sweep.rows
+        assert all(np.isfinite(rel_errors(sweep)))
+    assert all(iters > 0 for iters in inner_iterations(sweeps["hyb_tcgme"]))
 
     state = bidiag_init(problem.A, problem.b)
     try:
@@ -433,9 +459,9 @@ def test_rectangular_operator_sweeps(m, n):
     sweeps = run_hybrid(identity, METHODS, cfg)
     for base in ("cgme", "tcgme"):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
-        assert hybrid.ks == plain.ks and hybrid.rel_errors == plain.rel_errors
-        assert hybrid.error is None and hybrid.inner_iterations == [0] * len(plain.ks)
-    direct = direct_solver(identity.L)
+        assert ks(hybrid) == ks(plain) and rel_errors(hybrid) == rel_errors(plain)
+        assert hybrid.error is None and inner_iterations(hybrid) == [0] * len(plain.rows)
+    exact = inner_solvers(identity.L, cfg.inner)[0]
     for j in range(1, k):
-        assert np.array_equal(hyb_cgme_step(state, identity.L, j, cfg, direct).x_L, cgme_iterate(state, j))
-        assert np.array_equal(hyb_tcgme_step(state, identity.L, j, cfg, direct).x_L, tcgme_iterate(state, j))
+        assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j))[0], cgme_iterate(state, j))
+        assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j))[0], tcgme_iterate(state, j))

@@ -1,7 +1,8 @@
 """The package surface agrees with itself and with the README.
 
 A deleted function or module must not leave a stale ``__all__`` entry, a
-re-export from ``krylreg/__init__.py``, or a line in the README's layout.
+re-export from ``krylreg/__init__.py``, a line in the README's layout, or
+a name the README's library example uses.
 """
 
 import ast
@@ -37,3 +38,12 @@ def test_readme_layout_lists_every_module():
     block = readme.split("## Layout", 1)[1].split("```")[1]
     listed = re.findall(r"^  (\w+)\.py\s", block, flags=re.MULTILINE)
     assert sorted(listed) == MODULES
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    best_k, best_error, interior = capsys.readouterr().out.split()
+    assert int(best_k) >= 1 and 0.0 < float(best_error) <= 0.5 and interior == "True"
