@@ -27,7 +27,6 @@ from .harness import (
 )
 from .hybrid import (
     METHODS,
-    HybridConfig,
     HybridIterate,
     InnerFallback,
     LsqrSolver,

@@ -39,11 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--problem", choices=PROBLEM_NAMES)
     run.add_argument("--n", type=int, help="problem size (vector length, or image side for blur2d)")
     run.add_argument("--eps", type=float, action="append", help="noise level (repeatable)")
-    run.add_argument("--seed", type=int, default=20240101)
+    run.add_argument("--seed", type=int)
     run.add_argument("--method", action="append", choices=METHODS, help="solver (repeatable)")
     run.add_argument("--L", choices=L_KINDS, dest="L_kind")
-    run.add_argument("--max-k", type=int, default=50)
-    run.add_argument("--tol", type=float, default=1e-6, help="inner LSQR tolerance (unused where an exact inner solve runs: --L identity or first_diff_2d)")
+    run.add_argument("--max-k", type=int)
+    run.add_argument("--tol", type=float, help="inner LSQR tolerance (unused where an exact inner solve runs: --L identity or first_diff_2d)")
     run.add_argument("--out", required=True, help="output prefix: writes <out>.csv, <out>.summary.csv, <out>.json")
     run.add_argument(
         "--deterministic-output",
@@ -60,23 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    flags = {"--problem": args.problem, "--n": args.n, "--eps": args.eps, "--method": args.method,
+             "--L": args.L_kind, "--seed": args.seed, "--max-k": args.max_k, "--tol": args.tol}
     if args.config is not None:
-        data = json.loads(args.config.read_text(encoding="utf-8"))
-        return ExperimentSpec.from_dict(data)
-    missing = [flag for flag, value in (("--problem", args.problem), ("--n", args.n),
-                                        ("--eps", args.eps), ("--method", args.method)) if not value]
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"--config excludes the spec flags; drop {', '.join(given)}")
+        return ExperimentSpec.from_dict(json.loads(args.config.read_text(encoding="utf-8")))
+    missing = [flag for flag in ("--problem", "--n", "--eps", "--method") if flags[flag] is None]
     if missing:
         raise ValueError(f"missing required flags (or use --config): {', '.join(missing)}")
-    return ExperimentSpec(
-        problem=args.problem,
-        size=args.n,
-        epsilons=tuple(args.eps),
-        seed=args.seed,
-        methods=tuple(args.method),
-        L_kind=args.L_kind,
-        max_outer_k=args.max_k,
-        inner_tol=args.tol,
-    )
+    data = {"problem": args.problem, "size": args.n, "epsilons": args.eps, "methods": args.method,
+            "seed": 20240101 if args.seed is None else args.seed, "L_kind": args.L_kind,
+            "max_outer_k": args.max_k, "inner_tol": args.tol}
+    # an unset flag takes ExperimentSpec's default, as a missing config key does
+    return ExperimentSpec.from_dict({key: value for key, value in data.items() if value is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bidiag, metrics, problems, solvers
-from .hybrid import METHODS, HybridConfig, RunRecord, RunRow, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from .hybrid import RunRecord, RunRow, _check_sweep, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
-from .operators import DenseOperator, _is_int
+from .operators import DenseOperator, _is_int, _is_real
 from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem, with_noise
 
 __all__ = [
@@ -63,13 +63,7 @@ class ExperimentSpec:
         for name, value in (("epsilons", self.epsilons), ("methods", self.methods)):
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
-        if not self.methods:
-            raise ValueError("no methods given")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"methods must be distinct, got {self.methods!r}")
+        _check_sweep(self.methods, self.max_outer_k, self.inner_tol)
         for eps in self.epsilons:
             if not _is_real(eps) or not 0.0 < eps < 1.0:
                 raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
@@ -79,10 +73,6 @@ class ExperimentSpec:
             raise ValueError(f"size must be an integer >= {_MIN_N}, got {self.size!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_int(self.max_outer_k) or self.max_outer_k < 1:
-            raise ValueError(f"max_outer_k must be an integer >= 1, got {self.max_outer_k!r}")
-        if not _is_real(self.inner_tol) or not 0.0 < self.inner_tol < 1.0:
-            raise ValueError(f"inner_tol must lie in (0, 1), got {self.inner_tol}")
         if self.L_kind is not None and self.L_kind not in L_KINDS:
             raise ValueError(f"unknown L_kind {self.L_kind!r}; expected one of {L_KINDS}")
         if self.L_kind == "first_diff_2d" and self.problem != "blur2d":
@@ -111,10 +101,6 @@ class ExperimentSpec:
         return cls(**data)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     """Run every (method, epsilon) pair of an ExperimentSpec.
 
@@ -125,10 +111,6 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
     noise or of the shared sweep on the runs of that noise level, and a
     failure of one method on its own run.
     """
-    cfg = HybridConfig(
-        inner=LsqrConfig(tol=spec.inner_tol),
-        max_outer_k=spec.max_outer_k,
-    )
     base = None
     build_error: str | None = None
     try:
@@ -143,7 +125,8 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
         error = build_error
         if base is not None:
             try:
-                records.extend(run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods, cfg).values())
+                records.extend(run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods,
+                                          max_outer_k=spec.max_outer_k, inner_tol=spec.inner_tol).values())
                 continue
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
@@ -291,13 +274,12 @@ def _identity_collapse_check() -> VerificationCheck:
     problem = build_problem("shaw", 200, 1e-2, 11, L_kind="identity")
     state = bidiag.bidiag_init(problem.A, problem.b)
     bidiag.bidiag_extend(state, problem.A, 9)
-    cfg = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8)
     worst = 0.0
     for k in (2, 5, 8):
         xc = solvers.cgme_iterate(state, k)
         xt = solvers.tcgme_iterate(state, k)
-        hc = hyb_cgme_step(state, problem.L, k, cfg).x_L
-        ht = hyb_tcgme_step(state, problem.L, k, cfg).x_L
+        hc = hyb_cgme_step(state, problem.L, k, 1e-10).x_L
+        ht = hyb_tcgme_step(state, problem.L, k, 1e-10).x_L
         worst = max(
             worst,
             np.linalg.norm(hc - xc) / np.linalg.norm(xc),

@@ -36,7 +36,8 @@ step falls to the next link and records why in ``RunRecord.fallbacks``.
 :func:`run_hybrid` is the one outer loop: it bidiagonalizes a problem once
 and sweeps every requested method over that state, so a (problem, noise
 level) pair costs one Krylov process however many methods read it, and
-returns each method's finished :class:`RunRecord`.
+returns each method's finished :class:`RunRecord`.  Its two settings, the
+outer depth and the inner LSQR tolerance, are plain arguments.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from .operators import (
     OrthonormalityError,
     Stacked2DDifferenceOperator,
     _is_int,
+    _is_real,
 )
 from .problems import ProblemInstance
 from .solvers import cgme_iterate, tcgme_iterate
 
 __all__ = [
-    "HybridConfig",
     "HybridIterate",
     "InnerFallback",
     "RunRow",
@@ -78,19 +79,20 @@ __all__ = [
 
 METHODS = ("cgme", "tcgme", "hyb_cgme", "hyb_tcgme")
 
-Method = Literal["cgme", "tcgme", "hyb_cgme", "hyb_tcgme"]
 
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Outer sweep controls: inner LSQR settings and outer depth."""
-
-    inner: LsqrConfig = LsqrConfig()
-    max_outer_k: int = 50
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.max_outer_k) or self.max_outer_k < 1:
-            raise ValueError(f"max_outer_k must be an integer >= 1, got {self.max_outer_k!r}")
+def _check_sweep(methods: Sequence[str], max_outer_k: int, inner_tol: float) -> None:
+    """The one check of a sweep request, for :func:`run_hybrid` and ``ExperimentSpec`` alike."""
+    if not methods:
+        raise ValueError("no methods given")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; expected a subset of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct, got {methods!r}")
+    if not _is_int(max_outer_k) or max_outer_k < 1:
+        raise ValueError(f"max_outer_k must be an integer >= 1, got {max_outer_k!r}")
+    if not _is_real(inner_tol) or not 0.0 < inner_tol < 1.0:
+        raise ValueError(f"inner_tol must lie in (0, 1), got {inner_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -169,33 +171,32 @@ class LsqrSolver:
     """The reference inner solve, and the last link of every chain:
     ``x_L = x_k - z`` with ``z`` the minimum-norm LSQR solution of
     ``min | L(I - QQ^T) z - L x_k |`` for an ``n x k`` block ``Q`` with
-    orthonormal columns."""
+    orthonormal columns, stopped at backward error ``tol``."""
 
     L: LinearOperator
-    cfg: LsqrConfig
+    tol: float
 
     def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
         # Exact termination needs at most n - k inner iterations; cap at twice
-        # that for floating-point slack, on top of any user-provided cap.  The
-        # default cap min(p, n) (n - 1 for first differences) is the lower one
-        # until k passes about n / 2, so below that the slack never binds.
+        # that for floating-point slack.  LSQR's own cap min(p, n) (n - 1 for
+        # first differences) is the lower one until k passes about n / 2, so
+        # below that the slack never binds.
         n = self.L.cols
-        current = self.cfg.max_iters if self.cfg.max_iters is not None else min(self.L.rows, n)
-        cfg = LsqrConfig(tol=self.cfg.tol, max_iters=min(current, max(2 * (n - Q.shape[1]), 1)))
+        cfg = LsqrConfig(tol=self.tol, max_iters=min(self.L.rows, n, max(2 * (n - Q.shape[1]), 1)))
         report = lsqr_solve(self.L, self.L.apply(x_k), cfg, Q=Q)
         return (x_k - report.solution, report.final_backward_error, report.iterations,
                 report.stop_reason == "max_iters")
 
 
-def inner_solvers(L: LinearOperator, cfg: LsqrConfig) -> tuple:
+def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
     """Fresh inner solvers for one sweep with regularizer ``L``, in the
     order they are tried: an exact solver when ``L`` has structure one
-    exploits, then always :class:`LsqrSolver` with ``cfg``."""
+    exploits, then always :class:`LsqrSolver` with tolerance ``inner_tol``."""
     if isinstance(L, IdentityOperator):
-        return IdentitySolver(), LsqrSolver(L, cfg)
+        return IdentitySolver(), LsqrSolver(L, inner_tol)
     if isinstance(L, Stacked2DDifferenceOperator):
-        return Difference2DSolver(L), LsqrSolver(L, cfg)
-    return (LsqrSolver(L, cfg),)
+        return Difference2DSolver(L), LsqrSolver(L, inner_tol)
+    return (LsqrSolver(L, inner_tol),)
 
 
 def _corrected(x_k: np.ndarray, k: int, method, Q, chain) -> HybridIterate:
@@ -212,18 +213,18 @@ def _corrected(x_k: np.ndarray, k: int, method, Q, chain) -> HybridIterate:
     raise DirectSolveRejected(f"every inner solver rejected the step: {fallback}")
 
 
-def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig) -> HybridIterate:
+def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``), with the inner
-    problem solved by the reference :class:`LsqrSolver`."""
+    problem solved to ``inner_tol`` by the reference :class:`LsqrSolver`."""
     x_k = cgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), (LsqrSolver(L, cfg.inner),))
+    return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), (LsqrSolver(L, inner_tol),))
 
 
-def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, cfg: HybridConfig) -> HybridIterate:
+def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``), with the
     inner problem solved as in :func:`hyb_cgme_step`."""
     x_k = tcgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), (LsqrSolver(L, cfg.inner),))
+    return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), (LsqrSolver(L, inner_tol),))
 
 
 def _needed(method: str, k: int) -> int:
@@ -231,11 +232,13 @@ def _needed(method: str, k: int) -> int:
     return k + 1 if method.endswith("tcgme") else k
 
 
-def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
-               cfg: HybridConfig) -> dict[str, RunRecord]:
+def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
+               max_outer_k: int = 50, inner_tol: float = 1e-6) -> dict[str, RunRecord]:
     """Sweep outer iterations ``k = 1 .. max_outer_k`` of every method in
     ``methods`` (distinct names) over one shared bidiagonalization of
-    ``problem``, and return each method's :class:`RunRecord`.
+    ``problem``, with each inner LSQR solve stopped at backward error
+    ``inner_tol``, and return each method's :class:`RunRecord`.  A bad
+    request raises ``ValueError`` before any work.
 
     At each ``k`` the state is extended to the largest step count an
     active method reads, each base iterate (CGME, TCGME) is computed once
@@ -254,9 +257,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
     charges its own iterate and inner solve plus the Krylov columns the
     method newly reads at ``k``.
     """
-    if not methods or any(m not in METHODS for m in methods) or len(set(methods)) != len(methods):
-        raise ValueError(f"methods must be a non-empty sequence of distinct names from {METHODS}, "
-                         f"got {methods!r}")
+    _check_sweep(methods, max_outer_k, inner_tol)
     records = {m: RunRecord(method=m, problem=problem.name, size=problem.size,
                             epsilon=problem.epsilon, seed=problem.seed) for m in methods}
     try:
@@ -265,11 +266,11 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[Method],
         for record in records.values():
             record.breakdown = str(exc)
         return records
-    chain = inner_solvers(problem.L, cfg.inner)
+    chain = inner_solvers(problem.L, inner_tol)
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
     active = list(records)
-    for k in range(1, cfg.max_outer_k + 1):
+    for k in range(1, max_outer_k + 1):
         target = max(_needed(m, k) for m in active)
         while state.k < target and failure is None:
             t0 = time.perf_counter()

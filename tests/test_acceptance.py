@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, extract_matrices
-from krylreg.hybrid import HybridConfig, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.lsqr import LsqrConfig, lsqr_solve
 from krylreg.metrics import analyze_curve, gamma_gaps, projected_condition
 from krylreg.operators import DenseOperator
@@ -87,7 +87,7 @@ def test_criterion_2_rank_k_gap_orderings():
 
 
 def test_criterion_3_closed_form_equivalence():
-    tight = HybridConfig(inner=LsqrConfig(tol=1e-10))
+    tight = 1e-10
     worst = 0.0
     for name in ("shaw", "deriv2"):
         problem = build_problem(name, 200, 1e-2, SEED)
@@ -117,17 +117,17 @@ def test_criterion_4_identity_collapse():
     problem = build_problem("shaw", 500, 1e-2, SEED, L_kind="identity")
     state = bidiag_init(problem.A, problem.b)
     reached = extend_until(state, problem.A, 21)
-    cfg = HybridConfig(inner=LsqrConfig(tol=1e-10))
+    tight = 1e-10
     worst = 0.0
     k_cgme = min(20, reached)
     for k in range(1, k_cgme + 1):
         x_k = cgme_iterate(state, k)
-        it = hyb_cgme_step(state, problem.L, k, cfg)
+        it = hyb_cgme_step(state, problem.L, k, tight)
         worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
     k_tcgme = min(20, reached - 1)
     for k in range(1, k_tcgme + 1):
         x_k = tcgme_iterate(state, k)
-        it = hyb_tcgme_step(state, problem.L, k, cfg)
+        it = hyb_tcgme_step(state, problem.L, k, tight)
         worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
     report(
         "criterion-4 identity collapse",
@@ -156,7 +156,7 @@ def test_criterion_5_conditioning_monotonicity_and_inner_work():
 
     # inner LSQR work decreases with k on shaw(1000)
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
-    record = run_hybrid(shaw, ("hyb_cgme",), HybridConfig(max_outer_k=20))["hyb_cgme"]
+    record = run_hybrid(shaw, ("hyb_cgme",), max_outer_k=20)["hyb_cgme"]
     iters = np.array([row.inner_iterations for row in record.rows], dtype=float)
     quarter = max(len(iters) // 4, 1)
     first, last = iters[:quarter].mean(), iters[-quarter:].mean()
@@ -176,8 +176,7 @@ def test_criterion_6_tolerance_insensitivity():
             problem = build_problem(name, 500, eps, SEED)
             state = bidiag_init(problem.A, problem.b)
             reached = extend_until(state, problem.A, 31)
-            loose = HybridConfig(inner=LsqrConfig(tol=1e-6))
-            tight = HybridConfig(inner=LsqrConfig(tol=1e-10))
+            loose, tight = 1e-6, 1e-10
             for step in (hyb_cgme_step, hyb_tcgme_step):
                 kmax = reached if step is hyb_cgme_step else reached - 1
                 kmax = min(kmax, 30)
@@ -201,11 +200,10 @@ def test_criterion_6_tolerance_insensitivity():
 
 def test_criterion_7_desk_scale_error_bands():
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
-    cfg = HybridConfig(max_outer_k=25)
-    shaw_sweeps = run_hybrid(shaw, ("hyb_tcgme", "hyb_cgme"), cfg)
+    shaw_sweeps = run_hybrid(shaw, ("hyb_tcgme", "hyb_cgme"), max_outer_k=25)
     shaw_tc, shaw_cg = shaw_sweeps["hyb_tcgme"], shaw_sweeps["hyb_cgme"]
     baart = build_problem("baart", 1000, 1e-2, SEED)
-    baart_tc = run_hybrid(baart, ("hyb_tcgme",), cfg)["hyb_tcgme"]
+    baart_tc = run_hybrid(baart, ("hyb_tcgme",), max_outer_k=25)["hyb_tcgme"]
 
     def curve(record):
         return analyze_curve([row.rel_error for row in record.rows], ks=[row.k for row in record.rows])

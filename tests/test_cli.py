@@ -56,11 +56,30 @@ def test_run_accepts_config_file(tmp_path):
     assert (tmp_path / "cfg.csv").exists()
 
 
+def test_run_rejects_spec_flags_given_with_config(tmp_path):
+    # the config used to win silently: seed 1, 4 steps, exit 0
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({"problem": "deriv2", "size": 64, "epsilons": [0.05], "seed": 1,
+                                  "methods": ["cgme"], "max_outer_k": 4}))
+    proc = run_cli("run", "--config", str(config), "--max-k", "2", "--seed", "9", "--tol", "0.5",
+                   "--out", str(tmp_path / "cfg"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "--seed, --max-k, --tol" in err["message"]
+    assert not (tmp_path / "cfg.csv").exists()
+
+
 def test_run_missing_flags_errors_with_json(tmp_path):
     proc = run_cli("run", "--out", str(tmp_path / "x"))
     assert proc.returncode == 1
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert "missing" in err["message"]
+    # a flag given as 0 is present, and fails the spec's own check
+    proc = run_cli("run", "--problem", "shaw", "--n", "0", "--eps", "0.01", "--method", "cgme",
+                   "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    assert "size must be an integer" in json.loads(proc.stderr.strip().splitlines()[-1])["message"]
 
 
 def test_run_invalid_problem_errors_with_json(tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, dct, idct
-from krylreg.hybrid import HybridConfig, IdentitySolver, LsqrSolver, hyb_cgme_step, inner_solvers, run_hybrid
-from krylreg.lsqr import LsqrConfig
+from krylreg.hybrid import IdentitySolver, LsqrSolver, hyb_cgme_step, inner_solvers, run_hybrid
 from krylreg.metrics import relative_error
 from krylreg.operators import (
     DenseOperator,
@@ -117,12 +116,12 @@ def test_non_orthonormal_block_raises_like_lsqr_path():
     with pytest.raises(OrthonormalityError):
         Difference2DSolver(L).solve(Q, np.ones(25))
     with pytest.raises(OrthonormalityError):
-        LsqrSolver(L, LsqrConfig()).solve(Q, np.ones(25))
+        LsqrSolver(L, 1e-6).solve(Q, np.ones(25))
 
 
 def test_direct_solver_chosen_by_regularizer_type():
     def kinds(L):
-        return [type(solver) for solver in inner_solvers(L, LsqrConfig())]
+        return [type(solver) for solver in inner_solvers(L, 1e-6)]
 
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
     assert kinds(FirstDifferenceOperator(16)) == [LsqrSolver]
@@ -137,7 +136,7 @@ def test_every_chain_link_meets_one_contract(L_kind):
     problem = build_problem(name, 8 if name == "blur2d" else 64, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, 7)
-    chain = inner_solvers(problem.L, LsqrConfig(tol=1e-12))
+    chain = inner_solvers(problem.L, 1e-12)
     assert isinstance(chain[-1], LsqrSolver)
     for k in (1, 3, 6):
         for x_k, Q in ((cgme_iterate(state, k), state.Q_cols(k)), (tcgme_iterate(state, k), state.Q_cols(k + 1))):
@@ -165,8 +164,7 @@ def centered_blur_problem(side: int = 8) -> ProblemInstance:
 
 def test_sweep_records_lsqr_fallback_with_reason():
     problem = centered_blur_problem()
-    cfg = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=3)
-    sweep = run_hybrid(problem, ("hyb_cgme",), cfg)["hyb_cgme"]
+    sweep = run_hybrid(problem, ("hyb_cgme",), max_outer_k=3, inner_tol=1e-10)["hyb_cgme"]
     assert [row.k for row in sweep.rows] == [1, 2, 3]
     assert [fb.k for fb in sweep.fallbacks] == [1, 2, 3]
     assert all("constants numerically orthogonal" in fb.reason for fb in sweep.fallbacks)
@@ -174,11 +172,11 @@ def test_sweep_records_lsqr_fallback_with_reason():
     # the chain's direct link refuses, and the fallback iterate is the LSQR one
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, 3)
-    direct, lsqr = inner_solvers(problem.L, cfg.inner)
+    direct, lsqr = inner_solvers(problem.L, 1e-10)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
         direct.solve(state.Q_cols(3), cgme_iterate(state, 3))
     fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3))[0]
-    reference = hyb_cgme_step(state, problem.L, 3, cfg)
+    reference = hyb_cgme_step(state, problem.L, 3, 1e-10)
     assert reference.fallback is None
     np.testing.assert_allclose(fallen, reference.x_L, atol=1e-12)
     assert sweep.rows[2].rel_error == relative_error(problem.L, reference.x_L, problem.x_true)

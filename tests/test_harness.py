@@ -13,8 +13,7 @@ from krylreg.harness import (
     records_to_json,
     run_experiment,
 )
-from krylreg.hybrid import HybridConfig, InnerFallback, hyb_cgme_step, hyb_tcgme_step
-from krylreg.lsqr import LsqrConfig
+from krylreg.hybrid import InnerFallback, hyb_cgme_step, hyb_tcgme_step
 from krylreg.metrics import relative_error
 from krylreg.problems import build_problem
 
@@ -122,9 +121,9 @@ def test_run_experiment_builds_once_and_sweeps_once_per_noise_level(monkeypatch)
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    def counted_run(problem, methods, cfg):
+    def counted_run(problem, methods, **settings):
         sweeps.append((problem.epsilon, methods))
-        return real_run(problem, methods, cfg)
+        return real_run(problem, methods, **settings)
 
     monkeypatch.setattr(harness, "build_problem", counted_build)
     monkeypatch.setattr(harness, "run_hybrid", counted_run)
@@ -138,10 +137,10 @@ def test_run_experiment_builds_once_and_sweeps_once_per_noise_level(monkeypatch)
     assert [(r.epsilon, r.method) for r in records] == [
         (eps, m) for eps in spec.epsilons for m in spec.methods
     ]
-    cfg = HybridConfig(inner=LsqrConfig(tol=spec.inner_tol), max_outer_k=6)
     for rec in records:
         # the same answer as a fresh build at this noise level
-        fresh = real_run(real_build("heat", 64, rec.epsilon, 17), (rec.method,), cfg)[rec.method]
+        fresh = real_run(real_build("heat", 64, rec.epsilon, 17), (rec.method,), max_outer_k=6,
+                         inner_tol=spec.inner_tol)[rec.method]
         assert [row.rel_error for row in rec.rows] == [row.rel_error for row in fresh.rows]
         assert rec.total_wall_ms == sum(row.wall_ms for row in rec.rows)
 
@@ -251,14 +250,13 @@ def test_blur2d_end_to_end_through_harness():
     problem = build_problem("blur2d", 16, 0.01, 4, psf_sigma=1.5)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, 7)
-    cfg = HybridConfig(inner=LsqrConfig(tol=1e-12))
     steps = {"hyb_cgme": hyb_cgme_step, "hyb_tcgme": hyb_tcgme_step}
     for rec in records:
         assert rec.error is None
         assert rec.fallbacks == []
         assert len(rec.rows) == 6
         for row in rec.rows:
-            x_L = steps[rec.method](state, problem.L, row.k, cfg).x_L
+            x_L = steps[rec.method](state, problem.L, row.k, 1e-12).x_L
             expected = relative_error(problem.L, x_L, problem.x_true)
             assert abs(row.rel_error - expected) <= 1e-8 * expected
 

@@ -6,7 +6,6 @@ import pytest
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, extract_matrices
 from krylreg.hybrid import (
-    HybridConfig,
     LsqrSolver,
     hyb_cgme_step,
     hyb_tcgme_step,
@@ -14,13 +13,12 @@ from krylreg.hybrid import (
     run_hybrid,
 )
 from krylreg.hybrid import METHODS
-from krylreg.lsqr import LsqrConfig
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
 from krylreg.problems import ProblemInstance, add_noise, build_problem, make_L
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
-TIGHT = LsqrConfig(tol=1e-10)
+TIGHT = 1e-10
 
 
 def prepared(name, n, k_steps, eps=1e-2, seed=21, L_kind="first_diff_1d"):
@@ -91,27 +89,24 @@ def test_inner_correction_stays_in_the_complement_of_the_krylov_basis(k):
 
 def test_hyb_cgme_identity_collapse():
     problem, state = prepared("shaw", 500, 12, L_kind="identity")
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=12)
     for k in (3, 8, 12):
         x_k = cgme_iterate(state, k)
-        it = hyb_cgme_step(state, problem.L, k, cfg)
+        it = hyb_cgme_step(state, problem.L, k, TIGHT)
         assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
 
 
 def test_hyb_tcgme_identity_collapse():
     problem, state = prepared("shaw", 500, 13, L_kind="identity")
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=12)
     for k in (3, 8, 12):
         x_k = tcgme_iterate(state, k)
-        it = hyb_tcgme_step(state, problem.L, k, cfg)
+        it = hyb_tcgme_step(state, problem.L, k, TIGHT)
         assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
 
 
 def test_hyb_cgme_matches_closed_form_oracle_on_heat():
     problem, state = prepared("heat", 200, 4)
     k = 3
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=4)
-    it = hyb_cgme_step(state, problem.L, k, cfg)
+    it = hyb_cgme_step(state, problem.L, k, TIGHT)
     # Closed form through the projected-operator pseudo-inverse identity:
     # x_L = (I - pinv(L(I - P+P)) L) x_k with P the rank-k projection.
     A = problem.A.entries
@@ -130,8 +125,7 @@ def test_hyb_cgme_matches_closed_form_oracle_on_heat():
 def test_hyb_tcgme_matches_closed_form_oracle_on_shaw():
     problem, state = prepared("shaw", 200, 6)
     k = 5
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=6)
-    it = hyb_tcgme_step(state, problem.L, k, cfg)
+    it = hyb_tcgme_step(state, problem.L, k, TIGHT)
     x_k = tcgme_iterate(state, k)
     M = dense_projected(problem.L, state.Q_cols(k + 1))
     oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (problem.L.to_dense() @ x_k)
@@ -141,11 +135,10 @@ def test_hyb_tcgme_matches_closed_form_oracle_on_shaw():
 def test_correction_preserves_projected_constraint():
     problem, state = prepared("shaw", 150, 5)
     k = 4
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=5)
 
     # cgme: the projected square system is solved exactly, both residuals
     # sit at roundoff level; compare on the scale of b.
-    it = hyb_cgme_step(state, problem.L, k, cfg)
+    it = hyb_cgme_step(state, problem.L, k, TIGHT)
     x_k = cgme_iterate(state, k)
     A = problem.A.entries
     Pk = state.P_cols(k)
@@ -157,7 +150,7 @@ def test_correction_preserves_projected_constraint():
 
     # tcgme: the rank-deficient projection leaves a genuine residual,
     # which the correction must not change in relative terms.
-    it_t = hyb_tcgme_step(state, problem.L, k, cfg)
+    it_t = hyb_tcgme_step(state, problem.L, k, TIGHT)
     x_t = tcgme_iterate(state, k)
     P1 = state.P_cols(k + 1)
     Q1 = state.Q_cols(k + 1)
@@ -174,8 +167,7 @@ def test_correction_preserves_projected_constraint():
 def test_hyb_tcgme_minimizes_seminorm_over_feasible_set():
     problem, state = prepared("shaw", 80, 5)
     k = 4
-    cfg = HybridConfig(inner=TIGHT, max_outer_k=5)
-    it = hyb_tcgme_step(state, problem.L, k, cfg)
+    it = hyb_tcgme_step(state, problem.L, k, TIGHT)
     Q = state.Q_cols(k + 1)
     seminorm = np.linalg.norm(problem.L.apply(it.x_L))
     rng = np.random.default_rng(77)
@@ -187,7 +179,7 @@ def test_hyb_tcgme_minimizes_seminorm_over_feasible_set():
 
 def test_run_hybrid_single_step():
     problem = build_problem("shaw", 100, 1e-2, 3)
-    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=1))["hyb_cgme"]
+    record = run_hybrid(problem, ("hyb_cgme",), max_outer_k=1)["hyb_cgme"]
     assert ks(record) == [1]
     assert len(rel_errors(record)) == 1
     assert record.breakdown is None
@@ -196,16 +188,32 @@ def test_run_hybrid_single_step():
 
 @pytest.mark.parametrize("depth", [2.5, 3.0, True, 0])
 def test_outer_depth_must_be_a_positive_integer(depth):
-    # 2.5 used to pass here and fail later, inside run_hybrid's range()
+    # 2.5 would otherwise fail only inside the sweep's range()
+    problem = build_problem("shaw", 100, 1e-2, 3)
     with pytest.raises(ValueError, match="max_outer_k"):
-        HybridConfig(max_outer_k=depth)
+        run_hybrid(problem, ("cgme",), max_outer_k=depth)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, "1e-6"])
+def test_run_hybrid_rejects_bad_inner_tol_before_any_work(tol, monkeypatch):
+    # unchecked, a bad tolerance would surface only inside LsqrSolver, as
+    # the RunRecord.error of each hybrid, and never at all under L = I
+    import krylreg.hybrid as hybrid
+
+    def no_work(A, b):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(hybrid, "bidiag_init", no_work)
+    problem = build_problem("shaw", 100, 1e-2, 3)
+    with pytest.raises(ValueError, match="inner_tol"):
+        run_hybrid(problem, ("hyb_cgme", "hyb_tcgme"), inner_tol=tol)
 
 
 def test_run_hybrid_rejects_unknown_method():
     problem = build_problem("shaw", 100, 1e-2, 3)
     for methods in (("jbdqr",), ("cgme", "jbdqr"), (), "hyb_cgme"):
         with pytest.raises(ValueError):
-            run_hybrid(problem, methods, HybridConfig(max_outer_k=2))
+            run_hybrid(problem, methods, max_outer_k=2)
 
 
 def test_run_hybrid_rejects_duplicate_methods():
@@ -213,12 +221,12 @@ def test_run_hybrid_rejects_duplicate_methods():
     problem = build_problem("shaw", 100, 1e-2, 3)
     for methods in (("cgme", "cgme"), ("hyb_cgme", "tcgme", "hyb_cgme")):
         with pytest.raises(ValueError, match="distinct"):
-            run_hybrid(problem, methods, HybridConfig(max_outer_k=2))
+            run_hybrid(problem, methods, max_outer_k=2)
 
 
 def test_run_hybrid_semi_convergence_on_shaw():
     problem = build_problem("shaw", 1000, 1e-2, 20240101)
-    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=16))["hyb_tcgme"]
+    record = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=16)["hyb_tcgme"]
     curve = analyze_curve(rel_errors(record), ks=ks(record))
     assert curve.interior_minimum
     assert curve.best_error <= 0.5
@@ -226,7 +234,7 @@ def test_run_hybrid_semi_convergence_on_shaw():
 
 def test_run_hybrid_breakdown_truncates_sweep():
     problem = build_problem("baart", 200, 1e-2, 5)
-    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=40))["hyb_cgme"]
+    record = run_hybrid(problem, ("hyb_cgme",), max_outer_k=40)["hyb_cgme"]
     assert record.breakdown is not None
     assert len(ks(record)) < 40
     assert ks(record) == list(range(1, len(ks(record)) + 1))
@@ -239,7 +247,7 @@ def test_breakdown_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=40))["hyb_cgme"]
+        record = run_hybrid(problem, ("hyb_cgme",), max_outer_k=40)["hyb_cgme"]
         assert record.breakdown is not None
         assert gc.collect() == 0
     finally:
@@ -261,7 +269,7 @@ def beta_breakdown_problem():
 def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
     problem = beta_breakdown_problem()
     A, b, x_true = problem.A, problem.b, problem.x_true
-    record = run_hybrid(problem, ("cgme",), HybridConfig(max_outer_k=5))["cgme"]
+    record = run_hybrid(problem, ("cgme",), max_outer_k=5)["cgme"]
     assert ks(record) == [1, 2]
     assert record.breakdown is not None
     assert rel_errors(record)[1] <= 1e-12
@@ -273,7 +281,7 @@ def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
 
 def test_inner_iteration_counts_decrease_with_k():
     problem = build_problem("shaw", 500, 1e-2, 20240101)
-    record = run_hybrid(problem, ("hyb_cgme",), HybridConfig(max_outer_k=16))["hyb_cgme"]
+    record = run_hybrid(problem, ("hyb_cgme",), max_outer_k=16)["hyb_cgme"]
     iters = np.array(inner_iterations(record), dtype=float)
     quarter = max(len(iters) // 4, 1)
     assert iters[-quarter:].mean() <= iters[:quarter].mean()
@@ -281,9 +289,8 @@ def test_inner_iteration_counts_decrease_with_k():
 
 def test_tolerance_insensitivity_small():
     problem = build_problem("deriv2", 300, 1e-2, 11)
-    loose = HybridConfig(inner=LsqrConfig(tol=1e-6), max_outer_k=8)
-    tight = HybridConfig(inner=LsqrConfig(tol=1e-10), max_outer_k=8)
-    sweep = run_hybrid(problem, ("hyb_tcgme",), tight)["hyb_tcgme"]
+    loose, tight = 1e-6, 1e-10
+    sweep = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=8, inner_tol=tight)["hyb_tcgme"]
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, problem.A, len(sweep.rows) + 1)
     k0 = int(np.argmin(rel_errors(sweep))) + 1
@@ -295,15 +302,14 @@ def test_tolerance_insensitivity_small():
 
 def test_inner_backward_error_meets_tolerance_or_flags_cap():
     problem, state = prepared("shaw", 300, 9)
-    cfg = HybridConfig(inner=LsqrConfig(tol=1e-6), max_outer_k=8)
     for k in range(1, 9):
-        it = hyb_cgme_step(state, problem.L, k, cfg)
+        it = hyb_cgme_step(state, problem.L, k, 1e-6)
         assert it.inner_backward_error <= 1e-6 or it.inner_cap_hit
 
 
 def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift(no_reorth):
     problem = build_problem("shaw", 300, 1e-2, 11)
-    record = run_hybrid(problem, ("hyb_tcgme",), HybridConfig(max_outer_k=12))["hyb_tcgme"]
+    record = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=12)["hyb_tcgme"]
     if record.breakdown is not None and "orthogonality" in record.breakdown:
         assert len(ks(record)) < 12
         assert all(np.isfinite(e) for e in rel_errors(record))
@@ -313,7 +319,7 @@ def test_unreorthogonalized_sweep_stops_cleanly_on_basis_drift(no_reorth):
 
 def test_pure_methods_skip_inner_solve():
     problem = build_problem("shaw", 200, 1e-2, 9)
-    sweeps = run_hybrid(problem, ("cgme", "tcgme"), HybridConfig(max_outer_k=5))
+    sweeps = run_hybrid(problem, ("cgme", "tcgme"), max_outer_k=5)
     record, record_t = sweeps["cgme"], sweeps["tcgme"]
     assert inner_iterations(record) == [0] * 5
     assert len(ks(record_t)) == 5
@@ -326,7 +332,7 @@ def test_identity_hybrids_equal_plain_methods_exactly(reorth, request):
     if reorth == "none":
         request.getfixturevalue("no_reorth")
     problem = build_problem("shaw", 300, 1e-2, 11, L_kind="identity")
-    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=15))
+    sweeps = run_hybrid(problem, METHODS, max_outer_k=15)
     for base in ("cgme", "tcgme"):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
         assert ks(hybrid) == ks(plain) == list(range(1, 16))
@@ -339,17 +345,17 @@ def test_identity_hybrids_equal_plain_methods_exactly(reorth, request):
 # baart(200) breaks down on alpha_11: at max_outer_k=10 only the *tcgme
 # methods read step 11, so only they may report it.
 JOINT_CASES = {
-    "baart-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=40)),
-    "baart-tcgme-only-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), HybridConfig(max_outer_k=10)),
-    "beta-breakdown": (beta_breakdown_problem, HybridConfig(max_outer_k=5)),
-    "reorth-none": (lambda: build_problem("shaw", 300, 1e-2, 11), HybridConfig(max_outer_k=12)),
+    "baart-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), 40),
+    "baart-tcgme-only-breakdown": (lambda: build_problem("baart", 200, 1e-2, 5), 10),
+    "beta-breakdown": (beta_breakdown_problem, 5),
+    "reorth-none": (lambda: build_problem("shaw", 300, 1e-2, 11), 12),
     "blur2d": (
         lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
-        HybridConfig(max_outer_k=30),
+        30,
     ),
     "blur2d-reorth-none": (
         lambda: build_problem("blur2d", 16, 1e-2, 5, L_kind="first_diff_2d"),
-        HybridConfig(max_outer_k=30),
+        30,
     ),
 }
 
@@ -363,12 +369,12 @@ def sweep_answer(record):
 def test_joint_sweep_matches_each_method_alone(case, request):
     if case.endswith("reorth-none"):
         request.getfixturevalue("no_reorth")
-    build, cfg = JOINT_CASES[case]
+    build, depth = JOINT_CASES[case]
     problem = build()
-    joint = run_hybrid(problem, METHODS, cfg)
+    joint = run_hybrid(problem, METHODS, max_outer_k=depth)
     assert list(joint) == list(METHODS)
     for method in METHODS:
-        alone = run_hybrid(problem, (method,), cfg)
+        alone = run_hybrid(problem, (method,), max_outer_k=depth)
         assert list(alone) == [method]
         assert sweep_answer(joint[method]) == sweep_answer(alone[method]), method
     if case == "baart-tcgme-only-breakdown":
@@ -394,7 +400,7 @@ def test_joint_sweep_charges_each_row_its_own_krylov_columns(monkeypatch):
     monkeypatch.setattr(hybrid, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(hybrid, "bidiag_extend", extend)
     problem = build_problem("shaw", 100, 1e-2, 3)
-    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=6))
+    sweeps = run_hybrid(problem, METHODS, max_outer_k=6)
     for method in ("cgme", "hyb_cgme"):
         assert [row.wall_ms for row in sweeps[method].rows] == pytest.approx([1.0] * 6)
         assert sweeps[method].total_wall_ms == pytest.approx(6.0)
@@ -410,7 +416,7 @@ def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
 
     monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
     problem = build_problem("shaw", 100, 1e-2, 3)
-    sweeps = run_hybrid(problem, METHODS, HybridConfig(max_outer_k=4))
+    sweeps = run_hybrid(problem, METHODS, max_outer_k=4)
     for method in ("tcgme", "hyb_tcgme"):
         assert sweeps[method].error == "FloatingPointError: tcgme kernel failed"
         assert sweeps[method].rows == [] and sweeps[method].best_k is None
@@ -437,8 +443,8 @@ def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):
 def test_rectangular_operator_sweeps(m, n):
     problem = rectangular_baart(m, n, "first_diff_1d")
     assert (problem.A.rows, problem.A.cols, problem.L.cols) == (m, n, n)
-    cfg = HybridConfig(max_outer_k=20)
-    sweeps = run_hybrid(problem, METHODS, cfg)
+    depth = 20
+    sweeps = run_hybrid(problem, METHODS, max_outer_k=depth)
     for sweep in sweeps.values():
         assert sweep.error is None and sweep.fallbacks == [] and sweep.rows
         assert all(np.isfinite(rel_errors(sweep)))
@@ -446,7 +452,7 @@ def test_rectangular_operator_sweeps(m, n):
 
     state = bidiag_init(problem.A, problem.b)
     try:
-        bidiag_extend(state, problem.A, cfg.max_outer_k + 1)
+        bidiag_extend(state, problem.A, depth + 1)
     except GolubKahanBreakdown:
         pass
     k = state.k
@@ -456,12 +462,12 @@ def test_rectangular_operator_sweeps(m, n):
 
     # at L = I each hybrid is its plain method, bit for bit
     identity = rectangular_baart(m, n, "identity")
-    sweeps = run_hybrid(identity, METHODS, cfg)
+    sweeps = run_hybrid(identity, METHODS, max_outer_k=depth)
     for base in ("cgme", "tcgme"):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
         assert ks(hybrid) == ks(plain) and rel_errors(hybrid) == rel_errors(plain)
         assert hybrid.error is None and inner_iterations(hybrid) == [0] * len(plain.rows)
-    exact = inner_solvers(identity.L, cfg.inner)[0]
+    exact = inner_solvers(identity.L, 1e-6)[0]
     for j in range(1, k):
         assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j))[0], cgme_iterate(state, j))
         assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j))[0], tcgme_iterate(state, j))
