@@ -44,9 +44,11 @@ from .operators import (
     IdentityOperator,
     KroneckerBlurOperator,
     LinearOperator,
+    LowerToeplitzOperator,
     OperatorShape,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
+    SymmetricSemiseparableOperator,
 )
 from .problems import (
     L_KINDS,

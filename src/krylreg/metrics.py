@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState, extract_matrices
-from .operators import DenseOperator, LinearOperator
+from .operators import LinearOperator
 
 __all__ = [
     "ErrorCurve",
@@ -70,17 +70,17 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def gamma_gaps(A: DenseOperator, state: BidiagState, k: int) -> GammaGapReport:
+def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
     """Gaps ``|A - (rank-k approximation)|`` for the CGME, TCGME and
     LSQR projections, by explicit dense assembly (oracle only).
 
     Requires ``state.k >= k + 1`` so the square ``(k+1)`` block exists.
     """
-    dense = A.entries
-    if dense.size > _ORACLE_GUARD:
-        raise ValueError(f"gamma-gap oracle refuses matrices with {dense.size} entries")
+    if A.rows * A.cols > _ORACLE_GUARD:
+        raise ValueError(f"gamma-gap oracle refuses matrices with {A.rows * A.cols} entries")
     if state.k < k + 1:
         raise ValueError(f"need {k + 1} bidiagonalization steps, have {state.k}")
+    dense = A.to_dense()
     mats = extract_matrices(state, k)
     P_k = state.P_cols(k)
     P_k1 = state.P_cols(k + 1)
@@ -101,14 +101,14 @@ def gamma_gaps(A: DenseOperator, state: BidiagState, k: int) -> GammaGapReport:
     )
 
 
-def projected_condition(L, Q) -> float:
+def projected_condition(L: LinearOperator, Q) -> float:
     """Condition number of ``L Q_perp`` with ``Q_perp`` a full
     orthogonal completion of ``Q`` (dense SVD oracle).
 
     Returns ``inf`` when the smallest singular value is below
     ``1e-14`` times the largest.  Requires ``p >= n - k``.
     """
-    dense = L.entries if isinstance(L, DenseOperator) else np.asarray(L, dtype=np.float64)
+    dense = L.to_dense()
     Q = np.asarray(Q, dtype=np.float64)
     if Q.ndim == 1:
         Q = Q[:, None]

@@ -4,8 +4,8 @@ Every solver in this package works against the :class:`LinearOperator`
 interface: an ``m x n`` real map exposing ``apply`` (the action of the
 matrix) and ``apply_adjoint`` (the action of its transpose).  Concrete
 operators either wrap a dense array or implement their action directly so
-that large structured matrices (2-D difference stacks, Kronecker blurs)
-are never materialized.
+that large structured matrices (semiseparable and Toeplitz kernels, 2-D
+difference stacks, Kronecker blurs) are never materialized.
 
 All vectors are 1-D float64 numpy arrays.  Operators are immutable after
 construction (``DenseOperator.entries`` is read-only) and safe to share
@@ -24,6 +24,8 @@ __all__ = [
     "OperatorShape",
     "LinearOperator",
     "DenseOperator",
+    "SymmetricSemiseparableOperator",
+    "LowerToeplitzOperator",
     "IdentityOperator",
     "FirstDifferenceOperator",
     "Stacked2DDifferenceOperator",
@@ -74,6 +76,14 @@ def _as_vector(v, length: int, what: str) -> np.ndarray:
     if vec.ndim != 1 or vec.shape[0] != length:
         raise DimensionMismatch(f"{what} must be a vector of length {length}, got shape {vec.shape}")
     return vec
+
+
+def _finite_array(values, what: str, ndim: int) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, order="C", copy=True)
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be a finite {ndim}-D array")
+    arr.flags.writeable = False
+    return arr
 
 
 def _is_int(value) -> bool:
@@ -176,6 +186,51 @@ class DenseOperator(LinearOperator):
         return self.entries.copy()
 
 
+class SymmetricSemiseparableOperator(LinearOperator):
+    """Symmetric ``n x n`` matrix ``A_ij = p_min(i,j) q_max(i,j)`` from two
+    generator vectors, applied in O(n) by a prefix and a suffix sum:
+    ``(A v)_i = q_i sum_{j<=i} p_j v_j + p_i sum_{j>i} q_j v_j``."""
+
+    def __init__(self, p, q) -> None:
+        self.p, self.q = _finite_array(p, "p", 1), _finite_array(q, "q", 1)
+        if self.q.shape != self.p.shape:
+            raise ValueError("generators p and q must have equal lengths")
+        self._shape = OperatorShape(self.p.size, self.p.size)
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        out = self.q * np.cumsum(self.p * v)
+        out[:-1] += self.p[:-1] * np.cumsum((self.q * v)[:0:-1])[::-1]  # sum_{j>i} q_j v_j
+        return out
+
+    _adjoint = _apply
+
+    def frobenius_norm(self) -> float:
+        p2, q2 = self.p**2, self.q**2
+        return float(np.sqrt(p2 @ q2 + 2.0 * (q2[1:] @ np.cumsum(p2)[:-1])))
+
+
+class LowerToeplitzOperator(LinearOperator):
+    """Lower-triangular Toeplitz ``n x n`` matrix ``A_ij = kernel[i - j]``
+    for ``i >= j``, applied as a zero-padded FFT convolution in O(n log n).
+    The padded length is at least ``2n - 1``, so nothing wraps around."""
+
+    def __init__(self, kernel) -> None:
+        self.kernel = _finite_array(kernel, "kernel", 1)
+        self._shape = OperatorShape(self.kernel.size, self.kernel.size)
+        self._fft_len = 1 << (2 * self.cols - 2).bit_length()
+        self._kernel_hat = np.fft.rfft(self.kernel, self._fft_len)
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self._kernel_hat * np.fft.rfft(v, self._fft_len), self._fft_len)[: self.cols]
+
+    def _adjoint(self, u: np.ndarray) -> np.ndarray:
+        # the conjugate spectrum correlates: (A^T u)_j = sum_m kernel[m] u[j + m]
+        return np.fft.irfft(self._kernel_hat.conj() * np.fft.rfft(u, self._fft_len), self._fft_len)[: self.cols]
+
+    def frobenius_norm(self) -> float:
+        return float(np.sqrt(np.arange(self.cols, 0, -1) @ self.kernel**2))
+
+
 class IdentityOperator(LinearOperator):
     """The ``n x n`` identity."""
 
@@ -262,14 +317,12 @@ class KroneckerBlurOperator(LinearOperator):
     """
 
     def __init__(self, left_factor, right_factor) -> None:
-        left = np.array(left_factor, dtype=np.float64, order="C", copy=True)
-        right = np.array(right_factor, dtype=np.float64, order="C", copy=True)
-        if left.ndim != 2 or left.shape[0] != left.shape[1]:
+        left = _finite_array(left_factor, "left_factor", 2)
+        right = _finite_array(right_factor, "right_factor", 2)
+        if left.shape[0] != left.shape[1]:
             raise ValueError("left_factor must be square")
         if right.shape != left.shape:
             raise ValueError("factors must have identical square shapes")
-        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-            raise ValueError("factors must be finite")
         self.left_factor = left
         self.right_factor = right
         n2 = left.shape[0] ** 2

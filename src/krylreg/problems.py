@@ -5,8 +5,8 @@ deriv2, heat) are built on midpoint grids; the clean right-hand side is
 always computed as ``b_true = A @ x_true`` so the consistency assumption
 of the solvers holds to machine precision rather than to quadrature
 accuracy.  A separable Gaussian blur provides a desk-scale 2-D problem.
-Each 1-D matrix is built in place in one n x n buffer (two for shaw), which
-the returned :class:`DenseOperator` adopts without a copy.
+deriv2 and heat keep O(n) generators; shaw and baart fill one n x n buffer
+(two for shaw) in place, which the returned DenseOperator adopts uncopied.
 
 Noise is Gaussian white noise rescaled so the relative noise level
 ``|e| / |b_true|`` equals the requested epsilon exactly.  All randomness
@@ -26,7 +26,9 @@ from .operators import (
     IdentityOperator,
     KroneckerBlurOperator,
     LinearOperator,
+    LowerToeplitzOperator,
     Stacked2DDifferenceOperator,
+    SymmetricSemiseparableOperator,
     _is_int,
 )
 
@@ -119,24 +121,20 @@ def gen_baart(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     return DenseOperator._adopt(entries), x_true, entries @ x_true
 
 
-def gen_deriv2(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
+def gen_deriv2(n: int) -> tuple[SymmetricSemiseparableOperator, np.ndarray, np.ndarray]:
     """Second-derivative (Green's function) problem (mildly ill-posed).
 
     Kernel ``s (t - 1)`` for ``s < t`` and ``t (s - 1)`` otherwise on the
-    unit square; true solution ``x(t) = t`` at the midpoints.
+    unit square (semiseparable); true solution ``x(t) = t`` at midpoints.
     """
     _check_n(n, "deriv2")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
-    entries = np.multiply.outer(t, t - 1.0)  # s (t - 1)
-    for i in range(1, n):
-        entries[i, :i] = entries[:i, i]  # t (s - 1) below the diagonal: the transpose
-    entries *= h
-    x_true = t.copy()
-    return DenseOperator._adopt(entries), x_true, entries @ x_true
+    A = SymmetricSemiseparableOperator(h * t, t - 1.0)
+    return A, t, A.apply(t)
 
 
-def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
+def gen_heat(n: int) -> tuple[LowerToeplitzOperator, np.ndarray, np.ndarray]:
     """Inverse heat equation (moderately ill-posed).
 
     Volterra kernel ``t^{-3/2} / (2 sqrt(pi)) * exp(-1/(4t))`` (unit
@@ -147,11 +145,7 @@ def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     _check_n(n, "heat", even=True)
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
-    kern = (h / (2.0 * np.sqrt(np.pi))) * t ** (-1.5) * np.exp(-0.25 / t)
-    # row i is kern[i], ..., kern[0], then zeros: a window that slides
-    # one place per row along kern reversed and n - 1 zeros
-    padded = np.concatenate([kern[::-1], np.zeros(n - 1)])
-    entries = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+    A = LowerToeplitzOperator((h / (2.0 * np.sqrt(np.pi))) * t ** (-1.5) * np.exp(-0.25 / t))
     x_true = np.zeros(n)
     ti = np.arange(1, n // 2 + 1) * (20.0 / n)
     half = np.where(
@@ -160,7 +154,7 @@ def gen_heat(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
         np.where(ti < 3.0, 0.75 + (ti - 2.0) * (3.0 - ti), 0.75 * np.exp(-(ti - 3.0) * 2.0)),
     )
     x_true[: n // 2] = half
-    return DenseOperator._adopt(entries), x_true, entries @ x_true
+    return A, x_true, A.apply(x_true)
 
 
 def _piecewise_image(n: int) -> np.ndarray:

@@ -3,9 +3,10 @@ in-place generators in :mod:`krylreg.problems` are tested against.
 
 Each function writes its kernel as one numpy expression over an
 ``(n, 1)`` column and a ``(1, n)`` row of grid points, which holds several
-n x n temporaries at once.  The generators must reproduce every entry bit
-for bit.  Each returns ``(entries, x_true, b_true)`` with
-``b_true = entries @ x_true``.
+n x n temporaries at once.  The shaw and baart generators must reproduce
+every entry bit for bit; the matrix-free deriv2 and heat operators must
+match these matrices product by product to roundoff.  Each returns
+``(entries, x_true, b_true)`` with ``b_true = entries @ x_true``.
 """
 
 import numpy as np

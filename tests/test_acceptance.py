@@ -74,7 +74,7 @@ def test_criterion_2_rank_k_gap_orderings():
         reached = extend_until(state, problem.A, 17)
         kmax = min(15, reached - 2)
         reports = {k: gamma_gaps(problem.A, state, k) for k in range(1, kmax + 2)}
-        prev_lsqr = float(np.linalg.norm(problem.A.entries, 2))
+        prev_lsqr = float(np.linalg.norm(problem.A.to_dense(), 2))
         for k in range(1, kmax + 1):
             g = reports[k]
             ok &= g.gamma_lsqr < g.gamma_cgme + slack

@@ -12,9 +12,11 @@ from krylreg.operators import (
     IdentityOperator,
     KroneckerBlurOperator,
     LinearOperator,
+    LowerToeplitzOperator,
     OperatorShape,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
+    SymmetricSemiseparableOperator,
     check_orthonormal,
 )
 from krylreg.problems import gen_baart
@@ -96,6 +98,30 @@ def test_kronecker_blur_rejects_nonfinite():
         KroneckerBlurOperator([[np.inf, 0.0], [0.0, 1.0]], np.eye(2))
 
 
+def test_structured_operators_reject_bad_generators():
+    for bad, message in (([1.0, np.nan], "finite 1-D"), ([np.inf], "finite 1-D"),
+                         ([[1.0, 2.0]], "finite 1-D"), ([], "at least 1x1")):
+        with pytest.raises(ValueError, match=message):
+            LowerToeplitzOperator(bad)
+        with pytest.raises(ValueError, match=message):
+            SymmetricSemiseparableOperator(bad, bad)
+    with pytest.raises(ValueError, match="equal lengths"):
+        SymmetricSemiseparableOperator([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_structured_operators_densify_to_their_formulas(n):
+    rng = np.random.default_rng(n)
+    p, q, kernel = rng.standard_normal((3, n))
+    i, j = np.indices((n, n))
+    semi = SymmetricSemiseparableOperator(p, q)
+    toeplitz = LowerToeplitzOperator(kernel)
+    for op, dense in ((semi, p[np.minimum(i, j)] * q[np.maximum(i, j)]),
+                      (toeplitz, np.where(i >= j, kernel[np.abs(i - j)], 0.0))):
+        np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+        assert op.frobenius_norm() == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+
+
 def test_orthonormality_check_reads_columns_from_first_on():
     Q = random_orthonormal(20, 4, seed=5)
     Q[:, 1] *= 1.1  # an old column off unit length, still orthogonal to the rest
@@ -116,6 +142,8 @@ def _operators_for_adjoint_check(seed):
         Stacked2DDifferenceOperator(5),
         IdentityOperator(6),
         KroneckerBlurOperator(rng.standard_normal((4, 4)), rng.standard_normal((4, 4))),
+        SymmetricSemiseparableOperator(rng.standard_normal(8), rng.standard_normal(8)),
+        LowerToeplitzOperator(rng.standard_normal(11)),
     ]
     return ops
 
