@@ -59,17 +59,18 @@ class GolubKahanBreakdown(RuntimeError):
 
 
 class _ColumnBlock:
-    """Growable matrix of columns with amortized O(1) appends."""
+    """Growable matrix of columns with amortized O(1) appends, stored
+    column-major so that every leading block of columns is F-contiguous."""
 
     __slots__ = ("_buf", "count")
 
     def __init__(self, dim: int, capacity: int = 32):
-        self._buf = np.empty((dim, capacity))
+        self._buf = np.empty((dim, capacity), order="F")
         self.count = 0
 
     def append(self, col: np.ndarray) -> None:
         if self.count == self._buf.shape[1]:
-            grown = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]))
+            grown = np.empty((self._buf.shape[0], 2 * self._buf.shape[1]), order="F")
             grown[:, : self.count] = self._buf
             self._buf = grown
         self._buf[:, self.count] = col
@@ -93,6 +94,8 @@ class BidiagState:
     ``n x k``, ``alphas`` holds ``alpha_1..alpha_k`` and ``betas`` holds
     ``beta_1..beta_{k+1}`` with ``beta_1 = |b|``.  A beta-side breakdown
     leaves ``P`` at ``m x k`` (the next left vector is not normalizable).
+    ``P``, ``Q`` and their leading blocks are F-contiguous views; they and
+    the coefficient lists are the recurrence's own storage (do not mutate).
 
     Single writer: :func:`bidiag_extend` mutates; reads are safe once an
     extension has returned.
@@ -102,15 +105,15 @@ class BidiagState:
                  alphas: list[float], betas: list[float], breakdown_tol: float):
         self._p = p_block
         self._q = q_block
-        self._alphas = alphas
-        self._betas = betas
+        self.alphas = alphas
+        self.betas = betas
         self.breakdown_tol = breakdown_tol
         self.breakdown_step: int | None = None
 
     @property
     def k(self) -> int:
         """Number of completed bidiagonalization steps."""
-        return len(self._alphas)
+        return len(self.alphas)
 
     @property
     def P(self) -> np.ndarray:
@@ -129,16 +132,8 @@ class BidiagState:
         return self._q.view(count)
 
     @property
-    def alphas(self) -> np.ndarray:
-        return np.array(self._alphas)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return np.array(self._betas)
-
-    @property
     def beta1(self) -> float:
-        return self._betas[0]
+        return self.betas[0]
 
     def __repr__(self) -> str:
         bd = f", breakdown at {self.breakdown_step}" if self.breakdown_step else ""
@@ -212,7 +207,7 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
         j = state.k + 1
         r = A.apply_adjoint(state._p.last())
         if j >= 2:
-            r -= state._betas[j - 1] * state._q.last()
+            r -= state.betas[j - 1] * state._q.last()
         if state._q.count:
             r = _reorthogonalize(r, state._q.view())
         alpha = float(np.linalg.norm(r))
@@ -221,11 +216,11 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
             raise GolubKahanBreakdown.at_coefficient(j, "alpha", alpha, state.breakdown_tol)
         qj = r / alpha
         state._q.append(qj)
-        state._alphas.append(alpha)
+        state.alphas.append(alpha)
         s = A.apply(qj) - alpha * state._p.last()
         s = _reorthogonalize(s, state._p.view())
         beta = float(np.linalg.norm(s))
-        state._betas.append(beta)
+        state.betas.append(beta)
         if beta <= state.breakdown_tol:
             state.breakdown_step = j
             raise GolubKahanBreakdown.at_coefficient(j, "beta", beta, state.breakdown_tol)
@@ -239,8 +234,7 @@ def extract_matrices(state: BidiagState, k: int | None = None) -> BidiagMatrices
         k = state.k
     if not 1 <= k <= state.k:
         raise ValueError(f"k must be in [1, {state.k}], got {k}")
-    alphas = state._alphas
-    betas = state._betas
+    alphas, betas = state.alphas, state.betas
     B_k = lower_bidiagonal(alphas[:k], betas[1:k])
     B_kplus = np.zeros((k + 1, k))
     B_kplus[:k, :] = B_k

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,8 +104,6 @@ class HybridIterate:
     """
 
     x_L: np.ndarray
-    k: int
-    method: Literal["hyb_cgme", "hyb_tcgme"]
     inner_iterations: int
     inner_backward_error: float
     inner_cap_hit: bool
@@ -199,14 +197,14 @@ def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
     return (LsqrSolver(L, inner_tol),)
 
 
-def _corrected(x_k: np.ndarray, k: int, method, Q, chain) -> HybridIterate:
+def _corrected(x_k: np.ndarray, Q, chain) -> HybridIterate:
     fallback = None
     for solver in chain:
         try:
             x_L, backward_error, iterations, cap_hit = solver.solve(Q, x_k)
             return HybridIterate(
-                x_L=x_L, k=k, method=method, inner_iterations=iterations,
-                inner_backward_error=backward_error, inner_cap_hit=cap_hit, fallback=fallback,
+                x_L=x_L, inner_iterations=iterations, inner_backward_error=backward_error,
+                inner_cap_hit=cap_hit, fallback=fallback,
             )
         except DirectSolveRejected as exc:
             fallback = str(exc)
@@ -217,14 +215,14 @@ def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: floa
     """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``), with the inner
     problem solved to ``inner_tol`` by the reference :class:`LsqrSolver`."""
     x_k = cgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_cgme", state.Q_cols(k), (LsqrSolver(L, inner_tol),))
+    return _corrected(x_k, state.Q_cols(k), (LsqrSolver(L, inner_tol),))
 
 
 def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``), with the
     inner problem solved as in :func:`hyb_cgme_step`."""
     x_k = tcgme_iterate(state, k)
-    return _corrected(x_k, k, "hyb_tcgme", state.Q_cols(k + 1), (LsqrSolver(L, inner_tol),))
+    return _corrected(x_k, state.Q_cols(k + 1), (LsqrSolver(L, inner_tol),))
 
 
 def _needed(method: str, k: int) -> int:
@@ -307,7 +305,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 inner_iters = 0
                 if method != base:
                     t0 = time.perf_counter()
-                    hybrid = _corrected(x, k, method, state.Q_cols(needed), chain)
+                    hybrid = _corrected(x, state.Q_cols(needed), chain)
                     wall += (time.perf_counter() - t0) * 1e3
                     x = hybrid.x_L
                     inner_iters = hybrid.inner_iterations

@@ -141,8 +141,9 @@ def _nonfinite(name: str, value, itn: int) -> NumericalFailure:
 
 
 def _orthonormal_block(Q, n: int) -> np.ndarray:
-    """Private column-major copy of ``Q``, validated as an ``n x k`` block
-    with orthonormal columns (a missing block has no columns)."""
+    """``Q`` validated as an ``n x k`` block with orthonormal columns, laid
+    out column-major: a block in another layout is copied, an F-contiguous
+    one is read in place (a missing block has no columns)."""
     if Q is None:
         return np.empty((n, 0), order="F")
     Q = np.asarray(Q, dtype=np.float64)
@@ -150,7 +151,7 @@ def _orthonormal_block(Q, n: int) -> np.ndarray:
         raise ValueError(f"expected a tall orthonormal block, got shape {Q.shape}")
     if Q.shape[0] != n:
         raise DimensionMismatch(f"Q has {Q.shape[0]} rows but M has {n} columns")
-    Q = Q.copy(order="F")
+    Q = np.asfortranarray(Q)
     if not np.all(np.isfinite(Q)):
         raise ValueError("Q must be finite")
     check_orthonormal(Q)

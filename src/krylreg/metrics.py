@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bidiag import BidiagState, extract_matrices
-from .operators import LinearOperator
+from .operators import MAX_DENSE_ENTRIES, LinearOperator
 
 __all__ = [
     "ErrorCurve",
@@ -23,7 +23,6 @@ __all__ = [
     "analyze_curve",
 ]
 
-_ORACLE_GUARD = 10**6
 _COND_FLOOR_SCALE = 1e-14
 
 
@@ -76,7 +75,7 @@ def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
 
     Requires ``state.k >= k + 1`` so the square ``(k+1)`` block exists.
     """
-    if A.rows * A.cols > _ORACLE_GUARD:
+    if A.rows * A.cols > MAX_DENSE_ENTRIES:
         raise ValueError(f"gamma-gap oracle refuses matrices with {A.rows * A.cols} entries")
     if state.k < k + 1:
         raise ValueError(f"need {k + 1} bidiagonalization steps, have {state.k}")

@@ -34,6 +34,8 @@ __all__ = [
 
 # Orthonormality slack accepted for projector blocks.
 ORTHONORMALITY_TOL = 1e-10
+# Most entries a dense test oracle materializes.
+MAX_DENSE_ENTRIES = 10**6
 
 
 class DimensionMismatch(ValueError):
@@ -133,9 +135,9 @@ class LinearOperator:
         """Exact Frobenius norm ``|A|_F``."""
         raise NotImplementedError
 
-    def to_dense(self, max_entries: int = 10**6) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Materialize the operator column by column (test oracles only)."""
-        if self.rows * self.cols > max_entries:
+        if self.rows * self.cols > MAX_DENSE_ENTRIES:
             raise ValueError(f"refusing to densify a {self.rows}x{self.cols} operator")
         out = np.empty((self.rows, self.cols))
         e = np.zeros(self.cols)
@@ -182,7 +184,7 @@ class DenseOperator(LinearOperator):
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.entries, "fro"))
 
-    def to_dense(self, max_entries: int = 10**6) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         return self.entries.copy()
 
 

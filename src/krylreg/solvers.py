@@ -47,7 +47,7 @@ def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     stored ``alpha`` exceeds the breakdown threshold, so none is zero.
     """
     _require_steps(state, k, k, "cgme")
-    alphas, betas = state._alphas, state._betas
+    alphas, betas = state.alphas, state.betas
     y = np.empty(k)
     y[0] = state.beta1 / alphas[0]
     for i in range(1, k):
@@ -66,7 +66,7 @@ def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     values are themselves nearly rank-deficient.
     """
     _require_steps(state, k, k + 1, "tcgme")
-    U, s, Vt = np.linalg.svd(lower_bidiagonal(state._alphas[: k + 1], state._betas[1 : k + 1]))
+    U, s, Vt = np.linalg.svd(lower_bidiagonal(state.alphas[: k + 1], state.betas[1 : k + 1]))
     kept = s[:k]
     if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
         warnings.warn(

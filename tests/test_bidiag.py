@@ -130,8 +130,8 @@ def test_positive_coefficients_until_breakdown():
         bidiag_extend(state, A, 25)
     except GolubKahanBreakdown:
         pass
-    assert np.all(state.alphas > 0)
-    assert np.all(state.betas[: state.k + 1] > 0)
+    assert np.all(np.asarray(state.alphas) > 0)
+    assert np.all(np.asarray(state.betas[: state.k + 1]) > 0)
 
 
 def test_singular_value_interlacing(rng):
@@ -167,6 +167,23 @@ def test_column_reads_past_the_stored_count_are_rejected():
     # past the initial buffer capacity, too
     with pytest.raises(ValueError, match="40 columns, only 4 stored"):
         state.P_cols(40)
+
+
+def test_blocks_are_column_major_past_the_first_capacity():
+    # the first buffer holds 32 columns, so 40 steps grow both blocks
+    rng = np.random.default_rng(20240101)
+    A = DenseOperator(rng.standard_normal((120, 90)))
+    state = bidiag_init(A, rng.standard_normal(120))
+    p_cols, q_cols = [state.P[:, 0].copy()], []
+    for _ in range(40):
+        bidiag_extend(state, A, 1)
+        q_cols.append(state.Q[:, -1].copy())
+        p_cols.append(state.P[:, -1].copy())
+    for k in range(1, 41):
+        Q, P = state.Q_cols(k), state.P_cols(k + 1)
+        assert Q.flags.f_contiguous and P.flags.f_contiguous, k
+        np.testing.assert_array_equal(Q, np.column_stack(q_cols[:k]))
+        np.testing.assert_array_equal(P, np.column_stack(p_cols[: k + 1]))
 
 
 def test_lower_bidiagonal_builder():

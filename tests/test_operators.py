@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.lsqr import LsqrConfig, lsqr_solve
+from krylreg.lsqr import LsqrConfig, _orthonormal_block, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
     DimensionMismatch,
@@ -214,19 +213,13 @@ def test_first_difference_adjoint_is_the_dense_transpose(n):
         np.testing.assert_array_equal(L.to_dense(), D)
 
 
-def _krylov_block(n, k, seed):
-    """``Q_k`` of a bidiagonalization as the state hands it out: a strided
-    column view of a larger buffer."""
-    rng = np.random.default_rng(seed)
-    A = DenseOperator(rng.standard_normal((n, n)))
-    state = bidiag_init(A, rng.standard_normal(n))
-    bidiag_extend(state, A, k)
-    return state.Q_cols(k)
-
-
 def _layouts(n, k, seed):
+    """One orthonormal block as C- and F-ordered arrays and as a strided
+    view, every other column of a wider buffer."""
     Q = random_orthonormal(n, k, seed)
-    strided = _krylov_block(n, k, seed)
+    wide = np.zeros((n, 2 * k))
+    wide[:, ::2] = Q
+    strided = wide[:, ::2]
     assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
     return {
         "C": np.ascontiguousarray(Q),
@@ -242,8 +235,8 @@ PINV_RTOL = 1e-10
 
 @pytest.mark.parametrize("n,k,seed", [(40, 5, 0), (200, 17, 1), (63, 1, 2)])
 def test_projected_operator_matches_dense(n, k, seed):
-    # every layout of Q reaches the same F-ordered private copy, so the C-
-    # and F-ordered blocks give the same bits
+    # LSQR reads every layout of Q as one F-ordered block (an F-contiguous
+    # block in place, any other as a copy), so all three give the same bits
     rng = np.random.default_rng(seed)
     layouts = _layouts(n, k, seed)
     for L in (DenseOperator(rng.standard_normal((n - 1, n))), FirstDifferenceOperator(n)):
@@ -256,6 +249,7 @@ def test_projected_operator_matches_dense(n, k, seed):
             assert np.linalg.norm(z - oracle) <= PINV_RTOL * np.linalg.norm(oracle), name
             solutions[name] = z
         np.testing.assert_array_equal(solutions["C"], solutions["F"])
+        np.testing.assert_array_equal(solutions["strided"], solutions["F"])
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -268,6 +262,8 @@ def test_projected_solve_leaves_the_callers_block_and_rhs_untouched(layout):
     lsqr_solve(FirstDifferenceOperator(n), d, LsqrConfig(tol=1e-10), Q=Q)
     np.testing.assert_array_equal(Q, Q_before)
     np.testing.assert_array_equal(d, d_before)
+    # the loop reads an F-contiguous block in place and a copy of any other
+    assert np.shares_memory(_orthonormal_block(Q, n), Q) == (layout == "F")
 
 
 @pytest.mark.parametrize("N", [2, 5, 16])
