@@ -19,10 +19,12 @@ constants are not orthogonal to ``range(Q)``.
 
 Over one sweep ``Q`` only grows, so :class:`Difference2DSolver` keeps
 ``Qh`` and ``S``: each new Krylov column costs one transform and one new
-row of ``S``.  The transforms use ``numpy.fft`` only.
+row of ``S``.  Each 2-D transform takes one real FFT per axis.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,34 +44,47 @@ ACCEPT_RTOL = 1e-10
 ZERO_MODE_TOL = 1e-8
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only arrays of the length-``n`` transforms: the permutation
+    ``v = x[perm]`` (even entries, then odd ones reversed), and the forward
+    twiddles, orthonormal scales folded in, and their inverses."""
+    perm = np.concatenate([np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)])
+    twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n) * np.sqrt(2.0 / n)
+    twiddle[0] = 1.0 / np.sqrt(n)
+    plan = (perm, twiddle, 1.0 / twiddle)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def dct(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Orthonormal DCT-II of ``x`` along ``axis`` (Makhoul's one-FFT form)."""
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
-    n = x.shape[0]
-    v = np.concatenate([x[::2], x[1::2][::-1]])
-    shift = np.exp(-0.5j * np.pi * np.arange(n) / n) * np.sqrt(2.0 / n)
-    shift[0] = 1.0 / np.sqrt(n)
-    out = (np.fft.fft(v, axis=0) * shift.reshape((n,) + (1,) * (x.ndim - 1))).real
-    return np.moveaxis(out, 0, axis)
+    """Orthonormal DCT-II of ``x`` along ``axis`` (Makhoul's form, one real
+    FFT): with ``z`` the twiddled FFT of ``x[perm]``, coefficient ``k`` is
+    ``Re z_k`` and coefficient ``n - k`` is ``-Im z_k``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    x, coef = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
+    n = x.shape[-1]
+    perm, twiddle, _ = _plan(n)
+    z = np.fft.rfft(x[..., perm]) * twiddle
+    coef[..., : n // 2 + 1] = z.real
+    coef[..., n // 2 + 1 :] = -z.imag[..., (n + 1) // 2 - 1 : 0 : -1]
+    return out
 
 
 def idct(y: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Orthonormal DCT-III of ``y`` along ``axis``: the inverse of :func:`dct`."""
-    y = np.moveaxis(np.asarray(y, dtype=np.float64), axis, 0)
-    n = y.shape[0]
-    scale = np.full(n, np.sqrt(n / 2.0))
-    scale[0] = np.sqrt(n)
-    col = (n,) + (1,) * (y.ndim - 1)
-    y = y * scale.reshape(col)
-    # y_{n-k} paired with y_k; y_n is taken as zero
-    flipped = np.concatenate([np.zeros_like(y[:1]), y[:0:-1]])
-    spectrum = np.exp(0.5j * np.pi * np.arange(n) / n).reshape(col) * (y - 1j * flipped)
-    v = np.fft.ifft(spectrum, axis=0).real
-    out = np.empty_like(v)
-    half = (n + 1) // 2
-    out[::2] = v[:half]
-    out[1::2] = v[half:][::-1]
-    return np.moveaxis(out, 0, axis)
+    """Orthonormal DCT-III of ``y`` along ``axis``, the inverse of :func:`dct`:
+    one inverse real FFT of the untwiddled ``y_k - i y_{n-k}`` (``y_n = 0``)."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.empty(y.shape)
+    y, values = np.moveaxis(y, axis, -1), np.moveaxis(out, axis, -1)
+    n = y.shape[-1]
+    perm, _, untwiddle = _plan(n)
+    spectrum = y[..., : n // 2 + 1] + 0j
+    spectrum.imag[..., 1:] = -y[..., : (n + 1) // 2 - 1 : -1]
+    values[..., perm] = np.fft.irfft(spectrum * untwiddle, n)
+    return out
 
 
 class DirectSolveRejected(ArithmeticError):
@@ -95,13 +110,15 @@ class Difference2DSolver:
         self._hat = _ColumnBlock(self.side * self.side)
         self._S = np.empty((0, 0))
 
+    # Both transforms run on the C-order view of the image, its transpose, so
+    # the coefficients come out transposed; ``lam`` is symmetric.
     def _forward(self, v: np.ndarray) -> np.ndarray:
-        image = v.reshape((self.side, self.side), order="F")
-        return dct(dct(image, axis=0), axis=1).ravel()
+        image_t = v.reshape((self.side, self.side))
+        return dct(dct(image_t, axis=1), axis=0).ravel()
 
     def _inverse(self, vh: np.ndarray) -> np.ndarray:
-        image = vh.reshape((self.side, self.side))
-        return idct(idct(image, axis=0), axis=1).ravel(order="F")
+        image_t = vh.reshape((self.side, self.side))
+        return idct(idct(image_t, axis=0), axis=1).ravel()
 
     def _grow(self, Q: np.ndarray) -> None:
         # the LSQR path's orthonormality check on the new columns only:

@@ -19,7 +19,7 @@ from . import bidiag, metrics, problems, solvers
 from .hybrid import RunRecord, RunRow, _check_sweep, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import LsqrConfig, lsqr_solve
 from .operators import DenseOperator, _is_int, _is_real
-from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, build_problem, with_noise
+from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, _check_psf_sigma, build_problem, with_noise
 
 __all__ = [
     "ExperimentSpec",
@@ -77,8 +77,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown L_kind {self.L_kind!r}; expected one of {L_KINDS}")
         if self.L_kind == "first_diff_2d" and self.problem != "blur2d":
             raise ValueError(f"L_kind first_diff_2d does not apply to 1-D problem {self.problem!r}")
-        if not _is_real(self.psf_sigma) or not self.psf_sigma > 0.0:
-            raise ValueError(f"psf_sigma must be positive, got {self.psf_sigma}")
+        _check_psf_sigma(self.psf_sigma)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":

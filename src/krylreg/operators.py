@@ -289,17 +289,21 @@ class Stacked2DDifferenceOperator(LinearOperator):
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         n = self.grid_side
+        nblk = n * (n - 1)
         x = v.reshape((n, n), order="F")
-        down = x[:-1, :] - x[1:, :]        # (I kron D) vec(X) = vec(D X)
-        across = x[:, :-1] - x[:, 1:]      # (D kron I) vec(X) = vec(X D^T)
-        return np.concatenate([down.ravel(order="F"), across.ravel(order="F")])
+        out = np.empty(2 * nblk)
+        # (I kron D) vec(X) = vec(D X), then (D kron I) vec(X) = vec(X D^T),
+        # each written through an F-order view of its block of ``out``
+        np.subtract(x[:-1, :], x[1:, :], out=out[:nblk].reshape((n - 1, n), order="F"))
+        np.subtract(x[:, :-1], x[:, 1:], out=out[nblk:].reshape((n, n - 1), order="F"))
+        return out
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
         n = self.grid_side
         nblk = n * (n - 1)
         u1 = u[:nblk].reshape((n - 1, n), order="F")
         u2 = u[nblk:].reshape((n, n - 1), order="F")
-        w = np.zeros((n, n))
+        w = np.zeros((n, n), order="F")  # its F-ravel below is a view
         w[:-1, :] += u1
         w[1:, :] -= u1
         w[:, :-1] += u2
@@ -315,7 +319,9 @@ class KroneckerBlurOperator(LinearOperator):
     """Separable blur ``X -> left @ X @ right^T`` on vectorized images.
 
     Uses column-major vectorization, so the matrix form is
-    ``right kron left`` of shape ``N^2 x N^2``.
+    ``right kron left`` of shape ``N^2 x N^2``.  The products run on the
+    vector's row-major view ``X^T``: ``vec_F(L X R^T) = vec_C(R X^T L^T)``,
+    so no result is copied into column-major order.
     """
 
     def __init__(self, left_factor, right_factor) -> None:
@@ -330,17 +336,13 @@ class KroneckerBlurOperator(LinearOperator):
         n2 = left.shape[0] ** 2
         self._shape = OperatorShape(n2, n2)
 
-    def _image(self, v: np.ndarray) -> np.ndarray:
-        n = self.left_factor.shape[0]
-        return v.reshape((n, n), order="F")
-
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        x = self._image(v)
-        return (self.left_factor @ x @ self.right_factor.T).ravel(order="F")
+        xt = v.reshape(self.left_factor.shape)  # X^T
+        return (self.right_factor @ xt @ self.left_factor.T).ravel()
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        x = self._image(u)
-        return (self.left_factor.T @ x @ self.right_factor).ravel(order="F")
+        xt = u.reshape(self.left_factor.shape)
+        return (self.right_factor.T @ xt @ self.left_factor).ravel()
 
     def frobenius_norm(self) -> float:
         return float(

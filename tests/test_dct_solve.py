@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, dct, idct
+from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, _plan, dct, idct
 from krylreg.hybrid import IdentitySolver, LsqrSolver, hyb_cgme_step, inner_solvers, run_hybrid
 from krylreg.metrics import relative_error
 from krylreg.operators import (
@@ -27,15 +27,28 @@ def cosine_matrix(n: int) -> np.ndarray:
     return C
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 15, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 15, 16, 96, 97])
 def test_dct_matches_explicit_cosine_matrix(n):
     C = cosine_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-13)
-    x = np.random.default_rng(n).standard_normal((n, 5))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 5))
     np.testing.assert_allclose(dct(x, axis=0), C @ x, atol=1e-13)
     np.testing.assert_allclose(dct(x.T, axis=1), (C @ x).T, atol=1e-13)
     np.testing.assert_allclose(idct(C @ x, axis=0), x, atol=1e-13)
     np.testing.assert_allclose(idct((C @ x).T, axis=1), x.T, atol=1e-13)
+    v = rng.standard_normal(n)
+    np.testing.assert_allclose(dct(v), C @ v, atol=1e-13)
+    np.testing.assert_allclose(idct(C @ v), v, atol=1e-13)
+    cube = rng.standard_normal((3, n, 4))
+    cube_hat = np.einsum("ij,ajb->aib", C, cube)
+    np.testing.assert_allclose(dct(cube, axis=1), cube_hat, atol=1e-13)
+    np.testing.assert_allclose(idct(cube_hat, axis=1), cube, atol=1e-13)
+    rows = np.moveaxis(cube, 1, -1)
+    np.testing.assert_allclose(dct(rows, axis=-1), rows @ C.T, atol=1e-13)
+    np.testing.assert_allclose(idct(rows @ C.T, axis=-1), rows, atol=1e-13)
+    # the cached permutation and twiddles are shared by every call
+    assert not any(arr.flags.writeable for arr in _plan(n))
 
 
 def pinv_oracle(L, Q, x_k):

@@ -273,6 +273,8 @@ def test_stacked_2d_difference_matches_kronecker(N):
     dense = np.vstack([np.kron(np.eye(N), D), np.kron(D, np.eye(N))])
     assert op.shape.rows == 2 * N * (N - 1)
     np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)
+    u = np.random.default_rng(N).standard_normal(op.rows)
+    np.testing.assert_allclose(op.apply_adjoint(u), dense.T @ u, atol=1e-12)
 
 
 def test_kronecker_blur_matches_dense_kron(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from broadcast_problems import REFERENCES
+from krylreg.harness import ExperimentSpec
 from krylreg.operators import Stacked2DDifferenceOperator
 from krylreg.problems import (
     add_noise,
@@ -167,6 +168,40 @@ def test_blur_matches_explicit_kronecker():
     dense = np.kron(A.right_factor, A.left_factor)
     v = np.sin(np.arange(144.0))
     np.testing.assert_allclose(A.apply(v), dense @ v, atol=1e-12)
+
+
+def _uncut_blur_factor(N, psf_sigma=2.0):
+    """The blur factor with every Gaussian sample kept: the formula before
+    the cut, as an oracle."""
+    idx = np.arange(N)
+    factor = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * psf_sigma**2))
+    return factor / factor.sum(axis=1, keepdims=True)
+
+
+def test_blur_factor_cut_at_working_precision():
+    A, *_ = gen_blur2d(96)
+    factor = A.left_factor
+    row_peak = factor.max(axis=1, keepdims=True)
+    assert np.all((factor == 0.0) | (factor >= np.finfo(np.float64).eps * row_peak))
+    assert np.count_nonzero(factor) < factor.size  # the far tails are cut at N=96
+    np.testing.assert_allclose(factor.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("N", [96, 128])
+def test_blur_cut_changes_products_by_rounding_only(N):
+    A, x_true, _ = gen_blur2d(N)
+    G = _uncut_blur_factor(N)
+    ref = (G @ x_true.reshape((N, N), order="F") @ G.T).ravel(order="F")
+    assert np.linalg.norm(A.apply(x_true) - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+def test_psf_sigma_must_be_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match="psf_sigma must be positive and finite"):
+        gen_blur2d(16, sigma)
+    with pytest.raises(ValueError, match="psf_sigma must be positive and finite"):
+        ExperimentSpec(problem="blur2d", size=16, epsilons=(0.01,), seed=0,
+                       methods=("hyb_cgme",), psf_sigma=sigma)
 
 
 def test_make_L_shapes():
