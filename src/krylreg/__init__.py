@@ -7,12 +7,11 @@ classic test-problem generators, and an experiment harness.
 """
 
 from .bidiag import (
-    BidiagMatrices,
     BidiagState,
     GolubKahanBreakdown,
     bidiag_extend,
     bidiag_init,
-    extract_matrices,
+    bidiagonal,
 )
 from .dct_solve import Difference2DSolver, DirectSolveRejected
 from .harness import (
@@ -35,7 +34,7 @@ from .hybrid import (
     inner_solvers,
     run_hybrid,
 )
-from .lsqr import LsqrConfig, LsqrReport, NumericalFailure, lsqr_solve
+from .lsqr import LsqrReport, NumericalFailure, lsqr_solve
 from .metrics import ErrorCurve, GammaGapReport, analyze_curve, gamma_gaps, projected_condition, relative_error
 from .operators import (
     DenseOperator,

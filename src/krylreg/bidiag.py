@@ -6,9 +6,10 @@ Starting from ``p_1 = b / |b|``, each step computes
     s = A q_j  - alpha_j p_j,       beta_{j+1} = |s|,  p_{j+1} = s / beta_{j+1}
 
 accumulating orthonormal column blocks P (left) and Q (right) together
-with the lower-bidiagonal coefficients.  On ill-posed problems the raw
-recurrence loses orthogonality catastrophically, so every new column is
-reorthogonalized against all previous ones twice.
+with the lower-bidiagonal coefficients, whose dense blocks :func:`bidiagonal`
+assembles.  On ill-posed problems the raw recurrence loses orthogonality
+catastrophically, so every new column is reorthogonalized against all
+previous ones twice.
 
 A coefficient falling below ``1e-14 * |A|_F`` signals that the Krylov
 subspace is numerically exhausted (exact termination); extension then
@@ -17,8 +18,6 @@ raises :class:`GolubKahanBreakdown` after recording all completed steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import LinearOperator, _as_vector
@@ -26,11 +25,9 @@ from .operators import LinearOperator, _as_vector
 __all__ = [
     "GolubKahanBreakdown",
     "BidiagState",
-    "BidiagMatrices",
     "bidiag_init",
     "bidiag_extend",
-    "extract_matrices",
-    "lower_bidiagonal",
+    "bidiagonal",
 ]
 
 BREAKDOWN_SCALE = 1e-14
@@ -79,6 +76,8 @@ class _ColumnBlock:
     def view(self, count: int | None = None) -> np.ndarray:
         if count is None:
             count = self.count
+        elif count < 0:
+            raise ValueError(f"column count must be non-negative, got {count}")
         elif count > self.count:
             raise ValueError(f"asked for {count} columns, only {self.count} stored")
         return self._buf[:, :count]
@@ -140,35 +139,6 @@ class BidiagState:
         return f"BidiagState(k={self.k}{bd})"
 
 
-@dataclass(frozen=True)
-class BidiagMatrices:
-    """Dense bidiagonal blocks extracted from a state at index ``k``.
-
-    ``B_k`` is the ``k x k`` lower-bidiagonal block, ``B_kplus`` appends
-    the row ``beta_{k+1} e_k^T``, and ``B_kp1`` is the square
-    ``(k+1) x (k+1)`` block, present only when step ``k+1`` exists.
-    """
-
-    B_k: np.ndarray
-    B_kplus: np.ndarray
-    B_kp1: np.ndarray | None
-
-
-def lower_bidiagonal(alphas, betas) -> np.ndarray:
-    """Dense lower-bidiagonal matrix with diagonal ``alphas`` and
-    subdiagonal ``betas`` (``len(betas) == len(alphas) - 1``)."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    k = alphas.shape[0]
-    if betas.shape[0] != k - 1:
-        raise ValueError("need exactly k-1 subdiagonal entries")
-    B = np.zeros((k, k))
-    B[np.arange(k), np.arange(k)] = alphas
-    if k > 1:
-        B[np.arange(1, k), np.arange(k - 1)] = betas
-    return B
-
-
 def bidiag_init(A: LinearOperator, b) -> BidiagState:
     """Set up the process with ``p_1 = b / |b|`` and no completed steps."""
     b = _as_vector(b, A.rows, "right-hand side")
@@ -228,18 +198,17 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
     return state
 
 
-def extract_matrices(state: BidiagState, k: int | None = None) -> BidiagMatrices:
-    """Dense coefficient blocks at index ``k`` (default: the full state)."""
-    if k is None:
-        k = state.k
-    if not 1 <= k <= state.k:
-        raise ValueError(f"k must be in [1, {state.k}], got {k}")
-    alphas, betas = state.alphas, state.betas
-    B_k = lower_bidiagonal(alphas[:k], betas[1:k])
-    B_kplus = np.zeros((k + 1, k))
-    B_kplus[:k, :] = B_k
-    B_kplus[k, k - 1] = betas[k]
-    B_kp1 = None
-    if state.k >= k + 1:
-        B_kp1 = lower_bidiagonal(alphas[: k + 1], betas[1 : k + 1])
-    return BidiagMatrices(B_k=B_k, B_kplus=B_kplus, B_kp1=B_kp1)
+def bidiagonal(state: BidiagState, rows: int, cols: int) -> np.ndarray:
+    """Leading ``rows x cols`` block of the lower-bidiagonal matrix with
+    diagonal ``alpha_1, alpha_2, ...`` and subdiagonal ``beta_2, beta_3, ...``:
+    ``B_k`` at ``(k, k)``, ``B_{k+1,k}`` (``B_k`` over the row ``beta_{k+1} e_k^T``)
+    at ``(k + 1, k)`` and ``B_{k+1}`` at ``(k + 1, k + 1)``.  Raises ``ValueError``
+    for other shapes, for ``k < 1`` and when the state lacks a coefficient."""
+    if cols < 1 or rows not in (cols, cols + 1):
+        raise ValueError(f"expected a k x k or (k+1) x k block with k >= 1, got {rows} x {cols}")
+    if cols > state.k:
+        raise ValueError(f"a {rows} x {cols} block needs {cols} bidiagonalization steps, have {state.k}")
+    B = np.zeros((rows, cols))
+    B[np.arange(cols), np.arange(cols)] = state.alphas[:cols]
+    B[np.arange(1, rows), np.arange(rows - 1)] = state.betas[1:rows]
+    return B

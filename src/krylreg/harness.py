@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bidiag, metrics, problems, solvers
 from .hybrid import RunRecord, RunRow, _check_sweep, hyb_cgme_step, hyb_tcgme_step, run_hybrid
-from .lsqr import LsqrConfig, lsqr_solve
+from .lsqr import lsqr_solve
 from .operators import DenseOperator, _is_int, _is_real
 from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, _check_psf_sigma, build_problem, with_noise
 
@@ -228,11 +228,11 @@ def _bidiag_recurrence_check() -> VerificationCheck:
     except bidiag.GolubKahanBreakdown:
         pass
     k = state.k
-    mats = bidiag.extract_matrices(state, k)
+    B_k, B_kplus = bidiag.bidiagonal(state, k, k), bidiag.bidiagonal(state, k + 1, k)
     fro = A.frobenius_norm()
     dense = A.entries
-    res1 = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ mats.B_kplus, "fro")
-    res2 = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ mats.B_k.T, "fro")
+    res1 = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro")
+    res2 = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro")
     orth = max(
         np.abs(state.P.T @ state.P - np.eye(state.P.shape[1])).max(),
         np.abs(state.Q.T @ state.Q - np.eye(k)).max(),
@@ -310,7 +310,7 @@ def _lsqr_pinv_check() -> VerificationCheck:
         svals = np.linspace(1.0, 3.0, r)
         M = DenseOperator(U @ np.diag(svals) @ V.T)
         d = rng.standard_normal(m)
-        report = lsqr_solve(M, d, LsqrConfig(tol=1e-12, max_iters=400))
+        report = lsqr_solve(M, d, tol=1e-12, max_iters=400)
         expected = np.linalg.pinv(M.entries) @ d
         worst = max(worst, np.linalg.norm(report.solution - expected) / np.linalg.norm(expected))
         if np.any(np.diff(report.residual_history) > 1e-12):

@@ -50,7 +50,7 @@ import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
 from .dct_solve import Difference2DSolver, DirectSolveRejected
-from .lsqr import LsqrConfig, lsqr_solve
+from .lsqr import lsqr_solve
 from .metrics import analyze_curve, relative_error
 from .operators import (
     IdentityOperator,
@@ -180,8 +180,8 @@ class LsqrSolver:
         # first differences) is the lower one until k passes about n / 2, so
         # below that the slack never binds.
         n = self.L.cols
-        cfg = LsqrConfig(tol=self.tol, max_iters=min(self.L.rows, n, max(2 * (n - Q.shape[1]), 1)))
-        report = lsqr_solve(self.L, self.L.apply(x_k), cfg, Q=Q)
+        cap = min(self.L.rows, n, max(2 * (n - Q.shape[1]), 1))
+        report = lsqr_solve(self.L, self.L.apply(x_k), tol=self.tol, max_iters=cap, Q=Q)
         return (x_k - report.solution, report.final_backward_error, report.iterations,
                 report.stop_reason == "max_iters")
 

@@ -56,11 +56,10 @@ from typing import Literal
 
 import numpy as np
 
-from .operators import DimensionMismatch, LinearOperator, _as_vector, _is_int, check_orthonormal
+from .operators import DimensionMismatch, LinearOperator, _as_vector, _is_int, _is_real, check_orthonormal
 
 __all__ = [
     "NumericalFailure",
-    "LsqrConfig",
     "LsqrReport",
     "lsqr_solve",
 ]
@@ -84,24 +83,6 @@ class NumericalFailure(FloatingPointError):
     """A non-finite quantity appeared inside the iteration."""
 
 
-@dataclass(frozen=True)
-class LsqrConfig:
-    """Stopping controls.
-
-    ``tol`` is the relative backward-error tolerance; ``max_iters``
-    defaults to ``min(rows, cols)``.
-    """
-
-    tol: float = 1e-6
-    max_iters: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_iters is not None and (not _is_int(self.max_iters) or self.max_iters < 1):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-
-
 @dataclass
 class LsqrReport:
     """Outcome of one LSQR solve.
@@ -109,13 +90,13 @@ class LsqrReport:
     ``final_backward_error`` is the stopping quantity at exit and
     satisfies ``<= tol`` whenever ``stop_reason == "backward_error"``.
     ``residual_history`` holds the recurrence estimates of ``|r_j|``
-    from ``j = 0`` (they are non-increasing by construction).
+    from ``j = 0`` (they are non-increasing by construction); its last
+    entry is the residual norm at exit.
     """
 
     solution: np.ndarray
     iterations: int
     final_backward_error: float
-    residual_norm: float
     stop_reason: StopReason
     operator_norm_estimate: float
     residual_history: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
@@ -193,8 +174,13 @@ def _back_substitute(f: list, t: list, scales: list, carry: bool) -> np.ndarray:
     return coef
 
 
-def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -> LsqrReport:
-    """Minimum-norm least-squares solve of ``min |M (I - Q Q^T) z - d|``.
+def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None = None,
+               Q=None) -> LsqrReport:
+    """Minimum-norm least-squares solve of ``min |M (I - Q Q^T) z - d|``,
+    stopped once the relative backward error is at most ``tol`` (in
+    ``(0, 1)``) or after ``max_iters`` iterations (a positive integer,
+    default ``min(M.rows, M.cols)``); other values of either raise
+    ``ValueError``.
 
     ``Q`` is an ``n x k`` block (``n = M.cols``) whose columns must be
     orthonormal to ``ORTHONORMALITY_TOL``, or :class:`OrthonormalityError`
@@ -207,19 +193,21 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
     (``alfa``, ``beta``) or a rotation quantity (``rho``, ``phi``) is
     non-finite, and at exit if any entry of the solution is.
     """
-    if cfg is None:
-        cfg = LsqrConfig()
+    if not _is_real(tol) or not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if max_iters is not None and (not _is_int(max_iters) or max_iters < 1):
+        raise ValueError(f"max_iters must be a positive integer, got {max_iters!r}")
     d = _as_vector(d, M.rows, "right-hand side")
     if not np.all(np.isfinite(d)):
         raise ValueError("right-hand side must be finite")
     n = M.cols
     Q = _orthonormal_block(Q, n)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else min(M.rows, n)
+    max_iters = max_iters if max_iters is not None else min(M.rows, n)
 
     x = np.zeros(n)
     bnorm = math.sqrt(d @ d)
     if bnorm == 0.0:
-        return LsqrReport(x, 0, 0.0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
+        return LsqrReport(x, 0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
 
     dot, subtract, multiply = np.dot, np.subtract, np.multiply
     apply, adjoint = M._apply, M._adjoint
@@ -250,7 +238,7 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
         raise _nonfinite("alfa", alfa, 0)
     if alfa == 0.0:
         # d is orthogonal to the range of M P: the solution is exactly 0.
-        return LsqrReport(x, 0, 0.0, bnorm, "exact_breakdown", 0.0, np.array([bnorm]))
+        return LsqrReport(x, 0, 0.0, "exact_breakdown", 0.0, np.array([bnorm]))
     if not _SCALE_LO <= cv <= _SCALE_HI:
         cv = _rescale(v, cv)
     scales = [cv]
@@ -258,7 +246,6 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
     rhobar = alfa
     phibar = beta
     anorm2 = alfa * alfa
-    rnorm = bnorm
     history = [bnorm]
 
     # A NaN or Inf in u or v shows in beta or alfa within the iteration it
@@ -320,7 +307,7 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
 
         if exact:
             stop = "exact_breakdown"
-        elif backward_error <= cfg.tol:
+        elif backward_error <= tol:
             stop = "backward_error"
         if stop is not None:
             break
@@ -343,7 +330,6 @@ def lsqr_solve(M: LinearOperator, d, cfg: LsqrConfig | None = None, *, Q=None) -
         solution=x,
         iterations=itn,
         final_backward_error=float(backward_error),
-        residual_norm=float(rnorm),
         stop_reason=stop,
         operator_norm_estimate=math.sqrt(anorm2),
         residual_history=np.array(history),

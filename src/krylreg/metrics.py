@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import BidiagState, extract_matrices
+from .bidiag import BidiagState, bidiagonal
 from .operators import MAX_DENSE_ENTRIES, LinearOperator
 
 __all__ = [
@@ -77,20 +77,19 @@ def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
     """
     if A.rows * A.cols > MAX_DENSE_ENTRIES:
         raise ValueError(f"gamma-gap oracle refuses matrices with {A.rows * A.cols} entries")
-    if state.k < k + 1:
-        raise ValueError(f"need {k + 1} bidiagonalization steps, have {state.k}")
+    B_kp1 = bidiagonal(state, k + 1, k + 1)
+    B_kplus = bidiagonal(state, k + 1, k)
     dense = A.to_dense()
-    mats = extract_matrices(state, k)
     P_k = state.P_cols(k)
     P_k1 = state.P_cols(k + 1)
     Q_k = state.Q_cols(k)
     Q_k1 = state.Q_cols(k + 1)
-    U, s, Vt = np.linalg.svd(mats.B_kp1)
+    U, s, Vt = np.linalg.svd(B_kp1)
     C_k = (U[:, :k] * s[:k]) @ Vt.T[:, :k].T
-    gamma_cgme = _spectral_norm(dense - P_k @ mats.B_k @ Q_k.T)
+    gamma_cgme = _spectral_norm(dense - P_k @ bidiagonal(state, k, k) @ Q_k.T)
     gamma_tcgme = _spectral_norm(dense - P_k1 @ C_k @ Q_k1.T)
-    gamma_lsqr = _spectral_norm(dense - P_k1 @ mats.B_kplus @ Q_k.T)
-    theta_min = float(np.linalg.svd(mats.B_kplus, compute_uv=False)[-1])
+    gamma_lsqr = _spectral_norm(dense - P_k1 @ B_kplus @ Q_k.T)
+    theta_min = float(np.linalg.svd(B_kplus, compute_uv=False)[-1])
     return GammaGapReport(
         k=k,
         gamma_cgme=gamma_cgme,

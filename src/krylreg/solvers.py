@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .bidiag import BidiagState, lower_bidiagonal
+from .bidiag import BidiagState, bidiagonal
 
 __all__ = ["IllConditionedTruncation", "cgme_iterate", "tcgme_iterate"]
 
@@ -66,7 +66,7 @@ def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     values are themselves nearly rank-deficient.
     """
     _require_steps(state, k, k + 1, "tcgme")
-    U, s, Vt = np.linalg.svd(lower_bidiagonal(state.alphas[: k + 1], state.betas[1 : k + 1]))
+    U, s, Vt = np.linalg.svd(bidiagonal(state, k + 1, k + 1))
     kept = s[:k]
     if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
         warnings.warn(

@@ -9,9 +9,9 @@ import sys
 
 import numpy as np
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, extract_matrices
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
-from krylreg.lsqr import LsqrConfig, lsqr_solve
+from krylreg.lsqr import lsqr_solve
 from krylreg.metrics import analyze_curve, gamma_gaps, projected_condition
 from krylreg.operators import DenseOperator
 from krylreg.problems import add_noise, build_problem, gen_shaw, make_L
@@ -46,11 +46,11 @@ def test_criterion_1_bidiagonalization_exactness():
         state = bidiag_init(op, b)
         k = extend_until(state, op, 30)
         reached.append(f"{label} k={k}")
-        mats = extract_matrices(state, k)
+        B_k, B_kplus = bidiagonal(state, k, k), bidiagonal(state, k + 1, k)
         dense = op.entries
         fro = op.frobenius_norm()
-        res_right = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ mats.B_kplus, "fro") / fro
-        res_left = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ mats.B_k.T, "fro") / fro
+        res_right = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro") / fro
+        res_left = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro") / fro
         P, Q = state.P, state.Q
         orth = max(
             np.abs(P.T @ P - np.eye(P.shape[1])).max(),
@@ -239,7 +239,7 @@ def test_criterion_8_lsqr_minimum_norm_oracle():
         svals = rng.uniform(0.5, 3.0, r)
         M = DenseOperator(U @ np.diag(svals) @ V.T)
         d = rng.standard_normal(m)
-        rep = lsqr_solve(M, d, LsqrConfig(tol=1e-12, max_iters=4 * min(m, n)))
+        rep = lsqr_solve(M, d, tol=1e-12, max_iters=4 * min(m, n))
         oracle = np.linalg.pinv(M.entries) @ d
         worst = max(worst, np.linalg.norm(rep.solution - oracle) / np.linalg.norm(oracle))
         monotone &= bool(np.all(np.diff(rep.residual_history) <= 1e-12))

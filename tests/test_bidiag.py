@@ -1,13 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from test_solvers import make_state
 
-from krylreg.bidiag import (
-    GolubKahanBreakdown,
-    bidiag_extend,
-    bidiag_init,
-    extract_matrices,
-    lower_bidiagonal,
-)
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.operators import DenseOperator, IdentityOperator
 from krylreg.problems import add_noise, gen_shaw
 
@@ -71,34 +68,44 @@ def test_first_alpha_on_diagonal_example():
     assert state.alphas[0] == pytest.approx(np.sqrt(5.0 / 2.0), rel=1e-12)
 
 
-def test_extract_matrices_shapes_and_values():
+def test_bidiagonal_blocks_of_all_three_shapes():
+    # diagonal alpha_1..alpha_3, subdiagonal beta_2..beta_4 (beta_1 = 9 is |b|)
+    state = make_state(alphas=[1.0, 2.0, 3.0], betas=[9.0, 4.0, 5.0, 6.0])
+    full = np.array([[1.0, 0.0, 0.0], [4.0, 2.0, 0.0], [0.0, 5.0, 3.0], [0.0, 0.0, 6.0]])
+    for k in (1, 2, 3):
+        np.testing.assert_array_equal(bidiagonal(state, k, k), full[:k, :k])
+        np.testing.assert_array_equal(bidiagonal(state, k + 1, k), full[: k + 1, :k])
+    for k in (1, 2):
+        np.testing.assert_array_equal(bidiagonal(state, k + 1, k + 1), full[: k + 1, : k + 1])
+
+
+def test_bidiagonal_blocks_of_a_computed_state():
     A = DenseOperator(np.diag([3.0, 2.0, 1.0]))
     state = bidiag_init(A, np.array([1.0, 1.0, 1.0]))
     bidiag_extend(state, A, 2)
-    mats1 = extract_matrices(state, 1)
-    np.testing.assert_allclose(mats1.B_k, [[state.alphas[0]]])
-    mats2 = extract_matrices(state, 2)
     a, be = state.alphas, state.betas
-    np.testing.assert_allclose(mats2.B_k, [[a[0], 0.0], [be[1], a[1]]])
-    np.testing.assert_allclose(mats1.B_kplus, [[a[0]], [be[1]]])
-    assert mats1.B_kp1.shape == (2, 2)
-    assert mats2.B_kp1 is None  # step 3 not taken
+    np.testing.assert_array_equal(bidiagonal(state, 1, 1), [[a[0]]])
+    np.testing.assert_array_equal(bidiagonal(state, 2, 1), [[a[0]], [be[1]]])
+    np.testing.assert_array_equal(bidiagonal(state, 2, 2), [[a[0], 0.0], [be[1], a[1]]])
+    # the (k+1) x k block at k = state.k reads beta_{k+1}, which step k computed
+    np.testing.assert_array_equal(bidiagonal(state, 3, 2), [[a[0], 0.0], [be[1], a[1]], [0.0, be[2]]])
+    with pytest.raises(ValueError, match="needs 3 bidiagonalization steps, have 2"):
+        bidiagonal(state, 3, 3)  # step 3 not taken
 
 
-def test_extract_matrices_requires_k_at_least_one():
-    A = DenseOperator(np.eye(3))
-    state = bidiag_init(A, np.ones(3))
-    with pytest.raises(ValueError):
-        extract_matrices(state, 0)
+@pytest.mark.parametrize("rows,cols", [(0, 0), (1, 0), (3, 1), (1, 2), (2, 3), (4, 2)])
+def test_bidiagonal_refuses_k_zero_and_other_shapes(rows, cols):
+    state = make_state(alphas=[1.0, 2.0, 3.0], betas=[9.0, 4.0, 5.0, 6.0])
+    with pytest.raises(ValueError, match=r"k x k or \(k\+1\) x k block with k >= 1"):
+        bidiagonal(state, rows, cols)
 
 
 def test_projection_identity_on_random_dense(rng):
     A = DenseOperator(rng.standard_normal((50, 40)))
     state = bidiag_init(A, rng.standard_normal(50))
     bidiag_extend(state, A, 10)
-    mats = extract_matrices(state, 10)
     projected = state.P_cols(10).T @ A.entries @ state.Q_cols(10)
-    assert np.abs(projected - mats.B_k).max() <= 1e-10
+    assert np.abs(projected - bidiagonal(state, 10, 10)).max() <= 1e-10
 
 
 def test_recurrences_and_orthogonality_on_shaw():
@@ -112,10 +119,10 @@ def test_recurrences_and_orthogonality_on_shaw():
         pass
     k = state.k
     assert k >= 15
-    mats = extract_matrices(state, k)
+    B_k, B_kplus = bidiagonal(state, k, k), bidiagonal(state, k + 1, k)
     fro = A.frobenius_norm()
-    res_right = np.linalg.norm(A.entries @ state.Q_cols(k) - state.P_cols(k + 1) @ mats.B_kplus, "fro")
-    res_left = np.linalg.norm(A.entries.T @ state.P_cols(k) - state.Q_cols(k) @ mats.B_k.T, "fro")
+    res_right = np.linalg.norm(A.entries @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro")
+    res_left = np.linalg.norm(A.entries.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro")
     assert res_right <= 1e-10 * fro
     assert res_left <= 1e-10 * fro
     P, Q = state.P, state.Q
@@ -139,8 +146,7 @@ def test_singular_value_interlacing(rng):
     state = bidiag_init(A, rng.standard_normal(30))
     bidiag_extend(state, A, 8)
     svals_A = np.linalg.svd(A.entries, compute_uv=False)
-    mats = extract_matrices(state, 8)
-    theta = np.linalg.svd(mats.B_kplus, compute_uv=False)
+    theta = np.linalg.svd(bidiagonal(state, 9, 8), compute_uv=False)
     assert np.all(theta <= svals_A[0] * (1 + 1e-12))
     assert np.all(theta >= svals_A[-1] * (1 - 1e-12))
 
@@ -186,8 +192,36 @@ def test_blocks_are_column_major_past_the_first_capacity():
         np.testing.assert_array_equal(P, np.column_stack(p_cols[: k + 1]))
 
 
-def test_lower_bidiagonal_builder():
-    B = lower_bidiagonal([1.0, 2.0, 3.0], [4.0, 5.0])
-    np.testing.assert_allclose(B, [[1, 0, 0], [4, 2, 0], [0, 5, 3]])
-    with pytest.raises(ValueError):
-        lower_bidiagonal([1.0, 2.0], [1.0, 2.0])
+def test_negative_column_counts_are_rejected():
+    # the buffers hold 32 columns, and a negative count would slice into
+    # their uninitialized tail
+    A, x_true, b_true = gen_shaw(64)
+    state = bidiag_init(A, add_noise(b_true, 1e-2, 8))
+    bidiag_extend(state, A, 5)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        state.Q_cols(-1)
+    with pytest.raises(ValueError, match="non-negative, got -2"):
+        state.P_cols(-2)
+    assert state.Q_cols(0).shape == (64, 0)
+
+
+def _signature(exc: GolubKahanBreakdown) -> str:
+    # float-stripped, as the benchmark's reference answers store it
+    return re.sub(r"[-+]?\d+\.\d+e[-+]\d+", "<x>", str(exc))
+
+
+def test_breakdown_message_format():
+    # beta side: A = I and b = e_1 make beta_2 vanish at step 1
+    state = bidiag_init(IdentityOperator(2), np.array([1.0, 0.0]))
+    with pytest.raises(GolubKahanBreakdown) as beta_side:
+        bidiag_extend(state, IdentityOperator(2), 2)
+    assert str(beta_side.value) == "beta_2 = 0.000e+00 below breakdown threshold 1.414e-14 at step 1"
+    # alpha side: A = e_1 e_1^T and b = (1, 1) make alpha_2 vanish at step 2
+    A = DenseOperator(np.diag([1.0, 0.0]))
+    state = bidiag_init(A, np.array([1.0, 1.0]))
+    with pytest.raises(GolubKahanBreakdown) as alpha_side:
+        bidiag_extend(state, A, 3)
+    assert alpha_side.value.step == 2
+    assert _signature(alpha_side.value) == "alpha_2 = <x> below breakdown threshold <x> at step 2"
+    assert _signature(GolubKahanBreakdown.at_coefficient(21, "beta", 9.1e-17, 3.7e-14)) == (
+        "beta_22 = <x> below breakdown threshold <x> at step 21")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_solvers import make_state
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, lower_bidiagonal
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.metrics import gamma_gaps
 from krylreg.operators import DenseOperator
 from krylreg.solvers import IllConditionedTruncation, cgme_iterate, tcgme_iterate
@@ -52,7 +52,7 @@ def test_bidiag_solve_matches_dense_oracle():
     alphas, betas = random_coefficients(30, seed=1234)
     state = make_state(alphas, betas)
     y = cgme_iterate(state, 30)
-    B = lower_bidiagonal(alphas, betas[1:30])
+    B = bidiagonal(state, 30, 30)
     rhs = np.zeros(30)
     rhs[0] = betas[0]
     oracle = np.linalg.solve(B, rhs)
@@ -96,10 +96,11 @@ def test_full_rank_truncation_matches_solve():
 @given(k=st.integers(min_value=1, max_value=30), seed=st.integers(min_value=0, max_value=10**6))
 def test_truncated_pinv_matches_dense_oracle(k, seed):
     alphas, betas = random_coefficients(k + 1, seed)
-    got = tcgme_iterate(make_state(alphas, betas), k)
+    state = make_state(alphas, betas)
+    got = tcgme_iterate(state, k)
     rhs = np.zeros(k + 1)
     rhs[0] = betas[0]
-    oracle = np.linalg.pinv(truncation(lower_bidiagonal(alphas, betas[1 : k + 1]), k)) @ rhs
+    oracle = np.linalg.pinv(truncation(bidiagonal(state, k + 1, k + 1), k)) @ rhs
     assert got[k + 1] == 0.0
     assert np.linalg.norm(got[: k + 1] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -110,9 +111,10 @@ def test_pinv_contract_on_truncations():
     # along null(C_k), the dropped right singular vector.
     k = 8
     alphas, betas = random_coefficients(k + 1, seed=99, low=0.5)
-    B = lower_bidiagonal(alphas, betas[1 : k + 1])
+    state = make_state(alphas, betas)
+    B = bidiagonal(state, k + 1, k + 1)
     C = truncation(B, k)
-    y = tcgme_iterate(make_state(alphas, betas), k)[: k + 1]
+    y = tcgme_iterate(state, k)[: k + 1]
     rhs = np.zeros(k + 1)
     rhs[0] = betas[0]
     scale = np.linalg.norm(C, 2)
@@ -127,8 +129,9 @@ def test_eckart_young_gap(k, seed):
     # With P and Q the identity and A = B_{k+1}, gamma_gaps' TCGME gap is
     # |B_{k+1} - C_k|_2, which Eckart-Young puts at sigma_{k+1}(B_{k+1}).
     alphas, betas = random_coefficients(k + 1, seed, low=0.5)
-    B = lower_bidiagonal(alphas, betas[1 : k + 1])
-    report = gamma_gaps(DenseOperator(B), make_state(alphas, betas, m=k + 1, n=k + 1), k)
+    state = make_state(alphas, betas, m=k + 1, n=k + 1)
+    B = bidiagonal(state, k + 1, k + 1)
+    report = gamma_gaps(DenseOperator(B), state, k)
     s = np.linalg.svd(B, compute_uv=False)
     assert abs(report.gamma_tcgme - s[k]) <= 1e-10 * s[k] + 1e-13 * s[0]
 

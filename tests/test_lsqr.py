@@ -6,7 +6,7 @@ import pytest
 
 from krylreg import lsqr as lsqr_module
 from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.lsqr import LsqrConfig, NumericalFailure, lsqr_solve
+from krylreg.lsqr import NumericalFailure, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
     DimensionMismatch,
@@ -28,14 +28,14 @@ def rank_deficient(rng, m, n, r):
 
 
 def test_identity_one_iteration():
-    report = lsqr_solve(IdentityOperator(3), [1.0, 2.0, 3.0], LsqrConfig(tol=1e-6))
+    report = lsqr_solve(IdentityOperator(3), [1.0, 2.0, 3.0], tol=1e-6)
     np.testing.assert_allclose(report.solution, [1.0, 2.0, 3.0], atol=1e-12)
     assert report.iterations == 1
 
 
 def test_minimum_norm_on_first_difference():
     M = FirstDifferenceOperator(3)
-    report = lsqr_solve(M, [1.0, 1.0], LsqrConfig(tol=1e-10))
+    report = lsqr_solve(M, [1.0, 1.0], tol=1e-10)
     dense = M.to_dense()
     oracle = np.linalg.pinv(dense) @ np.array([1.0, 1.0])
     assert np.linalg.norm(report.solution - oracle) <= 1e-6 * np.linalg.norm(oracle)
@@ -45,7 +45,7 @@ def test_consistent_square_system_small_residual(rng):
     A = DenseOperator(rng.standard_normal((12, 12)) + 12 * np.eye(12))
     x = rng.standard_normal(12)
     d = A.apply(x)
-    report = lsqr_solve(A, d, LsqrConfig(tol=1e-10, max_iters=200))
+    report = lsqr_solve(A, d, tol=1e-10, max_iters=200)
     true_res = np.linalg.norm(d - A.apply(report.solution))
     assert true_res <= 1e-8 * np.linalg.norm(d)
 
@@ -71,30 +71,33 @@ def test_nonfinite_rhs_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LsqrConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        LsqrConfig(tol=1.5)
-    with pytest.raises(ValueError):
-        LsqrConfig(max_iters=0)
+    # a non-numeric tol is refused before it reaches a comparison
+    for tol in (0.0, 1.5, float("nan"), "1e-6", None, True):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            lsqr_solve(IdentityOperator(2), [1.0, 1.0], tol=tol)
+    with pytest.raises(ValueError, match="max_iters"):
+        lsqr_solve(IdentityOperator(2), [1.0, 1.0], max_iters=0)
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
 def test_iteration_cap_must_be_an_integer(cap):
     # 2.5 used to run 3 iterations, one past its cap
     with pytest.raises(ValueError, match="max_iters"):
-        LsqrConfig(max_iters=cap)
+        lsqr_solve(IdentityOperator(2), [1.0, 1.0], max_iters=cap)
 
 
 def test_numpy_integer_cap_accepted():
-    assert LsqrConfig(max_iters=np.int64(3)).max_iters == 3
+    rng = np.random.default_rng(12)
+    M = DenseOperator(rng.standard_normal((50, 40)))
+    report = lsqr_solve(M, rng.standard_normal(50), tol=1e-15, max_iters=np.int64(3))
+    assert (report.iterations, report.stop_reason) == (3, "max_iters")
 
 
 def test_monotone_residual_history(rng):
     for seed in range(5):
         local = np.random.default_rng(seed)
         M = DenseOperator(local.standard_normal((25, 18)))
-        report = lsqr_solve(M, local.standard_normal(25), LsqrConfig(tol=1e-12, max_iters=100))
+        report = lsqr_solve(M, local.standard_normal(25), tol=1e-12, max_iters=100)
         assert np.all(np.diff(report.residual_history) <= 1e-12)
 
 
@@ -103,7 +106,7 @@ def test_minimum_norm_matches_pinv_on_rank_deficient(rng):
         local = np.random.default_rng(100 + seed)
         M = rank_deficient(local, 40, 35, 20)
         d = local.standard_normal(40)
-        report = lsqr_solve(M, d, LsqrConfig(tol=1e-13, max_iters=500))
+        report = lsqr_solve(M, d, tol=1e-13, max_iters=500)
         oracle = np.linalg.pinv(M.entries) @ d
         assert np.linalg.norm(report.solution - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
@@ -111,16 +114,16 @@ def test_minimum_norm_matches_pinv_on_rank_deficient(rng):
 def test_backward_error_contract_at_exit(rng):
     M = DenseOperator(rng.standard_normal((60, 45)))
     d = rng.standard_normal(60)
-    cfg = LsqrConfig(tol=1e-6)
-    report = lsqr_solve(M, d, cfg)
+    tol = 1e-6
+    report = lsqr_solve(M, d, tol=tol)
     assert report.stop_reason == "backward_error"
-    assert report.final_backward_error <= cfg.tol
+    assert report.final_backward_error <= tol
     # Recompute the stopping quantity from the returned solution.
     r = d - M.apply(report.solution)
     ratio = np.linalg.norm(M.apply_adjoint(r)) / (
         report.operator_norm_estimate * np.linalg.norm(r)
     )
-    assert ratio <= 2.0 * cfg.tol
+    assert ratio <= 2.0 * tol
 
 
 @pytest.mark.parametrize("n,k,seed", [(200, 5, 9), (300, 10, 2), (120, 3, 4)])
@@ -131,14 +134,14 @@ def test_projected_operator_terminates_within_dimension_bound(n, k, seed):
     Q = random_orthonormal(n, k, seed=seed)
     rng = np.random.default_rng(10)
     d = L.apply(rng.standard_normal(n))
-    report = lsqr_solve(L, d, LsqrConfig(tol=1e-10, max_iters=3 * n), Q=Q)
+    report = lsqr_solve(L, d, tol=1e-10, max_iters=3 * n, Q=Q)
     assert report.iterations <= n - k + 5
 
 
 def test_max_iters_stop():
     rng = np.random.default_rng(12)
     M = DenseOperator(rng.standard_normal((50, 40)))
-    report = lsqr_solve(M, rng.standard_normal(50), LsqrConfig(tol=1e-15, max_iters=3))
+    report = lsqr_solve(M, rng.standard_normal(50), tol=1e-15, max_iters=3)
     assert report.stop_reason == "max_iters"
     assert report.iterations == 3
 
@@ -177,7 +180,7 @@ def test_nonfinite_away_from_index_zero_raises(side, call, value):
     rng = np.random.default_rng(13)
     op = _NaNInjector(rng.standard_normal((30, 20)), side, call, index=17, value=value)
     with pytest.raises(NumericalFailure):
-        lsqr_solve(op, rng.standard_normal(30), LsqrConfig(tol=1e-12, max_iters=50))
+        lsqr_solve(op, rng.standard_normal(30), tol=1e-12, max_iters=50)
     assert op.calls >= call
 
 
@@ -192,7 +195,7 @@ def test_nonfinite_on_the_projected_path_raises(side, call, value):
     Q = random_orthonormal(20, 3, seed=16)
     # the projector turns an Inf into NaNs, which numpy warns about
     with pytest.raises(NumericalFailure), np.errstate(invalid="ignore"):
-        lsqr_solve(op, rng.standard_normal(30), LsqrConfig(tol=1e-12, max_iters=50), Q=Q)
+        lsqr_solve(op, rng.standard_normal(30), tol=1e-12, max_iters=50, Q=Q)
     assert op.calls >= call
 
 
@@ -213,9 +216,9 @@ def test_in_place_updates_leave_caller_vectors_alone():
     entries = rng.standard_normal((25, 15))
     d = rng.standard_normal(25)
     d_before = d.copy()
-    first = lsqr_solve(DenseOperator(entries), d, LsqrConfig(tol=1e-10, max_iters=100))
+    first = lsqr_solve(DenseOperator(entries), d, tol=1e-10, max_iters=100)
     np.testing.assert_array_equal(d, d_before)
-    second = lsqr_solve(DenseOperator(entries), d, LsqrConfig(tol=1e-10, max_iters=100))
+    second = lsqr_solve(DenseOperator(entries), d, tol=1e-10, max_iters=100)
     np.testing.assert_array_equal(first.solution, second.solution)
 
 
@@ -262,9 +265,8 @@ def oracle_case(name):
 def test_matches_textbook_lsqr(case, tol):
     # The diff cases run 211-299 iterations, several solution blocks each.
     M, Q, d = oracle_case(case)
-    cfg = LsqrConfig(tol=tol)
-    report = lsqr_solve(M, d, cfg, Q=Q)
-    ref = textbook_lsqr(M, d, cfg, Q=Q)
+    report = lsqr_solve(M, d, tol=tol, Q=Q)
+    ref = textbook_lsqr(M, d, tol=tol, Q=Q)
     assert (report.iterations, report.stop_reason) == (ref.iterations, ref.stop_reason)
     assert rel_dist(report.solution, ref.solution) <= ORACLE_RTOL
     np.testing.assert_allclose(report.residual_history, ref.residual_history,
@@ -279,9 +281,8 @@ def test_consistent_projected_system_matches_textbook_solution(tol):
     # is decided by rounding, for the textbook loop as for this one.
     # Only the solutions are compared.
     M, Q, d = oracle_case("diffQ_10_consistent")
-    cfg = LsqrConfig(tol=tol)
-    report = lsqr_solve(M, d, cfg, Q=Q)
-    ref = textbook_lsqr(M, d, cfg, Q=Q)
+    report = lsqr_solve(M, d, tol=tol, Q=Q)
+    ref = textbook_lsqr(M, d, tol=tol, Q=Q)
     assert rel_dist(report.solution, ref.solution) <= ORACLE_RTOL
 
 
@@ -333,8 +334,7 @@ def test_tracked_scales_rescale_exactly(power, monkeypatch):
     rng = np.random.default_rng(17)
     entries = rng.standard_normal((40, 30))
     d = rng.standard_normal(40)
-    cfg = LsqrConfig(tol=1e-10)
-    plain = lsqr_solve(DenseOperator(entries), d, cfg)
+    plain = lsqr_solve(DenseOperator(entries), d, tol=1e-10)
 
     rescales = []
     rescale = lsqr_module._rescale
@@ -346,7 +346,7 @@ def test_tracked_scales_rescale_exactly(power, monkeypatch):
     monkeypatch.setattr(lsqr_module, "_rescale", counting)
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        scaled = lsqr_solve(DenseOperator(np.ldexp(entries, power)), d, cfg)
+        scaled = lsqr_solve(DenseOperator(np.ldexp(entries, power)), d, tol=1e-10)
     assert len(rescales) >= 2 * scaled.iterations
     assert (scaled.iterations, scaled.stop_reason) == (plain.iterations, plain.stop_reason)
     np.testing.assert_array_equal(np.ldexp(scaled.solution, power), plain.solution)
@@ -364,7 +364,7 @@ def test_memory_stays_bounded_whatever_the_iteration_count():
     for iters in (4 * block, 8 * block):
         tracemalloc.start()
         try:
-            report = lsqr_solve(L, d, LsqrConfig(tol=1e-15, max_iters=iters), Q=Q)
+            report = lsqr_solve(L, d, tol=1e-15, max_iters=iters, Q=Q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

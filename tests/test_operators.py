@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylreg.lsqr import LsqrConfig, _orthonormal_block, lsqr_solve
+from krylreg.lsqr import _orthonormal_block, lsqr_solve
 from krylreg.operators import (
     DenseOperator,
     DimensionMismatch,
@@ -245,7 +245,7 @@ def test_projected_operator_matches_dense(n, k, seed):
         for name, Q in layouts.items():
             dense = L.to_dense() @ (np.eye(n) - Q @ Q.T)
             oracle = np.linalg.pinv(dense) @ d
-            z = lsqr_solve(L, d, LsqrConfig(tol=1e-12, max_iters=4 * n), Q=Q).solution
+            z = lsqr_solve(L, d, tol=1e-12, max_iters=4 * n, Q=Q).solution
             assert np.linalg.norm(z - oracle) <= PINV_RTOL * np.linalg.norm(oracle), name
             solutions[name] = z
         np.testing.assert_array_equal(solutions["C"], solutions["F"])
@@ -259,7 +259,7 @@ def test_projected_solve_leaves_the_callers_block_and_rhs_untouched(layout):
     Q_before = Q.copy()
     d = np.random.default_rng(6).standard_normal(n - 1)
     d_before = d.copy()
-    lsqr_solve(FirstDifferenceOperator(n), d, LsqrConfig(tol=1e-10), Q=Q)
+    lsqr_solve(FirstDifferenceOperator(n), d, tol=1e-10, Q=Q)
     np.testing.assert_array_equal(Q, Q_before)
     np.testing.assert_array_equal(d, d_before)
     # the loop reads an F-contiguous block in place and a copy of any other

@@ -17,16 +17,16 @@ import math
 
 import numpy as np
 
-from krylreg.lsqr import _TINY, LsqrConfig, LsqrReport, _orthonormal_block, _sym_ortho
+from krylreg.lsqr import _TINY, LsqrReport, _orthonormal_block, _sym_ortho
 from krylreg.operators import _as_vector
 
 
-def textbook_lsqr(M, d, cfg=None, *, Q=None) -> LsqrReport:
-    cfg = cfg or LsqrConfig()
+def textbook_lsqr(M, d, *, tol=1e-6, max_iters=None, Q=None) -> LsqrReport:
     d = _as_vector(d, M.rows, "right-hand side")
     n = M.cols
     Q = _orthonormal_block(Q, n)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else min(M.rows, n)
+    if max_iters is None:
+        max_iters = min(M.rows, n)
 
     def project(v):
         v -= Q @ (Q.T @ v)
@@ -34,19 +34,18 @@ def textbook_lsqr(M, d, cfg=None, *, Q=None) -> LsqrReport:
     x = np.zeros(n)
     beta = math.sqrt(d @ d)
     if beta == 0.0:
-        return LsqrReport(x, 0, 0.0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
+        return LsqrReport(x, 0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
     u = d / beta
     v = M.apply_adjoint(u)
     project(v)
     alfa = math.sqrt(v @ v)
     if alfa == 0.0:
-        return LsqrReport(x, 0, 0.0, beta, "exact_breakdown", 0.0, np.array([beta]))
+        return LsqrReport(x, 0, 0.0, "exact_breakdown", 0.0, np.array([beta]))
     v /= alfa
     w = v.copy()
 
     rhobar, phibar = alfa, beta
     anorm2 = alfa * alfa
-    rnorm = beta
     history = [beta]
     itn = 0
     stop = None
@@ -83,7 +82,7 @@ def textbook_lsqr(M, d, cfg=None, *, Q=None) -> LsqrReport:
         history.append(rnorm)
         if exact:
             stop = "exact_breakdown"
-        elif backward_error <= cfg.tol:
+        elif backward_error <= tol:
             stop = "backward_error"
         if stop is not None:
             break
@@ -92,7 +91,6 @@ def textbook_lsqr(M, d, cfg=None, *, Q=None) -> LsqrReport:
         solution=x,
         iterations=itn,
         final_backward_error=backward_error,
-        residual_norm=rnorm,
         stop_reason=stop or "max_iters",
         operator_norm_estimate=math.sqrt(anorm2),
         residual_history=np.array(history),
