@@ -12,7 +12,6 @@ Example:
 
 import argparse
 import sys
-from pathlib import Path
 
 from krylreg.harness import ExperimentSpec, emit_csv, emit_summary_csv, run_experiment
 
@@ -37,8 +36,7 @@ def main() -> int:
         psf_sigma=args.psf_sigma,
     )
     records = run_experiment(spec)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = args.out
     emit_csv(records, f"{out}.csv")
     emit_summary_csv(records, f"{out}.summary.csv")
     for rec in records:

@@ -12,7 +12,6 @@ Example:
 
 import argparse
 import sys
-from pathlib import Path
 
 from krylreg.harness import ExperimentSpec, emit_csv, emit_json, emit_summary_csv, run_experiment
 
@@ -34,8 +33,7 @@ def main() -> int:
     if args.include_krylov_baselines:
         methods = ["cgme", "tcgme", *methods]
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = args.out
     all_records = []
     for problem in PROBLEMS:
         spec = ExperimentSpec(

@@ -44,7 +44,6 @@ from .operators import (
     KroneckerBlurOperator,
     LinearOperator,
     LowerToeplitzOperator,
-    OperatorShape,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
     SymmetricSemiseparableOperator,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import LinearOperator, _as_vector
+from .operators import LinearOperator, _as_vector, _is_int
 
 __all__ = [
     "GolubKahanBreakdown",
@@ -61,8 +61,8 @@ class _ColumnBlock:
 
     __slots__ = ("_buf", "count")
 
-    def __init__(self, dim: int, capacity: int = 32):
-        self._buf = np.empty((dim, capacity), order="F")
+    def __init__(self, dim: int):
+        self._buf = np.empty((dim, 32), order="F")
         self.count = 0
 
     def append(self, col: np.ndarray) -> None:
@@ -166,8 +166,10 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
     """Advance the process by ``steps`` steps, mutating ``state``.
 
     Raises :class:`GolubKahanBreakdown` on exact termination; completed
-    steps remain available on the state.
+    steps remain available on the state.  ``steps`` is an integer >= 0.
     """
+    if not _is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if state.breakdown_step is not None:
         raise GolubKahanBreakdown(
             state.breakdown_step,

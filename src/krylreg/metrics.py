@@ -28,15 +28,13 @@ _COND_FLOOR_SCALE = 1e-14
 
 @dataclass(frozen=True)
 class ErrorCurve:
-    """Summary of a relative-error sequence over outer indices ``ks``.
+    """Where a relative-error sequence over outer indices is smallest.
 
-    ``best_k`` is the argmin (smallest index on ties);
-    ``interior_minimum`` flags semi-convergence: the argmin is strictly
-    between the first and last index.
+    ``best_k`` is the argmin's index (smallest on ties) and ``best_error``
+    its error; ``interior_minimum`` flags semi-convergence: the argmin is
+    strictly between the first and last index.
     """
 
-    ks: tuple[int, ...]
-    rel_errors: tuple[float, ...]
     best_k: int
     best_error: float
     interior_minimum: bool
@@ -65,10 +63,6 @@ def relative_error(L: LinearOperator, x, x_true) -> float:
     return float(np.linalg.norm(L.apply(x - x_true)) / denom)
 
 
-def _spectral_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
     """Gaps ``|A - (rank-k approximation)|`` for the CGME, TCGME and
     LSQR projections, by explicit dense assembly (oracle only).
@@ -86,9 +80,9 @@ def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
     Q_k1 = state.Q_cols(k + 1)
     U, s, Vt = np.linalg.svd(B_kp1)
     C_k = (U[:, :k] * s[:k]) @ Vt.T[:, :k].T
-    gamma_cgme = _spectral_norm(dense - P_k @ bidiagonal(state, k, k) @ Q_k.T)
-    gamma_tcgme = _spectral_norm(dense - P_k1 @ C_k @ Q_k1.T)
-    gamma_lsqr = _spectral_norm(dense - P_k1 @ B_kplus @ Q_k.T)
+    gamma_cgme = float(np.linalg.norm(dense - P_k @ bidiagonal(state, k, k) @ Q_k.T, 2))
+    gamma_tcgme = float(np.linalg.norm(dense - P_k1 @ C_k @ Q_k1.T, 2))
+    gamma_lsqr = float(np.linalg.norm(dense - P_k1 @ B_kplus @ Q_k.T, 2))
     theta_min = float(np.linalg.svd(B_kplus, compute_uv=False)[-1])
     return GammaGapReport(
         k=k,
@@ -145,8 +139,6 @@ def analyze_curve(rel_errors, ks=None) -> ErrorCurve:
             raise ValueError("ks and rel_errors must have equal length")
     best_pos = int(np.argmin(errors))
     return ErrorCurve(
-        ks=ks,
-        rel_errors=errors,
         best_k=ks[best_pos],
         best_error=errors[best_pos],
         interior_minimum=0 < best_pos < len(errors) - 1,

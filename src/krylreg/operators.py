@@ -14,14 +14,11 @@ across threads; ``apply``/``apply_adjoint`` allocate their own buffers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DimensionMismatch",
     "OrthonormalityError",
-    "OperatorShape",
     "LinearOperator",
     "DenseOperator",
     "SymmetricSemiseparableOperator",
@@ -58,21 +55,6 @@ def check_orthonormal(Q: np.ndarray, first: int = 0) -> None:
         raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
 
 
-@dataclass(frozen=True)
-class OperatorShape:
-    """Dimensions of an ``m x n`` operator."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"operator shape must be at least 1x1, got {self.rows}x{self.cols}")
-
-    def __iter__(self):
-        return iter((self.rows, self.cols))
-
-
 def _as_vector(v, length: int, what: str) -> np.ndarray:
     vec = np.asarray(v, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != length:
@@ -99,23 +81,23 @@ def _is_real(value) -> bool:
 class LinearOperator:
     """Abstract ``m x n`` real linear map.
 
-    Subclasses set ``self._shape`` and implement ``_apply``/``_adjoint``
-    on validated float64 vectors, and ``frobenius_norm`` exactly.
+    Subclasses call ``LinearOperator.__init__(rows, cols)``, which rejects
+    a shape below ``1 x 1``, and implement ``_apply``/``_adjoint`` on
+    validated float64 vectors, and ``frobenius_norm`` exactly.
     """
 
-    _shape: OperatorShape
-
-    @property
-    def shape(self) -> OperatorShape:
-        return self._shape
+    def __init__(self, rows: int, cols: int) -> None:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"operator shape must be at least 1x1, got {rows}x{cols}")
+        self._rows, self._cols = rows, cols
 
     @property
     def rows(self) -> int:
-        return self._shape.rows
+        return self._rows
 
     @property
     def cols(self) -> int:
-        return self._shape.cols
+        return self._cols
 
     def apply(self, v) -> np.ndarray:
         """Return ``A @ v`` for a length-``cols`` vector ``v``."""
@@ -173,7 +155,7 @@ class DenseOperator(LinearOperator):
             raise ValueError("entries must be finite")
         mat.flags.writeable = False
         self.entries = mat
-        self._shape = OperatorShape(*mat.shape)
+        super().__init__(*mat.shape)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return self.entries @ v
@@ -197,7 +179,7 @@ class SymmetricSemiseparableOperator(LinearOperator):
         self.p, self.q = _finite_array(p, "p", 1), _finite_array(q, "q", 1)
         if self.q.shape != self.p.shape:
             raise ValueError("generators p and q must have equal lengths")
-        self._shape = OperatorShape(self.p.size, self.p.size)
+        super().__init__(self.p.size, self.p.size)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         out = self.q * np.cumsum(self.p * v)
@@ -218,7 +200,7 @@ class LowerToeplitzOperator(LinearOperator):
 
     def __init__(self, kernel) -> None:
         self.kernel = _finite_array(kernel, "kernel", 1)
-        self._shape = OperatorShape(self.kernel.size, self.kernel.size)
+        super().__init__(self.kernel.size, self.kernel.size)
         self._fft_len = 1 << (2 * self.cols - 2).bit_length()
         self._kernel_hat = np.fft.rfft(self.kernel, self._fft_len)
 
@@ -237,7 +219,7 @@ class IdentityOperator(LinearOperator):
     """The ``n x n`` identity."""
 
     def __init__(self, n: int) -> None:
-        self._shape = OperatorShape(n, n)
+        super().__init__(n, n)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return v.copy()
@@ -255,7 +237,7 @@ class FirstDifferenceOperator(LinearOperator):
         if n < 2:
             raise ValueError("first-difference operator needs n >= 2")
         self.n = n
-        self._shape = OperatorShape(n - 1, n)
+        super().__init__(n - 1, n)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return v[:-1] - v[1:]
@@ -285,7 +267,7 @@ class Stacked2DDifferenceOperator(LinearOperator):
             raise ValueError("2-D difference operator needs grid_side >= 2")
         self.grid_side = grid_side
         n = grid_side
-        self._shape = OperatorShape(2 * n * (n - 1), n * n)
+        super().__init__(2 * n * (n - 1), n * n)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         n = self.grid_side
@@ -334,7 +316,7 @@ class KroneckerBlurOperator(LinearOperator):
         self.left_factor = left
         self.right_factor = right
         n2 = left.shape[0] ** 2
-        self._shape = OperatorShape(n2, n2)
+        super().__init__(n2, n2)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         xt = v.reshape(self.left_factor.shape)  # X^T

@@ -54,7 +54,8 @@ _MIN_N = 8
 
 @dataclass
 class ProblemInstance:
-    """One noisy inverse problem: operator, regularizer, truth, data."""
+    """One noisy inverse problem: operator ``A``, regularizer ``L``, truth and
+    data.  The regularizer kind and blur width that built them are not kept."""
 
     name: str
     A: LinearOperator
@@ -65,8 +66,6 @@ class ProblemInstance:
     epsilon: float
     seed: int
     size: int = 0
-    L_kind: str = "first_diff_1d"
-    psf_sigma: float | None = None
 
 
 def _check_n(n: int, name: str, even: bool = False) -> None:
@@ -262,16 +261,14 @@ def build_problem(
         if kind == "first_diff_2d":
             raise ValueError(f"first_diff_2d regularizer does not apply to 1-D problem {name!r}")
         L = make_L(kind, size)
-        sigma = None
     elif name == "blur2d":
         A, x_true, b_true = gen_blur2d(size, psf_sigma)
         kind = L_kind or "first_diff_2d"
         L = make_L(kind, size if kind == "first_diff_2d" else size * size)
-        sigma = psf_sigma
     else:
         raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     b = add_noise(b_true, epsilon, seed)
     return ProblemInstance(
         name=name, A=A, L=L, x_true=x_true, b_true=b_true, b=b,
-        epsilon=epsilon, seed=seed, size=size, L_kind=kind, psf_sigma=sigma,
+        epsilon=epsilon, seed=seed, size=size,
     )

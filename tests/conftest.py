@@ -11,12 +11,29 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
+from krylreg.operators import DenseOperator
+from krylreg.problems import ProblemInstance, add_noise, make_L
+
 
 def random_orthonormal(n: int, k: int, seed: int = 0) -> np.ndarray:
     """Orthonormal n x k block from a seeded Gaussian QR."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):
+    """baart's kernel ``exp(s cos t)`` on ``m`` midpoints ``s`` in
+    ``[0, pi/2]`` and ``n`` midpoints ``t`` in ``[0, pi]``: an ``m x n`` ``A``."""
+    s = (np.arange(1, m + 1) - 0.5) * ((np.pi / 2) / m)
+    t = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
+    A = DenseOperator((np.pi / n) * np.exp(np.multiply.outer(s, np.cos(t))))
+    x_true = np.sin(t)
+    b_true = A.apply(x_true)
+    return ProblemInstance(
+        name="baart-rect", A=A, L=make_L(L_kind, n), x_true=x_true, b_true=b_true,
+        b=add_noise(b_true, eps, seed), epsilon=eps, seed=seed, size=n,
+    )
 
 
 @pytest.fixture

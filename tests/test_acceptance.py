@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+from conftest import rectangular_baart
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
@@ -18,6 +19,7 @@ from krylreg.problems import add_noise, build_problem, gen_shaw, make_L
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 SEED = 20240101  # documented reproduction seed
+RECTANGULAR = ((120, 80), (80, 120))  # tall and wide A for criteria 2 and 3
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -68,8 +70,9 @@ def test_criterion_2_rank_k_gap_orderings():
     slack = 1e-10
     ok = True
     details = []
-    for name in ("shaw", "heat"):
-        problem = build_problem(name, 64, 1e-2, SEED)
+    cases = [(f"{name}(64)", build_problem(name, 64, 1e-2, SEED)) for name in ("shaw", "heat")]
+    cases += [(f"baart({m}x{n})", rectangular_baart(m, n, "first_diff_1d", seed=SEED)) for m, n in RECTANGULAR]
+    for label, problem in cases:
         state = bidiag_init(problem.A, problem.b)
         reached = extend_until(state, problem.A, 17)
         kmax = min(15, reached - 2)
@@ -82,15 +85,16 @@ def test_criterion_2_rank_k_gap_orderings():
             ok &= reports[k + 1].gamma_cgme < g.gamma_cgme + slack
             ok &= g.gamma_tcgme <= g.theta_min + reports[k + 1].gamma_cgme + slack
             prev_lsqr = g.gamma_lsqr
-        details.append(f"{name}(64) k=1..{kmax}")
+        details.append(f"{label} k=1..{kmax}")
     report("criterion-2 rank-k gap orderings", ok, "; ".join(details))
 
 
 def test_criterion_3_closed_form_equivalence():
     tight = 1e-10
     worst = 0.0
-    for name in ("shaw", "deriv2"):
-        problem = build_problem(name, 200, 1e-2, SEED)
+    problems = [build_problem(name, 200, 1e-2, SEED) for name in ("shaw", "deriv2")]
+    problems += [rectangular_baart(m, n, "first_diff_1d", seed=SEED) for m, n in RECTANGULAR]
+    for problem in problems:
         Ldense = problem.L.to_dense()
         state = bidiag_init(problem.A, problem.b)
         extend_until(state, problem.A, 11)
@@ -102,14 +106,14 @@ def test_criterion_3_closed_form_equivalence():
                 it = step(state, problem.L, k, tight)
                 x_k = krylov(state, k)
                 Q = state.Q_cols(cols)
-                M = Ldense @ (np.eye(200) - Q @ Q.T)
+                M = Ldense @ (np.eye(problem.A.cols) - Q @ Q.T)
                 oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ldense @ x_k)
                 dev = np.linalg.norm(it.x_L - oracle) / np.linalg.norm(oracle)
                 worst = max(worst, dev)
     report(
         "criterion-3 closed-form equivalence",
         worst <= 1e-5,
-        f"max rel deviation {worst:.2e} (shaw/deriv2 n=200, k in {{2,5,10}})",
+        f"max rel deviation {worst:.2e} (shaw/deriv2 n=200, baart 120x80/80x120, k in {{2,5,10}})",
     )
 
 

@@ -59,6 +59,17 @@ def test_extend_after_breakdown_refused():
         bidiag_extend(state, A, 1)
 
 
+@pytest.mark.parametrize("steps", [-3, 2.5, True, "2", None])
+def test_extend_rejects_a_step_count_that_is_not_a_non_negative_integer(steps):
+    A = DenseOperator(np.diag([1.0, 2.0, 3.0]))
+    state = bidiag_init(A, [2.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="steps must be a non-negative integer"):
+        bidiag_extend(state, A, steps)
+    assert state.k == 0 and state.betas == [3.0]
+    assert bidiag_extend(state, A, 0).k == 0  # zero steps change nothing
+    assert bidiag_extend(state, A, np.int64(1)).k == 1
+
+
 def test_first_alpha_on_diagonal_example():
     A = DenseOperator(np.diag([2.0, 1.0]))
     b = np.array([1.0, 1.0]) / np.sqrt(2.0)

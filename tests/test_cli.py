@@ -36,6 +36,21 @@ def test_run_writes_all_outputs(tmp_path):
     assert payload[0]["method"] == "hyb_cgme"
 
 
+def test_run_creates_missing_output_directories(tmp_path):
+    out = tmp_path / "new" / "dir" / "shaw"
+    proc = run_cli("run", "--problem", "shaw", "--n", "64", "--eps", "0.01", "--method", "cgme",
+                   "--max-k", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.parent.iterdir()) == ["shaw.csv", "shaw.json", "shaw.summary.csv"]
+
+
+def test_verify_creates_missing_output_directories(tmp_path):
+    out = tmp_path / "new" / "dir" / "verify.csv"
+    proc = run_cli("verify", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert out.read_text().startswith("method,problem,epsilon,best_k,best_error,total_wall_ms\n")
+
+
 def test_run_accepts_config_file(tmp_path):
     config = tmp_path / "spec.json"
     config.write_text(

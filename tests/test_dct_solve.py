@@ -171,7 +171,7 @@ def centered_blur_problem(side: int = 8) -> ProblemInstance:
     b = b_true + 1e-2 * np.linalg.norm(b_true) * np.random.default_rng(3).standard_normal(n) / np.sqrt(n)
     return ProblemInstance(
         name="centered-blur", A=A, L=Stacked2DDifferenceOperator(side), x_true=x_true,
-        b_true=b_true, b=b, epsilon=1e-2, seed=3, size=side, L_kind="first_diff_2d",
+        b_true=b_true, b=b, epsilon=1e-2, seed=3, size=side,
     )
 
 

@@ -4,6 +4,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import rectangular_baart
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.hybrid import (
@@ -16,7 +17,7 @@ from krylreg.hybrid import (
 from krylreg.hybrid import METHODS
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
-from krylreg.problems import ProblemInstance, add_noise, build_problem, make_L
+from krylreg.problems import ProblemInstance, build_problem
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 TIGHT = 1e-10
@@ -279,7 +280,7 @@ def beta_breakdown_problem():
     b = A.apply(x_true)
     return ProblemInstance(
         name="custom", A=A, L=IdentityOperator(2), x_true=x_true,
-        b_true=b, b=b, epsilon=0.0, seed=0, size=2, L_kind="identity",
+        b_true=b, b=b, epsilon=0.0, seed=0, size=2,
     )
 
 
@@ -440,20 +441,6 @@ def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
     for method in ("cgme", "hyb_cgme"):
         assert sweeps[method].error is None
         assert ks(sweeps[method]) == [1, 2, 3, 4]
-
-
-def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):
-    """baart's kernel ``exp(s cos t)`` on ``m`` midpoints ``s`` in
-    ``[0, pi/2]`` and ``n`` midpoints ``t`` in ``[0, pi]``: an ``m x n`` ``A``."""
-    s = (np.arange(1, m + 1) - 0.5) * ((np.pi / 2) / m)
-    t = (np.arange(1, n + 1) - 0.5) * (np.pi / n)
-    A = DenseOperator((np.pi / n) * np.exp(np.multiply.outer(s, np.cos(t))))
-    x_true = np.sin(t)
-    b_true = A.apply(x_true)
-    return ProblemInstance(
-        name="baart-rect", A=A, L=make_L(L_kind, n), x_true=x_true, b_true=b_true,
-        b=add_noise(b_true, eps, seed), epsilon=eps, seed=seed, size=n, L_kind=L_kind,
-    )
 
 
 @pytest.mark.parametrize("m,n", [(120, 80), (80, 120)])

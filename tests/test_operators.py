@@ -12,7 +12,6 @@ from krylreg.operators import (
     KroneckerBlurOperator,
     LinearOperator,
     LowerToeplitzOperator,
-    OperatorShape,
     OrthonormalityError,
     Stacked2DDifferenceOperator,
     SymmetricSemiseparableOperator,
@@ -24,10 +23,15 @@ from conftest import random_orthonormal
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        OperatorShape(0, 3)
-    rows, cols = OperatorShape(4, 3)
-    assert (rows, cols) == (4, 3)
+    for empty in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            DenseOperator(np.zeros(empty))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        IdentityOperator(0)
+    A = DenseOperator(np.zeros((4, 3)))
+    assert (A.rows, A.cols) == (4, 3)
+    with pytest.raises(AttributeError):
+        A.rows = 5
 
 
 def test_first_difference_apply_examples():
@@ -87,7 +91,7 @@ def test_dense_adopt_runs_the_constructor_checks():
         DenseOperator._adopt(np.array([[1.0, np.inf]]))
     mat = np.ones((2, 3))
     A = DenseOperator._adopt(mat)
-    assert A.entries is mat and A.shape == OperatorShape(2, 3)
+    assert A.entries is mat and (A.rows, A.cols) == (2, 3)
 
 
 def test_kronecker_blur_rejects_nonfinite():
@@ -271,7 +275,7 @@ def test_stacked_2d_difference_matches_kronecker(N):
     op = Stacked2DDifferenceOperator(N)
     D = _first_difference_dense(N)
     dense = np.vstack([np.kron(np.eye(N), D), np.kron(D, np.eye(N))])
-    assert op.shape.rows == 2 * N * (N - 1)
+    assert op.rows == 2 * N * (N - 1)
     np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)
     u = np.random.default_rng(N).standard_normal(op.rows)
     np.testing.assert_allclose(op.apply_adjoint(u), dense.T @ u, atol=1e-12)
@@ -297,7 +301,8 @@ def test_frobenius_norms_exact_paths(rng):
 
 def test_operator_without_exact_frobenius_norm_raises():
     class Opaque(LinearOperator):
-        _shape = OperatorShape(3, 3)
+        def __init__(self):
+            super().__init__(3, 3)
 
         def _apply(self, v):
             return 2.0 * v

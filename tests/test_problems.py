@@ -245,7 +245,7 @@ def test_with_noise_equals_a_fresh_build(name, size):
     assert moved.A is base.A and moved.L is base.L
     for attr in ("b", "b_true", "x_true"):
         np.testing.assert_array_equal(getattr(moved, attr), getattr(fresh, attr))
-    fields = ("name", "size", "epsilon", "seed", "L_kind", "psf_sigma")
+    fields = ("name", "size", "epsilon", "seed")
     assert [getattr(moved, f) for f in fields] == [getattr(fresh, f) for f in fields]
 
 
