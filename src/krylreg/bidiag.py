@@ -96,12 +96,13 @@ class BidiagState:
     ``P``, ``Q`` and their leading blocks are F-contiguous views; they and
     the coefficient lists are the recurrence's own storage (do not mutate).
 
-    Single writer: :func:`bidiag_extend` mutates; reads are safe once an
-    extension has returned.
+    ``A`` is kept for :func:`bidiag_extend`, the single writer; reads are
+    safe once an extension has returned.
     """
 
-    def __init__(self, p_block: _ColumnBlock, q_block: _ColumnBlock,
+    def __init__(self, A: LinearOperator, p_block: _ColumnBlock, q_block: _ColumnBlock,
                  alphas: list[float], betas: list[float], breakdown_tol: float):
+        self.A = A
         self._p = p_block
         self._q = q_block
         self.alphas = alphas
@@ -151,7 +152,7 @@ def bidiag_init(A: LinearOperator, b) -> BidiagState:
     p.append(b / beta1)
     q = _ColumnBlock(A.cols)
     tol = BREAKDOWN_SCALE * A.frobenius_norm()
-    return BidiagState(p, q, [], [beta1], tol)
+    return BidiagState(A, p, q, [], [beta1], tol)
 
 
 def _reorthogonalize(r: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -162,8 +163,8 @@ def _reorthogonalize(r: np.ndarray, block: np.ndarray) -> np.ndarray:
     return r
 
 
-def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagState:
-    """Advance the process by ``steps`` steps, mutating ``state``.
+def bidiag_extend(state: BidiagState, steps: int) -> BidiagState:
+    """Advance the process on ``state.A`` by ``steps`` steps, mutating ``state``.
 
     Raises :class:`GolubKahanBreakdown` on exact termination; completed
     steps remain available on the state.  ``steps`` is an integer >= 0.
@@ -177,7 +178,7 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
         )
     for _ in range(steps):
         j = state.k + 1
-        r = A.apply_adjoint(state._p.last())
+        r = state.A.apply_adjoint(state._p.last())
         if j >= 2:
             r -= state.betas[j - 1] * state._q.last()
         if state._q.count:
@@ -189,7 +190,7 @@ def bidiag_extend(state: BidiagState, A: LinearOperator, steps: int) -> BidiagSt
         qj = r / alpha
         state._q.append(qj)
         state.alphas.append(alpha)
-        s = A.apply(qj) - alpha * state._p.last()
+        s = state.A.apply(qj) - alpha * state._p.last()
         s = _reorthogonalize(s, state._p.view())
         beta = float(np.linalg.norm(s))
         state.betas.append(beta)

@@ -19,7 +19,7 @@ from . import bidiag, metrics, problems, solvers
 from .hybrid import RunRecord, RunRow, _check_sweep, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import lsqr_solve
 from .operators import DenseOperator, _is_int, _is_real
-from .problems import _MIN_N, L_KINDS, PROBLEM_NAMES, _check_psf_sigma, build_problem, with_noise
+from .problems import _check_request, build_problem, with_noise
 
 __all__ = [
     "ExperimentSpec",
@@ -43,8 +43,7 @@ class ExperimentSpec:
     """One experiment: a problem, a list of noise levels, and methods.
 
     Every field is validated here, so a bad value fails once, before any
-    run, instead of once per run.  Only the per-generator size rules
-    (shaw and heat need an even size) are left to the problem build.
+    run, instead of once per run.
     """
 
     problem: str
@@ -58,8 +57,7 @@ class ExperimentSpec:
     psf_sigma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
+        _check_request(self.problem, self.size, self.L_kind, self.psf_sigma)
         for name, value in (("epsilons", self.epsilons), ("methods", self.methods)):
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
@@ -69,15 +67,8 @@ class ExperimentSpec:
                 raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
         if not self.epsilons:
             raise ValueError("no noise levels given")
-        if not _is_int(self.size) or self.size < _MIN_N:
-            raise ValueError(f"size must be an integer >= {_MIN_N}, got {self.size!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.L_kind is not None and self.L_kind not in L_KINDS:
-            raise ValueError(f"unknown L_kind {self.L_kind!r}; expected one of {L_KINDS}")
-        if self.L_kind == "first_diff_2d" and self.problem != "blur2d":
-            raise ValueError(f"L_kind first_diff_2d does not apply to 1-D problem {self.problem!r}")
-        _check_psf_sigma(self.psf_sigma)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -124,7 +115,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRecord]:
         error = build_error
         if base is not None:
             try:
-                records.extend(run_hybrid(with_noise(base, epsilon, spec.seed), spec.methods,
+                records.extend(run_hybrid(with_noise(base, epsilon), spec.methods,
                                           max_outer_k=spec.max_outer_k, inner_tol=spec.inner_tol).values())
                 continue
             except Exception as exc:
@@ -217,17 +208,17 @@ def _krylov_state(A, b, steps: int) -> bidiag.BidiagState:
     after the last step before a breakdown."""
     state = bidiag.bidiag_init(A, b)
     try:
-        bidiag.bidiag_extend(state, A, steps)
+        bidiag.bidiag_extend(state, steps)
     except bidiag.GolubKahanBreakdown:
         pass
     return state
 
 
-def _bidiag_recurrence_check(A: DenseOperator, state: bidiag.BidiagState) -> VerificationCheck:
+def _bidiag_recurrence_check(state: bidiag.BidiagState) -> VerificationCheck:
     k = state.k
     B_k, B_kplus = bidiag.bidiagonal(state, k, k), bidiag.bidiagonal(state, k + 1, k)
-    fro = A.frobenius_norm()
-    dense = A.entries
+    fro = state.A.frobenius_norm()
+    dense = state.A.entries
     res1 = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro")
     res2 = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro")
     orth = max(
@@ -242,12 +233,12 @@ def _bidiag_recurrence_check(A: DenseOperator, state: bidiag.BidiagState) -> Ver
     )
 
 
-def _gap_ordering_check(A: DenseOperator, state: bidiag.BidiagState) -> VerificationCheck:
+def _gap_ordering_check(state: bidiag.BidiagState) -> VerificationCheck:
     kmax = 12
-    reports = {k: metrics.gamma_gaps(A, state, k) for k in range(1, kmax + 1)}
+    reports = {k: metrics.gamma_gaps(state, k) for k in range(1, kmax + 1)}
     slack = 1e-10
     ok = True
-    prev_lsqr = float(np.linalg.norm(A.entries, 2))
+    prev_lsqr = float(np.linalg.norm(state.A.entries, 2))
     for k in range(1, kmax + 1):
         g = reports[k]
         ok &= g.gamma_lsqr < g.gamma_cgme + slack
@@ -326,7 +317,7 @@ def _semi_convergence_check(seed: int) -> tuple[VerificationCheck, list[RunRecor
         and tc.best_error <= 0.5
     )
     if ok:
-        curve = metrics.analyze_curve([r.rel_error for r in tc.rows], ks=[r.k for r in tc.rows])
+        curve = metrics.analyze_curve([r.rel_error for r in tc.rows])
         ok = curve.interior_minimum
     detail = f"tcgme best={tc.best_error}(k={tc.best_k}) cgme best={cg.best_error}"
     return _check("semi-convergence-trend", ok, detail), records
@@ -344,8 +335,8 @@ def verification_suite(seed: int = 20240101) -> tuple[list[VerificationCheck], l
     A, _, b_true = problems.gen_shaw(64)
     shaw = _krylov_state(A, problems.add_noise(b_true, 1e-2, 7), 30)
     checks = [
-        _bidiag_recurrence_check(A, shaw),
-        _gap_ordering_check(A, shaw),
+        _bidiag_recurrence_check(shaw),
+        _gap_ordering_check(shaw),
         _identity_collapse_check(),
         _condition_monotonicity_check(),
         _lsqr_pinv_check(),

@@ -18,14 +18,14 @@ its backward error, its inner iterations and whether it hit its cap; a link
 that cannot vouch for its answer raises ``DirectSolveRejected``, and the
 step falls to the next link and records why in ``RunRecord.fallbacks``.
 
-- ``L = I`` starts with :class:`IdentitySolver`: every Krylov iterate lies
-  in range(Q), so ``x_k`` is already the minimum-norm point of
-  ``Q^T x = Q^T x_k`` and the hybrid iterate is its plain method's;
+- ``L = I`` is :class:`IdentitySolver` alone, which never rejects: every
+  Krylov iterate lies in range(Q), so ``x_k`` is already the minimum-norm
+  point of ``Q^T x = Q^T x_k`` and the hybrid iterate is its plain method's;
 - ``first_diff_2d`` starts with the exact direct solve of
   :mod:`krylreg.dct_solve`, one per sweep and shared by both hybrids;
   like the identity link it runs no inner iterations and ignores the
   LSQR tolerance;
-- every chain ends in :class:`LsqrSolver`, LSQR on ``L`` over ``null(Q^T)``
+- the other chains end in :class:`LsqrSolver`, LSQR on ``L`` over ``null(Q^T)``
   (:func:`lsqr_solve` with ``Q``), which applies ``L``, ``L^T`` and the
   projector once per iteration and never forms ``L (I - Q Q^T)``.  From
   the zero vector it returns the minimum-norm solution that the
@@ -189,9 +189,9 @@ class LsqrSolver:
 def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
     """Fresh inner solvers for one sweep with regularizer ``L``, in the
     order they are tried: an exact solver when ``L`` has structure one
-    exploits, then always :class:`LsqrSolver` with tolerance ``inner_tol``."""
+    exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects."""
     if isinstance(L, IdentityOperator):
-        return IdentitySolver(), LsqrSolver(L, inner_tol)
+        return (IdentitySolver(),)
     if isinstance(L, Stacked2DDifferenceOperator):
         return Difference2DSolver(L), LsqrSolver(L, inner_tol)
     return (LsqrSolver(L, inner_tol),)
@@ -273,7 +273,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
         while state.k < target and failure is None:
             t0 = time.perf_counter()
             try:
-                bidiag_extend(state, problem.A, 1)
+                bidiag_extend(state, 1)
             except GolubKahanBreakdown as exc:
                 # without its traceback, which would tie this frame (the
                 # problem, the state) into a cycle only the garbage
@@ -332,7 +332,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
         record.total_wall_ms = sum(row.wall_ms for row in record.rows)
         if record.rows:
             try:
-                curve = analyze_curve([r.rel_error for r in record.rows], ks=[r.k for r in record.rows])
+                curve = analyze_curve([r.rel_error for r in record.rows])
             except ValueError as exc:
                 record.error = f"ValueError: {exc}"
                 continue

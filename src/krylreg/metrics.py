@@ -30,7 +30,7 @@ _COND_FLOOR_SCALE = 1e-14
 class ErrorCurve:
     """Where a relative-error sequence over outer indices is smallest.
 
-    ``best_k`` is the argmin's index (smallest on ties) and ``best_error``
+    ``best_k`` is the 1-based argmin (smallest on ties) and ``best_error``
     its error; ``interior_minimum`` flags semi-convergence: the argmin is
     strictly between the first and last index.
     """
@@ -63,12 +63,13 @@ def relative_error(L: LinearOperator, x, x_true) -> float:
     return float(np.linalg.norm(L.apply(x - x_true)) / denom)
 
 
-def gamma_gaps(A: LinearOperator, state: BidiagState, k: int) -> GammaGapReport:
-    """Gaps ``|A - (rank-k approximation)|`` for the CGME, TCGME and
-    LSQR projections, by explicit dense assembly (oracle only).
+def gamma_gaps(state: BidiagState, k: int) -> GammaGapReport:
+    """Gaps ``|A - (rank-k approximation)|`` of ``A = state.A`` for the
+    CGME, TCGME and LSQR projections, by explicit dense assembly (oracle only).
 
     Requires ``state.k >= k + 1`` so the square ``(k+1)`` block exists.
     """
+    A = state.A
     if A.rows * A.cols > MAX_DENSE_ENTRIES:
         raise ValueError(f"gamma-gap oracle refuses matrices with {A.rows * A.cols} entries")
     B_kp1 = bidiagonal(state, k + 1, k + 1)
@@ -120,26 +121,20 @@ def projected_condition(L: LinearOperator, Q) -> float:
     return float(svals[0] / svals[-1])
 
 
-def analyze_curve(rel_errors, ks=None) -> ErrorCurve:
-    """Locate the best index of a relative-error sequence.
+def analyze_curve(rel_errors) -> ErrorCurve:
+    """Locate the best ``k`` of relative errors at ``k = 1..len(rel_errors)``.
 
-    ``ks`` defaults to ``1..len(rel_errors)``.  Ties resolve to the
-    smallest index (the cheaper solution).  Every error must be finite.
+    Ties resolve to the smallest ``k`` (the cheaper solution).  Every
+    error must be finite.
     """
     errors = tuple(float(e) for e in rel_errors)
     if not errors:
         raise ValueError("cannot analyze an empty error sequence")
     if not np.all(np.isfinite(errors)):
         raise ValueError(f"relative errors must be finite, got {errors}")
-    if ks is None:
-        ks = tuple(range(1, len(errors) + 1))
-    else:
-        ks = tuple(int(k) for k in ks)
-        if len(ks) != len(errors):
-            raise ValueError("ks and rel_errors must have equal length")
     best_pos = int(np.argmin(errors))
     return ErrorCurve(
-        best_k=ks[best_pos],
+        best_k=best_pos + 1,
         best_error=errors[best_pos],
         interior_minimum=0 < best_pos < len(errors) - 1,
     )

@@ -231,26 +231,24 @@ class IdentityOperator(LinearOperator):
 
 
 class FirstDifferenceOperator(LinearOperator):
-    """Forward first-difference matrix: ``(n-1) x n`` with rows (1, -1)."""
+    """Forward first-difference matrix: ``(n-1) x n`` with rows (1, -1);
+    ``n < 2`` fails the base class's ``1 x 1`` shape check."""
 
     def __init__(self, n: int) -> None:
-        if n < 2:
-            raise ValueError("first-difference operator needs n >= 2")
-        self.n = n
         super().__init__(n - 1, n)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return v[:-1] - v[1:]
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        w = np.empty(self.n)
+        w = np.empty(self.cols)
         np.subtract(u[1:], u[:-1], out=w[1:-1])
         w[0] = u[0]
         w[-1] = -u[-1]
         return w
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(2.0 * (self.n - 1)))
+        return float(np.sqrt(2.0 * (self.cols - 1)))
 
 
 class Stacked2DDifferenceOperator(LinearOperator):
@@ -298,36 +296,31 @@ class Stacked2DDifferenceOperator(LinearOperator):
 
 
 class KroneckerBlurOperator(LinearOperator):
-    """Separable blur ``X -> left @ X @ right^T`` on vectorized images.
+    """Separable blur ``X -> F @ X @ F^T`` on vectorized images, with one
+    square ``factor`` ``F`` along both axes.
 
     Uses column-major vectorization, so the matrix form is
-    ``right kron left`` of shape ``N^2 x N^2``.  The products run on the
-    vector's row-major view ``X^T``: ``vec_F(L X R^T) = vec_C(R X^T L^T)``,
+    ``F kron F`` of shape ``N^2 x N^2``.  The products run on the
+    vector's row-major view ``X^T``: ``vec_F(F X F^T) = vec_C(F X^T F^T)``,
     so no result is copied into column-major order.
     """
 
-    def __init__(self, left_factor, right_factor) -> None:
-        left = _finite_array(left_factor, "left_factor", 2)
-        right = _finite_array(right_factor, "right_factor", 2)
-        if left.shape[0] != left.shape[1]:
-            raise ValueError("left_factor must be square")
-        if right.shape != left.shape:
-            raise ValueError("factors must have identical square shapes")
-        self.left_factor = left
-        self.right_factor = right
-        n2 = left.shape[0] ** 2
+    def __init__(self, factor) -> None:
+        self.factor = _finite_array(factor, "factor", 2)
+        if self.factor.shape[0] != self.factor.shape[1]:
+            raise ValueError("factor must be square")
+        n2 = self.factor.shape[0] ** 2
         super().__init__(n2, n2)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        xt = v.reshape(self.left_factor.shape)  # X^T
-        return (self.right_factor @ xt @ self.left_factor.T).ravel()
+        xt = v.reshape(self.factor.shape)  # X^T
+        return (self.factor @ xt @ self.factor.T).ravel()
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        xt = u.reshape(self.left_factor.shape)
-        return (self.right_factor.T @ xt @ self.left_factor).ravel()
+        xt = u.reshape(self.factor.shape)
+        return (self.factor.T @ xt @ self.factor).ravel()
 
     def frobenius_norm(self) -> float:
-        return float(
-            np.linalg.norm(self.left_factor, "fro")
-            * np.linalg.norm(self.right_factor, "fro")
-        )
+        # |F kron F|_F = |F|_F^2, which scales the Golub-Kahan breakdown threshold
+        norm = np.linalg.norm(self.factor, "fro")
+        return float(norm * norm)

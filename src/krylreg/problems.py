@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _MIN_N = 8
+_EVEN_SIZES = ("shaw", "heat")
 
 
 @dataclass
@@ -65,14 +66,14 @@ class ProblemInstance:
     b: np.ndarray
     epsilon: float
     seed: int
-    size: int = 0
+    size: int
 
 
-def _check_n(n: int, name: str, even: bool = False) -> None:
+def _check_n(n: int, name: str) -> None:
     if not _is_int(n) or n < _MIN_N:
-        raise ValueError(f"{name} needs an integer n >= {_MIN_N}, got {n!r}")
-    if even and n % 2 != 0:
-        raise ValueError(f"{name} needs even n, got {n}")
+        raise ValueError(f"{name} size must be an integer >= {_MIN_N}, got {n!r}")
+    if name in _EVEN_SIZES and n % 2 != 0:
+        raise ValueError(f"{name} size must be even, got {n}")
 
 
 def _check_psf_sigma(psf_sigma) -> None:
@@ -88,7 +89,7 @@ def gen_shaw(n: int) -> tuple[DenseOperator, np.ndarray, np.ndarray]:
     ``u = pi (sin s + sin t)`` on ``[-pi/2, pi/2]^2``; true solution a sum
     of two Gaussians.  The midpoint-rule matrix is symmetric.
     """
-    _check_n(n, "shaw", even=True)
+    _check_n(n, "shaw")
     h = np.pi / n
     t = -np.pi / 2 + (np.arange(1, n + 1) - 0.5) * h
     co = np.cos(t)
@@ -149,7 +150,7 @@ def gen_heat(n: int) -> tuple[LowerToeplitzOperator, np.ndarray, np.ndarray]:
     midpoints; true solution is the classic ramp/hump profile supported
     on the first half of the interval.
     """
-    _check_n(n, "heat", even=True)
+    _check_n(n, "heat")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
     A = LowerToeplitzOperator((h / (2.0 * np.sqrt(np.pi))) * t ** (-1.5) * np.exp(-0.25 / t))
@@ -186,7 +187,7 @@ def gen_blur2d(N: int, psf_sigma: float = 2.0) -> tuple[KroneckerBlurOperator, n
     factor = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * psf_sigma**2))
     factor[factor < np.finfo(np.float64).eps] = 0.0
     factor /= factor.sum(axis=1, keepdims=True)
-    A = KroneckerBlurOperator(factor, factor)
+    A = KroneckerBlurOperator(factor)
     x_img = _piecewise_image(N)
     x_true = x_img.ravel(order="F")
     return A, x_true, A.apply(x_true)
@@ -224,11 +225,11 @@ def add_noise(b_true, epsilon: float, seed: int) -> np.ndarray:
     return b_true + e
 
 
-def with_noise(problem: ProblemInstance, epsilon: float, seed: int) -> ProblemInstance:
-    """``problem`` at another noise level: fresh data
+def with_noise(problem: ProblemInstance, epsilon: float) -> ProblemInstance:
+    """``problem`` at another noise level, from its own seed: fresh data
     ``b = add_noise(b_true, epsilon, seed)``, the same (shared) operators
     and truth.  Equal to ``build_problem`` at that level, without a rebuild."""
-    return replace(problem, b=add_noise(problem.b_true, epsilon, seed), epsilon=epsilon, seed=seed)
+    return replace(problem, b=add_noise(problem.b_true, epsilon, problem.seed), epsilon=epsilon)
 
 
 _GENERATORS_1D = {
@@ -239,6 +240,19 @@ _GENERATORS_1D = {
 }
 
 PROBLEM_NAMES = (*_GENERATORS_1D, "blur2d")
+
+
+def _check_request(name: str, size: int, L_kind: str | None, psf_sigma) -> None:
+    """The one check of a problem request, for :func:`build_problem` and
+    ``ExperimentSpec`` alike: name, size, regularizer kind and blur width."""
+    if name not in PROBLEM_NAMES:
+        raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    _check_n(size, name)
+    if L_kind is not None and L_kind not in L_KINDS:
+        raise ValueError(f"unknown L_kind {L_kind!r}; expected one of {L_KINDS}")
+    if L_kind == "first_diff_2d" and name != "blur2d":
+        raise ValueError(f"L_kind first_diff_2d does not apply to 1-D problem {name!r}")
+    _check_psf_sigma(psf_sigma)
 
 
 def build_problem(
@@ -253,20 +267,17 @@ def build_problem(
 
     ``size`` is the vector length for 1-D problems and the image side
     for ``blur2d``.  The default regularizer is the first-difference
-    operator matching the problem dimensionality.
+    operator matching the problem dimensionality.  A bad request raises
+    ``ValueError`` before any work.
     """
+    _check_request(name, size, L_kind, psf_sigma)
     if name in _GENERATORS_1D:
         A, x_true, b_true = _GENERATORS_1D[name](size)
-        kind = L_kind or "first_diff_1d"
-        if kind == "first_diff_2d":
-            raise ValueError(f"first_diff_2d regularizer does not apply to 1-D problem {name!r}")
-        L = make_L(kind, size)
-    elif name == "blur2d":
+        L = make_L(L_kind or "first_diff_1d", size)
+    else:
         A, x_true, b_true = gen_blur2d(size, psf_sigma)
         kind = L_kind or "first_diff_2d"
         L = make_L(kind, size if kind == "first_diff_2d" else size * size)
-    else:
-        raise ValueError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     b = add_noise(b_true, epsilon, seed)
     return ProblemInstance(
         name=name, A=A, L=L, x_true=x_true, b_true=b_true, b=b,

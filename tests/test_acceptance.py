@@ -30,7 +30,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 def extend_until(state, A, target):
     try:
         if state.k < target:
-            bidiag_extend(state, A, target - state.k)
+            bidiag_extend(state, target - state.k)
     except GolubKahanBreakdown:
         pass
     return state.k
@@ -76,7 +76,7 @@ def test_criterion_2_rank_k_gap_orderings():
         state = bidiag_init(problem.A, problem.b)
         reached = extend_until(state, problem.A, 17)
         kmax = min(15, reached - 2)
-        reports = {k: gamma_gaps(problem.A, state, k) for k in range(1, kmax + 2)}
+        reports = {k: gamma_gaps(state, k) for k in range(1, kmax + 2)}
         prev_lsqr = float(np.linalg.norm(problem.A.to_dense(), 2))
         for k in range(1, kmax + 1):
             g = reports[k]
@@ -210,7 +210,7 @@ def test_criterion_7_desk_scale_error_bands():
     baart_tc = run_hybrid(baart, ("hyb_tcgme",), max_outer_k=25)["hyb_tcgme"]
 
     def curve(record):
-        return analyze_curve([row.rel_error for row in record.rows], ks=[row.k for row in record.rows])
+        return analyze_curve([row.rel_error for row in record.rows])
 
     shaw_curve, cg_curve, baart_curve = curve(shaw_tc), curve(shaw_cg), curve(baart_tc)
 

@@ -99,14 +99,15 @@ def test_run_missing_flags_errors_with_json(tmp_path):
 
 def test_run_invalid_problem_errors_with_json(tmp_path):
     proc = run_cli(
-        "run", "--problem", "shaw", "--n", "9", "--eps", "0.01",
+        "run", "--problem", "shaw", "--n", "99", "--eps", "0.01",
         "--method", "cgme", "--out", str(tmp_path / "y"),
     )
-    # generator failure is recorded per-run; all runs failed -> exit 1
+    # an odd shaw size fails the spec's check, before any run or output file
     assert proc.returncode == 1
     err = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert err["error"] == "run failed"
-    assert "even" in err["message"]
+    assert err["error"] == "ValueError"
+    assert err["message"] == "shaw size must be even, got 99"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_output_flag(tmp_path):

@@ -99,15 +99,21 @@ def test_run_experiment_single_record_interior_best():
     assert 0 < best_pos < len(errs) - 1
 
 
-def test_run_experiment_isolates_failures():
-    # size below the generator minimum: the build fails, runs are recorded
+def test_run_experiment_isolates_failures(monkeypatch):
+    # a build that fails past the spec's checks: its runs are recorded
+    import krylreg.harness as harness
+
+    def failing_build(*args, **kwargs):
+        raise MemoryError("no room for the operator")
+
+    monkeypatch.setattr(harness, "build_problem", failing_build)
     spec = ExperimentSpec(
-        problem="shaw", size=9, epsilons=(0.01,), seed=1,
+        problem="shaw", size=64, epsilons=(0.01,), seed=1,
         methods=("cgme", "hyb_cgme"), max_outer_k=3,
     )
     records = run_experiment(spec)
     assert len(records) == 2
-    assert all(rec.error is not None for rec in records)
+    assert all(rec.error == "MemoryError: no room for the operator" for rec in records)
     assert all(not rec.rows for rec in records)
 
 
@@ -151,10 +157,10 @@ def test_run_experiment_keeps_noise_and_method_failures_in_their_runs(monkeypatc
 
     real_noise = harness.with_noise
 
-    def noise(problem, epsilon, seed):
+    def noise(problem, epsilon):
         if epsilon == 0.05:
             raise ValueError("no data at 0.05")
-        return real_noise(problem, epsilon, seed)
+        return real_noise(problem, epsilon)
 
     def broken(state, k):
         raise FloatingPointError("tcgme kernel failed")
@@ -249,7 +255,7 @@ def test_blur2d_end_to_end_through_harness():
     # the LSQR path at a tight tolerance is the reference for the direct solve
     problem = build_problem("blur2d", 16, 0.01, 4, psf_sigma=1.5)
     state = bidiag_init(problem.A, problem.b)
-    bidiag_extend(state, problem.A, 7)
+    bidiag_extend(state, 7)
     steps = {"hyb_cgme": hyb_cgme_step, "hyb_tcgme": hyb_tcgme_step}
     for rec in records:
         assert rec.error is None

@@ -26,7 +26,7 @@ TIGHT = 1e-10
 def prepared(name, n, k_steps, eps=1e-2, seed=21, L_kind="first_diff_1d"):
     problem = build_problem(name, n, eps, seed, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
-    bidiag_extend(state, problem.A, k_steps)
+    bidiag_extend(state, k_steps)
     return problem, state
 
 
@@ -245,7 +245,7 @@ def test_run_hybrid_rejects_duplicate_methods():
 def test_run_hybrid_semi_convergence_on_shaw():
     problem = build_problem("shaw", 1000, 1e-2, 20240101)
     record = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=16)["hyb_tcgme"]
-    curve = analyze_curve(rel_errors(record), ks=ks(record))
+    curve = analyze_curve(rel_errors(record))
     assert curve.interior_minimum
     assert curve.best_error <= 0.5
 
@@ -293,7 +293,7 @@ def test_run_hybrid_keeps_iterate_completed_by_beta_breakdown():
     assert rel_errors(record)[1] <= 1e-12
     state = bidiag_init(A, b)
     with pytest.raises(GolubKahanBreakdown):
-        bidiag_extend(state, A, 2)
+        bidiag_extend(state, 2)
     np.testing.assert_allclose(cgme_iterate(state, 2), x_true, atol=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_tolerance_insensitivity_small():
     loose, tight = 1e-6, 1e-10
     sweep = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=8, inner_tol=tight)["hyb_tcgme"]
     state = bidiag_init(problem.A, problem.b)
-    bidiag_extend(state, problem.A, len(sweep.rows) + 1)
+    bidiag_extend(state, len(sweep.rows) + 1)
     k0 = int(np.argmin(rel_errors(sweep))) + 1
     for k in range(1, min(k0 + 3, len(sweep.rows)) + 1):
         xa = hyb_tcgme_step(state, problem.L, k, loose).x_L
@@ -411,9 +411,9 @@ def test_joint_sweep_charges_each_row_its_own_krylov_columns(monkeypatch):
     now = [0.0]
     real_extend = hybrid.bidiag_extend
 
-    def extend(state, A, steps):
+    def extend(state, steps):
         now[0] += 1e-3 * steps
-        return real_extend(state, A, steps)
+        return real_extend(state, steps)
 
     monkeypatch.setattr(hybrid, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(hybrid, "bidiag_extend", extend)
@@ -456,7 +456,7 @@ def test_rectangular_operator_sweeps(m, n):
 
     state = bidiag_init(problem.A, problem.b)
     try:
-        bidiag_extend(state, problem.A, depth + 1)
+        bidiag_extend(state, depth + 1)
     except GolubKahanBreakdown:
         pass
     k = state.k

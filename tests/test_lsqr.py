@@ -316,7 +316,7 @@ def test_unrounded_start_vector_is_more_accurate_on_baart(k):
     # 6.7e-11 against 6.9e-10 at k=2, 1.2e-10 against 1.5e-9 at k=3.
     problem = build_problem("baart", 200, 1e-2, 20240101, L_kind="first_diff_1d")
     state = bidiag_init(problem.A, problem.b)
-    bidiag_extend(state, problem.A, 4)
+    bidiag_extend(state, 4)
     L, Q = problem.L, state.Q_cols(k)
     d = L.apply(cgme_iterate(state, k))
     report = lsqr_solve(L, d, Q=Q)

@@ -96,9 +96,11 @@ def test_dense_adopt_runs_the_constructor_checks():
 
 def test_kronecker_blur_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        KroneckerBlurOperator(np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+        KroneckerBlurOperator([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        KroneckerBlurOperator([[np.inf, 0.0], [0.0, 1.0]], np.eye(2))
+        KroneckerBlurOperator([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        KroneckerBlurOperator(np.ones((2, 3)))
 
 
 def test_structured_operators_reject_bad_generators():
@@ -144,7 +146,7 @@ def _operators_for_adjoint_check(seed):
         FirstDifferenceOperator(9),
         Stacked2DDifferenceOperator(5),
         IdentityOperator(6),
-        KroneckerBlurOperator(rng.standard_normal((4, 4)), rng.standard_normal((4, 4))),
+        KroneckerBlurOperator(rng.standard_normal((4, 4))),
         SymmetricSemiseparableOperator(rng.standard_normal(8), rng.standard_normal(8)),
         LowerToeplitzOperator(rng.standard_normal(11)),
     ]
@@ -282,14 +284,18 @@ def test_stacked_2d_difference_matches_kronecker(N):
 
 
 def test_kronecker_blur_matches_dense_kron(rng):
-    left = rng.standard_normal((6, 6))
-    right = rng.standard_normal((6, 6))
-    op = KroneckerBlurOperator(left, right)
-    dense = np.kron(right, left)  # column-major vec convention
+    # a non-symmetric factor, so that a transpose on the wrong side fails
+    F = rng.standard_normal((6, 6))
+    assert np.abs(F - F.T).max() > 0.1
+    op = KroneckerBlurOperator(F)
+    dense = np.kron(F, F)  # column-major vec convention
     v = rng.standard_normal(36)
     np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-12)
     u = rng.standard_normal(36)
     np.testing.assert_allclose(op.apply_adjoint(u), dense.T @ u, atol=1e-12)
+    # bit-equal to the product of the two factors' norms, which sets the
+    # Golub-Kahan breakdown threshold
+    assert op.frobenius_norm() == float(np.linalg.norm(F, "fro") * np.linalg.norm(F, "fro"))
 
 
 def test_frobenius_norms_exact_paths(rng):

@@ -146,7 +146,7 @@ def test_structured_build_peak_memory(name):
 def test_generators_require_integer_sizes(name):
     gen = gen_blur2d if name == "blur2d" else GENERATORS[name]
     for size in (100.5, 64.0, True):
-        with pytest.raises(ValueError, match=f"{name} needs an integer"):
+        with pytest.raises(ValueError, match=f"{name} size must be an integer"):
             gen(size)
     A, x_true, _ = gen(np.int64(16))
     assert A.cols == x_true.shape[0] == (256 if name == "blur2d" else 16)
@@ -159,13 +159,13 @@ def test_blur_delta_kernel_limit():
 
 def test_blur_factor_rows_normalized():
     A, *_ = gen_blur2d(12, psf_sigma=2.5)
-    sums = A.left_factor.sum(axis=1)
+    sums = A.factor.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 def test_blur_matches_explicit_kronecker():
     A, x_true, b_true = gen_blur2d(12, psf_sigma=1.5)
-    dense = np.kron(A.right_factor, A.left_factor)
+    dense = np.kron(A.factor, A.factor)
     v = np.sin(np.arange(144.0))
     np.testing.assert_allclose(A.apply(v), dense @ v, atol=1e-12)
 
@@ -180,7 +180,7 @@ def _uncut_blur_factor(N, psf_sigma=2.0):
 
 def test_blur_factor_cut_at_working_precision():
     A, *_ = gen_blur2d(96)
-    factor = A.left_factor
+    factor = A.factor
     row_peak = factor.max(axis=1, keepdims=True)
     assert np.all((factor == 0.0) | (factor >= np.finfo(np.float64).eps * row_peak))
     assert np.count_nonzero(factor) < factor.size  # the far tails are cut at N=96
@@ -202,6 +202,17 @@ def test_psf_sigma_must_be_positive_and_finite(sigma):
     with pytest.raises(ValueError, match="psf_sigma must be positive and finite"):
         ExperimentSpec(problem="blur2d", size=16, epsilons=(0.01,), seed=0,
                        methods=("hyb_cgme",), psf_sigma=sigma)
+
+
+@pytest.mark.parametrize("name", ["shaw", "heat"])
+def test_odd_sizes_rejected_by_the_one_request_check(name):
+    # the generator, the build and the spec share the parity rule, so an
+    # experiment on an odd size fails at construction, before any run
+    builds = (GENERATORS[name], lambda n: build_problem(name, n, 0.01, 0),
+              lambda n: ExperimentSpec(problem=name, size=n, epsilons=(0.01,), seed=0, methods=("cgme",)))
+    for build in builds:
+        with pytest.raises(ValueError, match=f"{name} size must be even, got 99"):
+            build(99)
 
 
 def test_make_L_shapes():
@@ -240,7 +251,7 @@ def test_add_noise_seeds_decorrelated():
 @pytest.mark.parametrize("name,size", [("shaw", 64), ("baart", 40), ("blur2d", 10)])
 def test_with_noise_equals_a_fresh_build(name, size):
     base = build_problem(name, size, 0.1, 7)
-    moved = with_noise(base, 0.01, 7)
+    moved = with_noise(base, 0.01)
     fresh = build_problem(name, size, 0.01, 7)
     assert moved.A is base.A and moved.L is base.L
     for attr in ("b", "b_true", "x_true"):
