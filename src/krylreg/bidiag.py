@@ -9,7 +9,8 @@ accumulating orthonormal column blocks P (left) and Q (right) together
 with the lower-bidiagonal coefficients, whose dense blocks :func:`bidiagonal`
 assembles.  On ill-posed problems the raw recurrence loses orthogonality
 catastrophically, so every new column is reorthogonalized against all
-previous ones twice.
+previous ones by classical Gram-Schmidt, with a second pass only when the
+first one cancels (the Daniel-Gragg-Kaufman-Stewart criterion).
 
 A coefficient falling below ``1e-14 * |A|_F`` signals that the Krylov
 subspace is numerically exhausted (exact termination); extension then
@@ -17,6 +18,8 @@ raises :class:`GolubKahanBreakdown` after recording all completed steps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,17 +34,26 @@ __all__ = [
 ]
 
 BREAKDOWN_SCALE = 1e-14
+# Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976): a Gram-Schmidt
+# pass that keeps at least this fraction of its input's norm leaves the
+# result orthogonal to working precision; one that cancels more is repeated.
+REORTH_KEEP = 1 / math.sqrt(2)
 
 
 class GolubKahanBreakdown(RuntimeError):
     """Krylov subspace exhausted: a recurrence coefficient vanished.
 
     ``step`` is the 1-based step at which the breakdown occurred;
-    completed steps remain valid on the state.
+    completed steps remain valid on the state.  A breakdown raised by
+    :meth:`at_coefficient` also carries ``coefficient`` (``"alpha"`` or
+    ``"beta"``), its ``value`` and the ``threshold`` it fell below; the
+    others leave these ``None``.
     """
 
-    def __init__(self, step: int, message: str):
+    def __init__(self, step: int, message: str, coefficient: str | None = None,
+                 value: float | None = None, threshold: float | None = None):
         self.step = step
+        self.coefficient, self.value, self.threshold = coefficient, value, threshold
         super().__init__(message)
 
     @classmethod
@@ -52,6 +64,7 @@ class GolubKahanBreakdown(RuntimeError):
             step,
             f"{coefficient}_{index} = {value:.3e} below breakdown "
             f"threshold {threshold:.3e} at step {step}",
+            coefficient, value, threshold,
         )
 
 
@@ -155,12 +168,19 @@ def bidiag_init(A: LinearOperator, b) -> BidiagState:
     return BidiagState(A, p, q, [], [beta1], tol)
 
 
-def _reorthogonalize(r: np.ndarray, block: np.ndarray) -> np.ndarray:
-    # Two classical Gram-Schmidt passes; "twice is enough" for working
-    # precision when the new direction is not pure noise.
-    for _ in range(2):
-        r = r - block @ (block.T @ r)
-    return r
+def _reorthogonalize(r: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
+    """Project ``r`` (overwritten) off the orthonormal columns of ``block``
+    and return it with its norm.  One classical Gram-Schmidt pass, and a
+    second only when the first keeps less than ``REORTH_KEEP`` of ``|r|``:
+    "twice is enough" when the new direction is not pure noise."""
+    h = block.T @ r
+    r -= block @ h
+    norm = float(np.linalg.norm(r))
+    # |r_0|^2 = |h|^2 + |r_1|^2 for orthonormal columns: no norm of r_0
+    if norm < REORTH_KEEP * math.hypot(math.sqrt(h @ h), norm):
+        r -= block @ (block.T @ r)
+        norm = float(np.linalg.norm(r))
+    return r, norm
 
 
 def bidiag_extend(state: BidiagState, steps: int) -> BidiagState:
@@ -181,9 +201,7 @@ def bidiag_extend(state: BidiagState, steps: int) -> BidiagState:
         r = state.A.apply_adjoint(state._p.last())
         if j >= 2:
             r -= state.betas[j - 1] * state._q.last()
-        if state._q.count:
-            r = _reorthogonalize(r, state._q.view())
-        alpha = float(np.linalg.norm(r))
+        r, alpha = _reorthogonalize(r, state._q.view())
         if alpha <= state.breakdown_tol:
             state.breakdown_step = j
             raise GolubKahanBreakdown.at_coefficient(j, "alpha", alpha, state.breakdown_tol)
@@ -191,8 +209,7 @@ def bidiag_extend(state: BidiagState, steps: int) -> BidiagState:
         state._q.append(qj)
         state.alphas.append(alpha)
         s = state.A.apply(qj) - alpha * state._p.last()
-        s = _reorthogonalize(s, state._p.view())
-        beta = float(np.linalg.norm(s))
+        s, beta = _reorthogonalize(s, state._p.view())
         state.betas.append(beta)
         if beta <= state.breakdown_tol:
             state.breakdown_step = j

@@ -118,7 +118,7 @@ class InnerFallback:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRow:
     """One outer step.  ``wall_ms`` is what the step costs its method alone
     (see :func:`run_hybrid`), not the shared sweep's time."""
@@ -189,7 +189,11 @@ class LsqrSolver:
 def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
     """Fresh inner solvers for one sweep with regularizer ``L``, in the
     order they are tried: an exact solver when ``L`` has structure one
-    exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects."""
+    exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
+
+    The last link never rejects: every chain ends in :class:`IdentitySolver`
+    or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
+    The closing raise of the chain walk guards this rule."""
     if isinstance(L, IdentityOperator):
         return (IdentitySolver(),)
     if isinstance(L, Stacked2DDifferenceOperator):

@@ -203,13 +203,14 @@ class LowerToeplitzOperator(LinearOperator):
         super().__init__(self.kernel.size, self.kernel.size)
         self._fft_len = 1 << (2 * self.cols - 2).bit_length()
         self._kernel_hat = np.fft.rfft(self.kernel, self._fft_len)
+        # the conjugate spectrum correlates: (A^T u)_j = sum_m kernel[m] u[j + m]
+        self._kernel_hat_conj = self._kernel_hat.conj()
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         return np.fft.irfft(self._kernel_hat * np.fft.rfft(v, self._fft_len), self._fft_len)[: self.cols]
 
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
-        # the conjugate spectrum correlates: (A^T u)_j = sum_m kernel[m] u[j + m]
-        return np.fft.irfft(self._kernel_hat.conj() * np.fft.rfft(u, self._fft_len), self._fft_len)[: self.cols]
+        return np.fft.irfft(self._kernel_hat_conj * np.fft.rfft(u, self._fft_len), self._fft_len)[: self.cols]
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(np.arange(self.cols, 0, -1) @ self.kernel**2))

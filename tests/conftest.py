@@ -45,4 +45,4 @@ def rng():
 def no_reorth(monkeypatch):
     """Run the Golub-Kahan recurrence without reorthogonalization, so the
     basis loses orthogonality as the raw recurrence does."""
-    monkeypatch.setattr("krylreg.bidiag._reorthogonalize", lambda r, block: r)
+    monkeypatch.setattr("krylreg.bidiag._reorthogonalize", lambda r, block: (r, float(np.linalg.norm(r))))

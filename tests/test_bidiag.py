@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from conftest import random_orthonormal
 from test_solvers import make_state
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
+from krylreg.bidiag import GolubKahanBreakdown, _reorthogonalize, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.operators import DenseOperator, IdentityOperator
-from krylreg.problems import add_noise, gen_shaw
+from krylreg.problems import add_noise, build_problem, gen_shaw
 
 
 def test_init_normalizes_first_column():
@@ -27,8 +28,10 @@ def test_init_unit_vector():
 
 def test_init_zero_rhs_raises():
     A = DenseOperator(np.eye(3))
-    with pytest.raises(GolubKahanBreakdown, match="zero right-hand side"):
+    with pytest.raises(GolubKahanBreakdown, match="zero right-hand side") as excinfo:
         bidiag_init(A, np.zeros(3))
+    exc = excinfo.value  # no coefficient fell below the threshold
+    assert (exc.step, exc.coefficient, exc.value, exc.threshold) == (0, None, None, None)
 
 
 def test_init_rejects_nonfinite_rhs():
@@ -228,12 +231,64 @@ def test_breakdown_message_format():
     with pytest.raises(GolubKahanBreakdown) as beta_side:
         bidiag_extend(state, 2)
     assert str(beta_side.value) == "beta_2 = 0.000e+00 below breakdown threshold 1.414e-14 at step 1"
+    exc = beta_side.value
+    assert (exc.step, exc.coefficient, exc.value, exc.threshold) == (1, "beta", 0.0, 1e-14 * np.sqrt(2.0))
     # alpha side: A = e_1 e_1^T and b = (1, 1) make alpha_2 vanish at step 2
     A = DenseOperator(np.diag([1.0, 0.0]))
     state = bidiag_init(A, np.array([1.0, 1.0]))
     with pytest.raises(GolubKahanBreakdown) as alpha_side:
         bidiag_extend(state, 3)
-    assert alpha_side.value.step == 2
+    assert (alpha_side.value.step, alpha_side.value.coefficient) == (2, "alpha")
+    assert alpha_side.value.value <= alpha_side.value.threshold
     assert _signature(alpha_side.value) == "alpha_2 = <x> below breakdown threshold <x> at step 2"
     assert _signature(GolubKahanBreakdown.at_coefficient(21, "beta", 9.1e-17, 3.7e-14)) == (
         "beta_22 = <x> below breakdown threshold <x> at step 21")
+
+
+def test_one_pass_when_the_first_keeps_the_norm():
+    Q = random_orthonormal(1000, 50, seed=0)
+    r = np.random.default_rng(100).standard_normal(1000)
+    out, norm = _reorthogonalize(r.copy(), Q)
+    assert np.array_equal(out, r - Q @ (Q.T @ r))
+    assert norm == np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_second_pass_orthogonalizes_a_nearly_dependent_vector(delta, seed):
+    # r lies in range(Q) up to delta: the first pass cancels nearly all of
+    # it and leaves |Q^T r_1| / |r_1| at 8e-9 to 1.5e-4 (grows as delta
+    # falls); the second brings it to at most 1.5e-16 (measured over these
+    # cases and seeds 3, 4)
+    Q = random_orthonormal(1000, 50, seed)
+    rng = np.random.default_rng(seed + 100)
+    r = Q @ rng.standard_normal(50) + delta * rng.standard_normal(1000)
+    out, norm = _reorthogonalize(r.copy(), Q)
+    assert np.linalg.norm(Q.T @ out) / np.linalg.norm(out) <= 1e-15
+    assert norm == np.linalg.norm(out)
+
+
+def _two_pass(r, block):
+    # the unconditional two-pass classical Gram-Schmidt of earlier versions
+    for _ in range(2):
+        r = r - block @ (block.T @ r)
+    return r, float(np.linalg.norm(r))
+
+
+def _breakdown(problem):
+    state = bidiag_init(problem.A, problem.b)
+    with pytest.raises(GolubKahanBreakdown) as excinfo:
+        bidiag_extend(state, 100)
+    return excinfo.value.step, excinfo.value.coefficient
+
+
+@pytest.mark.parametrize("eps", [1e-1, 5e-2, 1e-2])
+@pytest.mark.parametrize("name", ["shaw", "baart"])
+def test_breakdowns_match_two_pass_reorthogonalization(name, eps, monkeypatch):
+    # the desk problems that break down, at the desk noise levels: a second
+    # pass taken only on cancellation moves no breakdown (shaw beta at
+    # step 21, baart alpha at step 11)
+    problem = build_problem(name, 1000, eps, 20240101)
+    found = _breakdown(problem)
+    monkeypatch.setattr("krylreg.bidiag._reorthogonalize", _two_pass)
+    assert found == _breakdown(problem)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, _plan, dct, idct
-from krylreg.hybrid import IdentitySolver, LsqrSolver, hyb_cgme_step, inner_solvers, run_hybrid
+from krylreg.hybrid import IdentitySolver, LsqrSolver, _corrected, hyb_cgme_step, inner_solvers, run_hybrid
 from krylreg.metrics import relative_error
 from krylreg.operators import (
     DenseOperator,
@@ -139,6 +139,17 @@ def test_direct_solver_chosen_by_regularizer_type():
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
     assert kinds(FirstDifferenceOperator(16)) == [LsqrSolver]
     assert kinds(IdentityOperator(16)) == [IdentitySolver]  # it never rejects
+
+
+def test_a_chain_whose_last_link_rejects_raises():
+    # inner_solvers never builds one, since its last link never rejects;
+    # the chain walk's closing raise guards that rule
+    class Refuses:
+        def solve(self, Q, x_k):
+            raise DirectSolveRejected("refused")
+
+    with pytest.raises(DirectSolveRejected, match="every inner solver rejected the step: refused"):
+        _corrected(np.ones(4), np.eye(4)[:, :1], (Refuses(),))
 
 
 @pytest.mark.parametrize("L_kind", ["identity", "first_diff_1d", "first_diff_2d"])
