@@ -19,19 +19,18 @@ constants are not orthogonal to ``range(Q)``.
 
 Over one sweep ``Q`` only grows, so :class:`Difference2DSolver` keeps
 ``Qh`` and ``S``: each new Krylov column costs one transform and one new
-row of ``S``.  Each 2-D transform takes one real FFT per axis.
+row of ``S``.  Each 2-D transform is two ``N x N`` matrix products with
+the explicit DCT-II matrix, which the solver builds once.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .bidiag import _ColumnBlock
 from .operators import Stacked2DDifferenceOperator, check_orthonormal
 
-__all__ = ["dct", "idct", "DirectSolveRejected", "Difference2DSolver"]
+__all__ = ["DirectSolveRejected", "Difference2DSolver"]
 
 # The direct answer is accepted only when it reproduces the constraint
 # Q^T x_L = Q^T x_k, and meets LSQR's backward-error stop test, to this
@@ -42,49 +41,6 @@ ACCEPT_RTOL = 1e-10
 # range(Q): the minimum-norm inner solution then fixes the mean, and the
 # bordered system does not.
 ZERO_MODE_TOL = 1e-8
-
-
-@functools.lru_cache(maxsize=32)
-def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only arrays of the length-``n`` transforms: the permutation
-    ``v = x[perm]`` (even entries, then odd ones reversed), and the forward
-    twiddles, orthonormal scales folded in, and their inverses."""
-    perm = np.concatenate([np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)])
-    twiddle = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n) * np.sqrt(2.0 / n)
-    twiddle[0] = 1.0 / np.sqrt(n)
-    plan = (perm, twiddle, 1.0 / twiddle)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
-def dct(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Orthonormal DCT-II of ``x`` along ``axis`` (Makhoul's form, one real
-    FFT): with ``z`` the twiddled FFT of ``x[perm]``, coefficient ``k`` is
-    ``Re z_k`` and coefficient ``n - k`` is ``-Im z_k``."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape)
-    x, coef = np.moveaxis(x, axis, -1), np.moveaxis(out, axis, -1)
-    n = x.shape[-1]
-    perm, twiddle, _ = _plan(n)
-    z = np.fft.rfft(x[..., perm]) * twiddle
-    coef[..., : n // 2 + 1] = z.real
-    coef[..., n // 2 + 1 :] = -z.imag[..., (n + 1) // 2 - 1 : 0 : -1]
-    return out
-
-
-def idct(y: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Orthonormal DCT-III of ``y`` along ``axis``, the inverse of :func:`dct`:
-    one inverse real FFT of the untwiddled ``y_k - i y_{n-k}`` (``y_n = 0``)."""
-    y = np.asarray(y, dtype=np.float64)
-    out = np.empty(y.shape)
-    y, values = np.moveaxis(y, axis, -1), np.moveaxis(out, axis, -1)
-    n = y.shape[-1]
-    perm, _, untwiddle = _plan(n)
-    spectrum = y[..., : n // 2 + 1] + 0j
-    spectrum.imag[..., 1:] = -y[..., : (n + 1) // 2 - 1 : -1]
-    values[..., perm] = np.fft.irfft(spectrum * untwiddle, n)
-    return out
 
 
 class DirectSolveRejected(ArithmeticError):
@@ -102,8 +58,14 @@ class Difference2DSolver:
 
     def __init__(self, L: Stacked2DDifferenceOperator) -> None:
         self.L = L
-        self.side = L.grid_side
-        lam1 = 4.0 * np.sin(0.5 * np.pi * np.arange(self.side) / self.side) ** 2
+        self.side = n = L.grid_side
+        # orthonormal DCT-II, C_ij = sqrt(2/n) cos(pi i (2j + 1) / 2n) with
+        # row 0 scaled to 1/sqrt(n); the integer argument is reduced mod 4n
+        # first, so every cosine is taken on [0, 2 pi)
+        i = np.arange(n)
+        self._C = np.sqrt(2.0 / n) * np.cos(0.5 * np.pi / n * (np.outer(i, 2 * i + 1) % (4 * n)))
+        self._C[0] = 1.0 / np.sqrt(n)
+        lam1 = 4.0 * np.sin(0.5 * np.pi * i / n) ** 2
         lam = (lam1[:, None] + lam1[None, :]).ravel()
         self._inv_lam = np.zeros_like(lam)
         self._inv_lam[1:] = 1.0 / lam[1:]  # mode 0 is the constant image
@@ -114,11 +76,11 @@ class Difference2DSolver:
     # the coefficients come out transposed; ``lam`` is symmetric.
     def _forward(self, v: np.ndarray) -> np.ndarray:
         image_t = v.reshape((self.side, self.side))
-        return dct(dct(image_t, axis=1), axis=0).ravel()
+        return (self._C @ image_t @ self._C.T).ravel()
 
     def _inverse(self, vh: np.ndarray) -> np.ndarray:
         image_t = vh.reshape((self.side, self.side))
-        return idct(idct(image_t, axis=0), axis=1).ravel()
+        return (self._C.T @ image_t @ self._C).ravel()
 
     def _grow(self, Q: np.ndarray) -> None:
         # the LSQR path's orthonormality check on the new columns only:

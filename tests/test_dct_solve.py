@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected, _plan, dct, idct
+from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected
 from krylreg.hybrid import IdentitySolver, LsqrSolver, _corrected, hyb_cgme_step, inner_solvers, run_hybrid
 from krylreg.metrics import relative_error
 from krylreg.operators import (
@@ -27,28 +27,28 @@ def cosine_matrix(n: int) -> np.ndarray:
     return C
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 15, 16, 96, 97])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 96, 97])
 def test_dct_matches_explicit_cosine_matrix(n):
+    # the solver's 2-D transform, on the C-order view of the image, against
+    # the explicit matrix: forward C X C^T, inverse its transpose
     C = cosine_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-13)
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((n, 5))
-    np.testing.assert_allclose(dct(x, axis=0), C @ x, atol=1e-13)
-    np.testing.assert_allclose(dct(x.T, axis=1), (C @ x).T, atol=1e-13)
-    np.testing.assert_allclose(idct(C @ x, axis=0), x, atol=1e-13)
-    np.testing.assert_allclose(idct((C @ x).T, axis=1), x.T, atol=1e-13)
-    v = rng.standard_normal(n)
-    np.testing.assert_allclose(dct(v), C @ v, atol=1e-13)
-    np.testing.assert_allclose(idct(C @ v), v, atol=1e-13)
-    cube = rng.standard_normal((3, n, 4))
-    cube_hat = np.einsum("ij,ajb->aib", C, cube)
-    np.testing.assert_allclose(dct(cube, axis=1), cube_hat, atol=1e-13)
-    np.testing.assert_allclose(idct(cube_hat, axis=1), cube, atol=1e-13)
-    rows = np.moveaxis(cube, 1, -1)
-    np.testing.assert_allclose(dct(rows, axis=-1), rows @ C.T, atol=1e-13)
-    np.testing.assert_allclose(idct(rows @ C.T, axis=-1), rows, atol=1e-13)
-    # the cached permutation and twiddles are shared by every call
-    assert not any(arr.flags.writeable for arr in _plan(n))
+    solver = Difference2DSolver(Stacked2DDifferenceOperator(n))
+    v = np.random.default_rng(n).standard_normal(n * n)
+    X = v.reshape(n, n)
+    np.testing.assert_allclose(solver._forward(v), (C @ X @ C.T).ravel(), atol=1e-12)
+    np.testing.assert_allclose(solver._inverse(v), (C.T @ X @ C).ravel(), atol=1e-12)
+    np.testing.assert_allclose(solver._inverse(solver._forward(v)), v, rtol=0, atol=1e-13)
+    # the constant image is n e_0: row 0 of Qh is the zero mode
+    n_e0 = np.zeros(n * n)
+    n_e0[0] = n
+    np.testing.assert_allclose(solver._forward(np.ones(n * n)), n_e0, atol=1e-13 * n)
+    # the transform diagonalizes L^T L, with its spectrum in the solver's
+    # transposed layout; lam is symmetric
+    lam1 = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+    lam = (lam1[:, None] + lam1[None, :]).ravel()
+    LtLv = solver.L.apply_adjoint(solver.L.apply(v))
+    np.testing.assert_allclose(solver._forward(LtLv), lam * solver._forward(v), atol=1e-13 * n)
 
 
 def pinv_oracle(L, Q, x_k):
@@ -152,13 +152,21 @@ def test_a_chain_whose_last_link_rejects_raises():
         _corrected(np.ones(4), np.eye(4)[:, :1], (Refuses(),))
 
 
-@pytest.mark.parametrize("L_kind", ["identity", "first_diff_1d", "first_diff_2d"])
-def test_every_chain_link_meets_one_contract(L_kind):
+@pytest.mark.parametrize(
+    ("L_kind", "size"),
+    [
+        pytest.param("identity", 64, id="identity"),
+        pytest.param("first_diff_1d", 64, id="first_diff_1d"),
+        pytest.param("first_diff_2d", 8, id="first_diff_2d"),
+        pytest.param("first_diff_2d", 33, id="first_diff_2d-33"),
+    ],
+)
+def test_every_chain_link_meets_one_contract(L_kind, size):
     # each link, run on its own, gives a finite x_L that keeps the projected
     # constraint and agrees with the LSQR reference, also where no LSQR
-    # link closes the chain (L = I)
+    # link closes the chain (L = I); blur2d also on an odd side
     name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
-    problem = build_problem(name, 8 if name == "blur2d" else 64, 1e-2, 5, L_kind=L_kind)
+    problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 7)
     chain = inner_solvers(problem.L, 1e-12)
