@@ -4,23 +4,24 @@ For ``L`` the stacked 2-D difference operator, ``L^T L`` is the 2-D
 Neumann Laplacian, which the orthonormal 2-D DCT-II ``C`` diagonalizes:
 ``L^T L = C^T diag(lam) C`` with ``lam_ij = 4 sin^2(pi i / 2N) +
 4 sin^2(pi j / 2N)`` and a single zero eigenvalue for the constant mode.
-The corrected hybrid iterate ``x_L = x_k - z_k`` is the minimizer of
-``|L x|`` subject to ``Q^T x = Q^T x_k``, and its Lagrange conditions in
-the DCT basis reduce to a bordered ``(m+1) x (m+1)`` system with ``m``
-the number of columns of ``Q``:
+So ``G = (L^T L)^+ = C^T diag(1/lam) C``, with ``1/0`` read as 0, and the
+unit constant image ``e`` spans ``null(L)``.  The corrected hybrid iterate
+``x_L = x_k - z_k`` is the minimizer of ``|L x|`` subject to
+``Q^T x = Q^T x_k``; its Lagrange conditions give ``x_L = W mu + t e``
+with ``W = G Q``, where ``(t, mu)`` solves a bordered ``(m+1) x (m+1)``
+system with ``m`` the number of columns of ``Q``:
 
-    [ S     q0 ] [ mu ]   [ Q^T x_k ]
-    [ q0^T  0  ] [ t  ] = [    0    ],   S = Qh_r^T diag(lam_r)^{-1} Qh_r,
+    [ 0   q0^T ] [ t  ]   [    0    ]
+    [ q0  S    ] [ mu ] = [ Q^T x_k ],   S = Q^T W,  q0 = Q^T e.
 
-where ``Qh = C Q``, ``q0`` is its zero-mode row and ``Qh_r`` the other
-rows.  Then ``x_L = C^T [t; diag(lam_r)^{-1} Qh_r mu]``.  The minimizer
-is unique, and equals the minimum-norm inner LSQR answer, whenever the
-constants are not orthogonal to ``range(Q)``.
+The minimizer is unique, and equals the minimum-norm inner LSQR answer,
+whenever the constants are not orthogonal to ``range(Q)``.
 
 Over one sweep ``Q`` only grows, so :class:`Difference2DSolver` keeps
-``Qh`` and ``S``: each new Krylov column costs one transform and one new
-row of ``S``.  Each 2-D transform is two ``N x N`` matrix products with
-the explicit DCT-II matrix, which the solver builds once.
+``W`` and the bordered matrix: each new Krylov column costs one product
+with ``G``, two 2-D transforms, and appends a row and a column; a solve
+makes no transform.  Each 2-D transform is two ``N x N`` matrix products
+with the explicit DCT-II matrix, which the solver builds once.
 """
 
 from __future__ import annotations
@@ -69,31 +70,28 @@ class Difference2DSolver:
         lam = (lam1[:, None] + lam1[None, :]).ravel()
         self._inv_lam = np.zeros_like(lam)
         self._inv_lam[1:] = 1.0 / lam[1:]  # mode 0 is the constant image
-        self._hat = _ColumnBlock(self.side * self.side)
-        self._S = np.empty((0, 0))
+        self._W = _ColumnBlock(n * n)
+        self._K = np.zeros((1, 1))  # [0 q0^T; q0 S], constant mode first
 
-    # Both transforms run on the C-order view of the image, its transpose, so
-    # the coefficients come out transposed; ``lam`` is symmetric.
-    def _forward(self, v: np.ndarray) -> np.ndarray:
+    def _gram(self, v: np.ndarray) -> np.ndarray:
+        # (L^T L)^+ v on the C-order view of the image, its transpose, so the
+        # coefficients come out transposed; ``lam`` is symmetric
         image_t = v.reshape((self.side, self.side))
-        return (self._C @ image_t @ self._C.T).ravel()
-
-    def _inverse(self, vh: np.ndarray) -> np.ndarray:
-        image_t = vh.reshape((self.side, self.side))
-        return (self._C.T @ image_t @ self._C).ravel()
+        coef = self._C @ image_t @ self._C.T
+        coef *= self._inv_lam.reshape(coef.shape)
+        return (self._C.T @ coef @ self._C).ravel()
 
     def _grow(self, Q: np.ndarray) -> None:
         # the LSQR path's orthonormality check on the new columns only:
         # O(nk) per step instead of O(nk^2)
-        check_orthonormal(Q, first=self._hat.count)
-        for j in range(self._hat.count, Q.shape[1]):
-            self._hat.append(self._forward(Q[:, j]))
-            hat = self._hat.view()
-            row = hat.T @ (self._inv_lam * hat[:, j])
-            S = np.empty((j + 1, j + 1))
-            S[:j, :j] = self._S
-            S[j, :] = S[:, j] = row
-            self._S = S
+        check_orthonormal(Q, first=self._W.count)
+        for j in range(self._W.count, Q.shape[1]):
+            self._W.append(self._gram(Q[:, j]))
+            K = np.empty((j + 2, j + 2))
+            K[: j + 1, : j + 1] = self._K
+            K[0, j + 1] = K[j + 1, 0] = Q[:, j].sum() / self.side
+            K[1:, j + 1] = K[j + 1, 1:] = Q[:, : j + 1].T @ self._W.last()
+            self._K = K
 
     def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
         """``argmin |L x|`` subject to ``Q^T x = Q^T x_k``, with the backward
@@ -106,24 +104,18 @@ class Difference2DSolver:
         """
         self._grow(Q)
         m = Q.shape[1]
-        hat = self._hat.view(m)
-        q0 = hat[0]
+        q0 = self._K[0, 1 : m + 1]
         if np.linalg.norm(q0) <= ZERO_MODE_TOL:
             raise DirectSolveRejected(
                 f"constants numerically orthogonal to range(Q): "
                 f"|Q^T 1|/sqrt(n) = {np.linalg.norm(q0):.3e}"
             )
         y = Q.T @ x_k
-        K = np.zeros((m + 1, m + 1))
-        K[:m, :m] = self._S[:m, :m]
-        K[:m, m] = K[m, :m] = q0
         try:
-            sol = np.linalg.solve(K, np.append(y, 0.0))
+            sol = np.linalg.solve(self._K[: m + 1, : m + 1], np.append(0.0, y))
         except np.linalg.LinAlgError as exc:
             raise DirectSolveRejected(f"bordered system singular: {exc}") from exc
-        xh = self._inv_lam * (hat @ sol[:m])
-        xh[0] = sol[m]
-        x_L = self._inverse(xh)
+        x_L = self._W.view(m) @ sol[1:] + sol[0] / self.side
         if not np.all(np.isfinite(x_L)):
             raise DirectSolveRejected("non-finite direct solution")
         gap = float(np.linalg.norm(Q.T @ x_L - y))

@@ -22,9 +22,10 @@ step falls to the next link and records why in ``RunRecord.fallbacks``.
   Krylov iterate lies in range(Q), so ``x_k`` is already the minimum-norm
   point of ``Q^T x = Q^T x_k`` and the hybrid iterate is its plain method's;
 - ``first_diff_2d`` starts with the exact direct solve of
-  :mod:`krylreg.dct_solve`, one per sweep and shared by both hybrids;
-  like the identity link it runs no inner iterations and ignores the
-  LSQR tolerance;
+  :mod:`krylreg.dct_solve`, one per sweep and shared by both hybrids, which
+  keeps ``W = (L^T L)^+ Q``: two 2-D transforms per new Krylov column and
+  none per solve.  Like the identity link it runs no inner iterations and
+  ignores the LSQR tolerance;
 - the other chains end in :class:`LsqrSolver`, LSQR on ``L`` over ``null(Q^T)``
   (:func:`lsqr_solve` with ``Q``), which applies ``L``, ``L^T`` and the
   projector once per iteration and never forms ``L (I - Q Q^T)``.  From

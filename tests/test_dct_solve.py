@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected
-from krylreg.hybrid import IdentitySolver, LsqrSolver, _corrected, hyb_cgme_step, inner_solvers, run_hybrid
+from krylreg.hybrid import (
+    IdentitySolver,
+    LsqrSolver,
+    _corrected,
+    hyb_cgme_step,
+    hyb_tcgme_step,
+    inner_solvers,
+    run_hybrid,
+)
 from krylreg.metrics import relative_error
 from krylreg.operators import (
     DenseOperator,
@@ -27,28 +35,47 @@ def cosine_matrix(n: int) -> np.ndarray:
     return C
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 96, 97])
+def difference_matrix(n: int) -> np.ndarray:
+    """The ``(n-1) x n`` forward first-difference matrix, rows (1, -1)."""
+    return np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+
+
+SIDES = [2, 3, 7, 8, 9, 15, 16, 96, 97]
+
+
+@pytest.mark.parametrize("n", SIDES)
 def test_dct_matches_explicit_cosine_matrix(n):
-    # the solver's 2-D transform, on the C-order view of the image, against
-    # the explicit matrix: forward C X C^T, inverse its transpose
+    # the solver's DCT-II matrix, built with its argument reduced mod 4n,
+    # against the plain closed form; it diagonalizes the 1-D Neumann
+    # Laplacian with the spectrum lam1, and maps the constants to row 0
     C = cosine_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-13)
     solver = Difference2DSolver(Stacked2DDifferenceOperator(n))
-    v = np.random.default_rng(n).standard_normal(n * n)
-    X = v.reshape(n, n)
-    np.testing.assert_allclose(solver._forward(v), (C @ X @ C.T).ravel(), atol=1e-12)
-    np.testing.assert_allclose(solver._inverse(v), (C.T @ X @ C).ravel(), atol=1e-12)
-    np.testing.assert_allclose(solver._inverse(solver._forward(v)), v, rtol=0, atol=1e-13)
-    # the constant image is n e_0: row 0 of Qh is the zero mode
-    n_e0 = np.zeros(n * n)
-    n_e0[0] = n
-    np.testing.assert_allclose(solver._forward(np.ones(n * n)), n_e0, atol=1e-13 * n)
-    # the transform diagonalizes L^T L, with its spectrum in the solver's
-    # transposed layout; lam is symmetric
+    np.testing.assert_allclose(solver._C, C, atol=1e-13)
+    D = difference_matrix(n)
     lam1 = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
-    lam = (lam1[:, None] + lam1[None, :]).ravel()
-    LtLv = solver.L.apply_adjoint(solver.L.apply(v))
-    np.testing.assert_allclose(solver._forward(LtLv), lam * solver._forward(v), atol=1e-13 * n)
+    np.testing.assert_allclose(solver._C @ D.T @ D @ solver._C.T, np.diag(lam1), atol=1e-12)
+    sqrt_n_e0 = np.zeros(n)
+    sqrt_n_e0[0] = np.sqrt(n)
+    np.testing.assert_allclose(solver._C @ np.ones(n), sqrt_n_e0, atol=1e-13 * n)
+
+
+@pytest.mark.parametrize("n", SIDES)
+def test_gram_is_pinv_of_neumann_laplacian(n):
+    # _gram(v) = (L^T L)^+ v for the 2-D difference stack
+    L = Stacked2DDifferenceOperator(n)
+    solver = Difference2DSolver(L)
+    v = np.random.default_rng(n).standard_normal(n * n)
+    if n <= 16:
+        D = np.vstack([np.kron(np.eye(n), difference_matrix(n)), np.kron(difference_matrix(n), np.eye(n))])
+        np.testing.assert_array_equal(D, L.to_dense())
+        expected = np.linalg.pinv(D.T @ D) @ v
+        assert np.linalg.norm(solver._gram(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+        return
+    # matrix-free: G L^T L is the projector off the constants, which G maps
+    # to zero up to rounding amplified by 1/lam_min ~ (n/pi)^2
+    np.testing.assert_allclose(solver._gram(L.apply_adjoint(L.apply(v))), v - v.mean(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(solver._gram(np.ones(n * n)), 0.0, rtol=0, atol=1e-15 * n**2)
 
 
 def pinv_oracle(L, Q, x_k):
@@ -120,6 +147,35 @@ def test_wrong_spectrum_caught_by_backward_error():
     solver._inv_lam[1:] *= np.linspace(0.5, 2.0, 24)
     with pytest.raises(DirectSolveRejected, match="backward error"):
         solver.solve(random_orthonormal(25, 3, seed=1), np.random.default_rng(1).standard_normal(25))
+
+
+@pytest.mark.parametrize(
+    ("gram", "reason"),
+    [
+        pytest.param(np.zeros_like, "bordered system singular", id="singular"),
+        pytest.param(lambda v: np.full_like(v, np.nan), "non-finite direct solution", id="non-finite"),
+    ],
+)
+def test_broken_gram_rejected_and_sweep_keeps_lsqr_answer(gram, reason, monkeypatch):
+    # G = 0 leaves K = [0 q0^T; q0 0], singular once m >= 2; a NaN G
+    # poisons x_L
+    L = Stacked2DDifferenceOperator(5)
+    solver = Difference2DSolver(L)
+    solver._gram = gram
+    with pytest.raises(DirectSolveRejected, match=reason):
+        solver.solve(random_orthonormal(25, 3, seed=1), np.random.default_rng(1).standard_normal(25))
+    # in a sweep every hyb_tcgme step (m = k + 1 >= 2) falls back, with the
+    # reason recorded, and its row is the LSQR link's answer
+    monkeypatch.setattr(Difference2DSolver, "_gram", lambda self, v: gram(v))
+    problem = build_problem("blur2d", 8, 1e-2, 5, L_kind="first_diff_2d")
+    sweep = run_hybrid(problem, ("hyb_tcgme",), max_outer_k=3, inner_tol=1e-10)["hyb_tcgme"]
+    assert [fb.k for fb in sweep.fallbacks] == [1, 2, 3]
+    assert all(reason in fb.reason for fb in sweep.fallbacks)
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, 4)
+    for row in sweep.rows:
+        reference = hyb_tcgme_step(state, problem.L, row.k, 1e-10)
+        assert row.rel_error == relative_error(problem.L, reference.x_L, problem.x_true)
 
 
 def test_non_orthonormal_block_raises_like_lsqr_path():
