@@ -23,7 +23,7 @@ GENERATORS = {"shaw": gen_shaw, "baart": gen_baart, "deriv2": gen_deriv2, "heat"
 
 def test_shaw_matrix_is_symmetric():
     A, x_true, b_true = gen_shaw(64)
-    assert np.abs(A.entries - A.entries.T).max() <= 1e-12
+    assert np.array_equal(A.entries, A.entries.T)
 
 
 def test_shaw_singular_values_decay_fast():
@@ -82,7 +82,7 @@ FROBENIUS_RTOL = 1e-14
 B_TRUE_RTOL = 4e-15
 REFERENCE_SIZES = [
     (name, n) for name in GENERATORS for n in (8, 10, 64, 1000, 2000)
-] + [("baart", 63), ("deriv2", 63)]
+] + [("baart", 63), ("deriv2", 63)] + [("shaw", n) for n in (30, 34, 66)]
 
 
 @pytest.mark.parametrize("name,n", REFERENCE_SIZES)
@@ -128,10 +128,11 @@ def _build_peak_bytes(name):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name,bound", [("shaw", 2.25), ("baart", 1.25)])
+@pytest.mark.parametrize("name,bound", [("shaw", 1.25), ("baart", 1.25)])
 def test_build_peak_memory(name, bound):
     # in n x n float64 buffers: the generators fill one buffer in place
-    # (two for shaw) and the operator adopts it without a copy
+    # (shaw in blocks of 32 rows) and the operator adopts it without a copy;
+    # both measured 1.13 (shaw in blocks of 64 rows: 1.21, of 128: 1.40)
     assert _build_peak_bytes(name) <= bound * 8 * N_BUILD**2
 
 
