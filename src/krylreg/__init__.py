@@ -13,7 +13,6 @@ from .bidiag import (
     bidiag_init,
     bidiagonal,
 )
-from .dct_solve import Difference2DSolver, DirectSolveRejected
 from .harness import (
     ExperimentSpec,
     RunRecord,
@@ -24,16 +23,8 @@ from .harness import (
     run_experiment,
     verification_suite,
 )
-from .hybrid import (
-    METHODS,
-    HybridIterate,
-    InnerFallback,
-    LsqrSolver,
-    hyb_cgme_step,
-    hyb_tcgme_step,
-    inner_solvers,
-    run_hybrid,
-)
+from .hybrid import METHODS, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from .inner import Difference2DSolver, DirectSolveRejected, HybridIterate, LsqrSolver, inner_solvers
 from .lsqr import LsqrReport, NumericalFailure, lsqr_solve
 from .metrics import ErrorCurve, GammaGapReport, analyze_curve, gamma_gaps, projected_condition, relative_error
 from .operators import (

@@ -18,8 +18,8 @@ import numpy as np
 from . import bidiag, metrics, problems, solvers
 from .hybrid import RunRecord, RunRow, _check_sweep, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .lsqr import lsqr_solve
-from .operators import DenseOperator, _is_int, _is_real
-from .problems import _check_request, build_problem, with_noise
+from .operators import DenseOperator
+from .problems import _check_noise, _check_request, build_problem, with_noise
 
 __all__ = [
     "ExperimentSpec",
@@ -62,13 +62,10 @@ class ExperimentSpec:
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
         _check_sweep(self.methods, self.max_outer_k, self.inner_tol)
-        for eps in self.epsilons:
-            if not _is_real(eps) or not 0.0 < eps < 1.0:
-                raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
         if not self.epsilons:
             raise ValueError("no noise levels given")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for eps in self.epsilons:
+            _check_noise(eps, self.seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":

@@ -1,44 +1,18 @@
-"""Inner-outer hybrid solvers hyb-CGME and hyb-TCGME.
+"""The outer loop of the inner-outer hybrid solvers hyb-CGME and hyb-TCGME.
 
-At outer index k the Krylov iterate ``x_k`` (from CGME or TCGME) is
-corrected by
-
-    x_{L,k} = x_k - z_k,
-    z_k = argmin-norm  min_z | L (I - Q Q^T) z - L x_k |,
-
-with ``Q`` the right bidiagonalization block (k columns for CGME, k+1
-for TCGME).  The correction ``z_k`` lies in the orthogonal complement of
-range(Q), so the projected data-fit constraint is untouched while the
-seminorm ``|L x|`` is minimized over the feasible set: this is exactly
-the general-form regularized solution of the projected problem.
-
-Every sweep tries one ordered chain of inner solvers, :func:`inner_solvers`,
-chosen by the type of ``L``.  Each link's ``solve(Q, x_k)`` returns ``x_L``,
-its backward error, its inner iterations and whether it hit its cap; a link
-that cannot vouch for its answer raises ``DirectSolveRejected``, and the
-step falls to the next link and records why in ``RunRecord.fallbacks``.
-
-- ``L = I`` is :class:`IdentitySolver` alone, which never rejects: every
-  Krylov iterate lies in range(Q), so ``x_k`` is already the minimum-norm
-  point of ``Q^T x = Q^T x_k`` and the hybrid iterate is its plain method's;
-- ``first_diff_2d`` starts with the exact direct solve of
-  :mod:`krylreg.dct_solve`, one per sweep and shared by both hybrids, which
-  keeps ``W = (L^T L)^+ Q``: two 2-D transforms per new Krylov column and
-  none per solve.  Like the identity link it runs no inner iterations and
-  ignores the LSQR tolerance;
-- the other chains end in :class:`LsqrSolver`, LSQR on ``L`` over ``null(Q^T)``
-  (:func:`lsqr_solve` with ``Q``), which applies ``L``, ``L^T`` and the
-  projector once per iteration and never forms ``L (I - Q Q^T)``.  From
-  the zero vector it returns the minimum-norm solution that the
-  closed-form expression for ``x_{L,k}`` requires.  It is the whole chain
-  for any other ``L``, the reference the exact links are tested against,
-  and the solver of :func:`hyb_cgme_step` and :func:`hyb_tcgme_step`.
+At outer index k a hybrid takes its plain method's Krylov iterate ``x_k``
+(CGME or TCGME) and corrects it by the inner solve of :mod:`krylreg.inner`,
+which states the inner problem and holds every way of solving it.
 
 :func:`run_hybrid` is the one outer loop: it bidiagonalizes a problem once
 and sweeps every requested method over that state, so a (problem, noise
 level) pair costs one Krylov process however many methods read it, and
 returns each method's finished :class:`RunRecord`.  Its two settings, the
-outer depth and the inner LSQR tolerance, are plain arguments.
+outer depth and the inner LSQR tolerance, are plain arguments.  Each hybrid
+step walks the sweep's one chain of inner links, and ``RunRecord.fallbacks``
+keeps why a link was passed over.  :func:`hyb_cgme_step` and
+:func:`hyb_tcgme_step` are the reference steps, with the inner problem
+solved by LSQR alone.
 """
 
 from __future__ import annotations
@@ -50,29 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
-from .dct_solve import Difference2DSolver, DirectSolveRejected
-from .lsqr import lsqr_solve
+from .inner import HybridIterate, LsqrSolver, corrected, inner_solvers
 from .metrics import analyze_curve, relative_error
-from .operators import (
-    IdentityOperator,
-    LinearOperator,
-    OrthonormalityError,
-    Stacked2DDifferenceOperator,
-    _is_int,
-    _is_real,
-)
+from .operators import LinearOperator, OrthonormalityError, _is_int, _is_real
 from .problems import ProblemInstance
 from .solvers import cgme_iterate, tcgme_iterate
 
 __all__ = [
-    "HybridIterate",
     "InnerFallback",
     "RunRow",
     "RunRecord",
     "METHODS",
-    "IdentitySolver",
-    "LsqrSolver",
-    "inner_solvers",
     "hyb_cgme_step",
     "hyb_tcgme_step",
     "run_hybrid",
@@ -94,21 +56,6 @@ def _check_sweep(methods: Sequence[str], max_outer_k: int, inner_tol: float) -> 
         raise ValueError(f"max_outer_k must be an integer >= 1, got {max_outer_k!r}")
     if not _is_real(inner_tol) or not 0.0 < inner_tol < 1.0:
         raise ValueError(f"inner_tol must lie in (0, 1), got {inner_tol!r}")
-
-
-@dataclass(frozen=True)
-class HybridIterate:
-    """One corrected iterate with its inner-solve diagnostics.
-
-    ``fallback`` is the reason an earlier link of the inner chain was
-    rejected, when a later one produced this iterate in its place.
-    """
-
-    x_L: np.ndarray
-    inner_iterations: int
-    inner_backward_error: float
-    inner_cap_hit: bool
-    fallback: str | None = None
 
 
 @dataclass(frozen=True)
@@ -151,83 +98,16 @@ class RunRecord:
     fallbacks: list[InnerFallback] = field(default_factory=list)
 
 
-class IdentitySolver:
-    """Exact corrected iterates for ``L = I``: ``x_L = x_k``.
-
-    ``x_L`` minimizes ``|x|`` over the feasible set ``x_k + null(Q^T)``.
-    A CGME or TCGME iterate is ``x_k = Q y`` for the very block ``Q`` its
-    hybrid passes, so ``x_k`` is orthogonal to ``null(Q^T)`` and is the
-    minimizer, whether or not ``Q`` has kept its orthogonality: ``z_k = 0``
-    with a zero backward error.
-    """
-
-    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        return x_k, 0.0, 0, False
-
-
-@dataclass(frozen=True)
-class LsqrSolver:
-    """The reference inner solve, and the last link of every chain:
-    ``x_L = x_k - z`` with ``z`` the minimum-norm LSQR solution of
-    ``min | L(I - QQ^T) z - L x_k |`` for an ``n x k`` block ``Q`` with
-    orthonormal columns, stopped at backward error ``tol``."""
-
-    L: LinearOperator
-    tol: float
-
-    def solve(self, Q: np.ndarray, x_k: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        # Exact termination needs at most n - k inner iterations; cap at twice
-        # that for floating-point slack.  LSQR's own cap min(p, n) (n - 1 for
-        # first differences) is the lower one until k passes about n / 2, so
-        # below that the slack never binds.
-        n = self.L.cols
-        cap = min(self.L.rows, n, max(2 * (n - Q.shape[1]), 1))
-        report = lsqr_solve(self.L, self.L.apply(x_k), tol=self.tol, max_iters=cap, Q=Q)
-        return (x_k - report.solution, report.final_backward_error, report.iterations,
-                report.stop_reason == "max_iters")
-
-
-def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
-    """Fresh inner solvers for one sweep with regularizer ``L``, in the
-    order they are tried: an exact solver when ``L`` has structure one
-    exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
-
-    The last link never rejects: every chain ends in :class:`IdentitySolver`
-    or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
-    The closing raise of the chain walk guards this rule."""
-    if isinstance(L, IdentityOperator):
-        return (IdentitySolver(),)
-    if isinstance(L, Stacked2DDifferenceOperator):
-        return Difference2DSolver(L), LsqrSolver(L, inner_tol)
-    return (LsqrSolver(L, inner_tol),)
-
-
-def _corrected(x_k: np.ndarray, Q, chain) -> HybridIterate:
-    fallback = None
-    for solver in chain:
-        try:
-            x_L, backward_error, iterations, cap_hit = solver.solve(Q, x_k)
-            return HybridIterate(
-                x_L=x_L, inner_iterations=iterations, inner_backward_error=backward_error,
-                inner_cap_hit=cap_hit, fallback=fallback,
-            )
-        except DirectSolveRejected as exc:
-            fallback = str(exc)
-    raise DirectSolveRejected(f"every inner solver rejected the step: {fallback}")
-
-
 def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``), with the inner
     problem solved to ``inner_tol`` by the reference :class:`LsqrSolver`."""
-    x_k = cgme_iterate(state, k)
-    return _corrected(x_k, state.Q_cols(k), (LsqrSolver(L, inner_tol),))
+    return LsqrSolver(L, inner_tol).solve(state.Q_cols(k), cgme_iterate(state, k))
 
 
 def hyb_tcgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-TCGME iterate ``x_k^{tcgme} - z_k`` (uses ``Q_{k+1}``), with the
     inner problem solved as in :func:`hyb_cgme_step`."""
-    x_k = tcgme_iterate(state, k)
-    return _corrected(x_k, state.Q_cols(k + 1), (LsqrSolver(L, inner_tol),))
+    return LsqrSolver(L, inner_tol).solve(state.Q_cols(k + 1), tcgme_iterate(state, k))
 
 
 def _needed(method: str, k: int) -> int:
@@ -310,7 +190,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 inner_iters = 0
                 if method != base:
                     t0 = time.perf_counter()
-                    hybrid = _corrected(x, state.Q_cols(needed), chain)
+                    hybrid = corrected(x, state.Q_cols(needed), chain)
                     wall += (time.perf_counter() - t0) * 1e3
                     x = hybrid.x_L
                     inner_iters = hybrid.inner_iterations

@@ -178,9 +178,12 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
                Q=None) -> LsqrReport:
     """Minimum-norm least-squares solve of ``min |M (I - Q Q^T) z - d|``,
     stopped once the relative backward error is at most ``tol`` (in
-    ``(0, 1)``) or after ``max_iters`` iterations (a positive integer,
-    default ``min(M.rows, M.cols)``); other values of either raise
-    ``ValueError``.
+    ``(0, 1)``) or after ``max_iters`` iterations (a positive integer);
+    other values of either raise ``ValueError``.  The default cap for a
+    ``k``-column ``Q`` is ``min(M.rows, n, max(2 (n - k), 1))``: exact
+    termination on ``null(Q^T)`` needs at most ``n - k`` iterations, and
+    the cap doubles that for floating-point slack, so it binds only once
+    ``k`` passes about ``n / 2``.
 
     ``Q`` is an ``n x k`` block (``n = M.cols``) whose columns must be
     orthonormal to ``ORTHONORMALITY_TOL``, or :class:`OrthonormalityError`
@@ -202,7 +205,8 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
         raise ValueError("right-hand side must be finite")
     n = M.cols
     Q = _orthonormal_block(Q, n)
-    max_iters = max_iters if max_iters is not None else min(M.rows, n)
+    if max_iters is None:
+        max_iters = min(M.rows, n, max(2 * (n - Q.shape[1]), 1))
 
     x = np.zeros(n)
     bnorm = math.sqrt(d @ d)

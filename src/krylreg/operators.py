@@ -82,13 +82,14 @@ class LinearOperator:
     """Abstract ``m x n`` real linear map.
 
     Subclasses call ``LinearOperator.__init__(rows, cols)``, which rejects
-    a shape below ``1 x 1``, and implement ``_apply``/``_adjoint`` on
-    validated float64 vectors, and ``frobenius_norm`` exactly.
+    a shape that is not two integers of at least ``1 x 1``, and implement
+    ``_apply``/``_adjoint`` on validated float64 vectors, and
+    ``frobenius_norm`` exactly.
     """
 
     def __init__(self, rows: int, cols: int) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError(f"operator shape must be at least 1x1, got {rows}x{cols}")
+        if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
+            raise ValueError(f"operator shape must be integers at least 1x1, got {rows!r}x{cols!r}")
         self._rows, self._cols = rows, cols
 
     @property

@@ -215,11 +215,20 @@ def make_L(kind: str, dims: int) -> LinearOperator:
     raise ValueError(f"unknown regularizer kind {kind!r}; expected one of {L_KINDS}")
 
 
+def _check_noise(epsilon: float, seed: int) -> None:
+    """The one rule for a noise level and a seed, for :func:`add_noise` and
+    ``ExperimentSpec`` alike."""
+    if not _is_real(epsilon) or not 0.0 < epsilon < 1.0:  # NaN fails both
+        raise ValueError(f"epsilon must be a finite real in (0, 1), got {epsilon!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def add_noise(b_true, epsilon: float, seed: int) -> np.ndarray:
-    """Add seeded Gaussian noise rescaled so ``|e| = epsilon |b_true|``."""
+    """Add seeded Gaussian noise rescaled so ``|e| = epsilon |b_true|``, for
+    a real ``epsilon`` in (0, 1) and a non-negative integer ``seed``."""
+    _check_noise(epsilon, seed)
     b_true = np.asarray(b_true, dtype=np.float64)
-    if not 0 < epsilon < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     bnorm = np.linalg.norm(b_true)
     if bnorm == 0.0:
         raise ValueError("cannot scale noise against a zero right-hand side")

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.dct_solve import Difference2DSolver, DirectSolveRejected
-from krylreg.hybrid import (
+from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from krylreg.inner import (
+    Difference2DSolver,
+    DirectSolveRejected,
+    HybridIterate,
     IdentitySolver,
     LsqrSolver,
-    _corrected,
-    hyb_cgme_step,
-    hyb_tcgme_step,
+    corrected,
     inner_solvers,
-    run_hybrid,
 )
 from krylreg.metrics import relative_error
 from krylreg.operators import (
@@ -97,11 +97,11 @@ def test_direct_solve_matches_pinv_oracle(side, frac, seed):
     k = 1 + int(frac * (n - 2))
     Q = random_orthonormal(n, k, seed)
     x_k = np.random.default_rng(seed + 1).standard_normal(n)
-    x_L, backward_error, iterations, cap_hit = Difference2DSolver(L).solve(Q, x_k)
+    answer = Difference2DSolver(L).solve(Q, x_k)
     oracle = pinv_oracle(L, Q, x_k)
-    assert np.linalg.norm(x_L - oracle) <= 1e-10 * np.linalg.norm(oracle)
-    assert backward_error <= 1e-10
-    assert (iterations, cap_hit) == (0, False)
+    assert np.linalg.norm(answer.x_L - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    assert answer.inner_backward_error <= 1e-10
+    assert (answer.inner_iterations, answer.inner_cap_hit) == (0, False)
 
 
 def test_direct_solve_grows_and_reuses_its_basis():
@@ -112,8 +112,8 @@ def test_direct_solve_grows_and_reuses_its_basis():
     x_k = np.random.default_rng(6).standard_normal(36)
     solver = Difference2DSolver(L)
     for m in (1, 2, 5, 9, 4):
-        x_L, *_ = solver.solve(Q[:, :m], x_k)
-        fresh, *_ = Difference2DSolver(L).solve(Q[:, :m], x_k)
+        x_L = solver.solve(Q[:, :m], x_k).x_L
+        fresh = Difference2DSolver(L).solve(Q[:, :m], x_k).x_L
         np.testing.assert_allclose(x_L, fresh, atol=1e-12)
         np.testing.assert_allclose(x_L, pinv_oracle(L, Q[:, :m], x_k), atol=1e-10)
 
@@ -205,7 +205,7 @@ def test_a_chain_whose_last_link_rejects_raises():
             raise DirectSolveRejected("refused")
 
     with pytest.raises(DirectSolveRejected, match="every inner solver rejected the step: refused"):
-        _corrected(np.ones(4), np.eye(4)[:, :1], (Refuses(),))
+        corrected(np.ones(4), np.eye(4)[:, :1], (Refuses(),))
 
 
 @pytest.mark.parametrize(
@@ -220,7 +220,8 @@ def test_a_chain_whose_last_link_rejects_raises():
 def test_every_chain_link_meets_one_contract(L_kind, size):
     # each link, run on its own, gives a finite x_L that keeps the projected
     # constraint and agrees with the LSQR reference, also where no LSQR
-    # link closes the chain (L = I); blur2d also on an odd side
+    # link closes the chain (L = I), in the one answer record with no
+    # fallback of its own; blur2d also on an odd side
     name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
     problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
@@ -229,9 +230,11 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
     lsqr = LsqrSolver(problem.L, 1e-12)
     for k in (1, 3, 6):
         for x_k, Q in ((cgme_iterate(state, k), state.Q_cols(k)), (tcgme_iterate(state, k), state.Q_cols(k + 1))):
-            reference = lsqr.solve(Q, x_k)[0]
+            reference = lsqr.solve(Q, x_k).x_L
             for solver in chain:
-                x_L = solver.solve(Q, x_k)[0]
+                answer = solver.solve(Q, x_k)
+                assert isinstance(answer, HybridIterate) and answer.fallback is None
+                x_L = answer.x_L
                 assert np.all(np.isfinite(x_L))
                 assert np.linalg.norm(Q.T @ x_L - Q.T @ x_k) <= 1e-10 * np.linalg.norm(Q.T @ x_k)
                 assert np.linalg.norm(x_L - reference) <= 1e-8 * np.linalg.norm(reference)
@@ -264,7 +267,7 @@ def test_sweep_records_lsqr_fallback_with_reason():
     direct, lsqr = inner_solvers(problem.L, 1e-10)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
         direct.solve(state.Q_cols(3), cgme_iterate(state, 3))
-    fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3))[0]
+    fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3)).x_L
     reference = hyb_cgme_step(state, problem.L, 3, 1e-10)
     assert reference.fallback is None
     np.testing.assert_allclose(fallen, reference.x_L, atol=1e-12)

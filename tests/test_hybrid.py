@@ -7,14 +7,8 @@ import pytest
 from conftest import rectangular_baart
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
-from krylreg.hybrid import (
-    LsqrSolver,
-    hyb_cgme_step,
-    hyb_tcgme_step,
-    inner_solvers,
-    run_hybrid,
-)
-from krylreg.hybrid import METHODS
+from krylreg.hybrid import METHODS, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from krylreg.inner import LsqrSolver, inner_solvers
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
 from krylreg.problems import ProblemInstance, build_problem
@@ -51,7 +45,7 @@ def test_inner_solve_identity_regularizer_keeps_iterate():
     problem, state = prepared("shaw", 200, 6, L_kind="identity")
     for k in (2, 5):
         x_k = cgme_iterate(state, k)
-        x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k)
+        x_L = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k).x_L
         np.testing.assert_allclose(x_L, state.Q_cols(k) @ (state.Q_cols(k).T @ x_k), atol=1e-8)
         assert np.linalg.norm(x_L - x_k) <= 1e-8 * np.linalg.norm(x_k) + 1e-12
 
@@ -60,17 +54,17 @@ def test_inner_solve_null_space_rhs_gives_zero():
     problem, state = prepared("shaw", 100, 4)
     L = problem.L
     x_null = np.ones(100)  # constants are in the null space of first differences
-    x_L, backward_error, iterations, cap_hit = LsqrSolver(L, TIGHT).solve(state.Q_cols(3), x_null)
+    answer = LsqrSolver(L, TIGHT).solve(state.Q_cols(3), x_null)
     # L x_null = 0 stops LSQR on an exact breakdown before its first iteration
-    assert (backward_error, iterations, cap_hit) == (0.0, 0, False)
-    np.testing.assert_allclose(x_null - x_L, np.zeros(100), atol=1e-14)
+    assert (answer.inner_backward_error, answer.inner_iterations, answer.inner_cap_hit) == (0.0, 0, False)
+    np.testing.assert_allclose(x_null - answer.x_L, np.zeros(100), atol=1e-14)
 
 
 def test_inner_solve_matches_dense_pinv_oracle():
     problem, state = prepared("shaw", 200, 6)
     k = 5
     x_k = cgme_iterate(state, k)
-    x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k)
+    x_L = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k).x_L
     z = x_k - x_L
     M = dense_projected(problem.L, state.Q_cols(k))
     oracle = np.linalg.pinv(M, rcond=1e-10) @ problem.L.apply(x_k)
@@ -84,7 +78,7 @@ def test_inner_correction_stays_in_the_complement_of_the_krylov_basis(k):
     problem, state = prepared("shaw", 200, 10)
     Q = state.Q_cols(k)
     x_k = cgme_iterate(state, k)
-    x_L, *_ = LsqrSolver(problem.L, TIGHT).solve(Q, x_k)
+    x_L = LsqrSolver(problem.L, TIGHT).solve(Q, x_k).x_L
     z = x_k - x_L
     assert np.linalg.norm(Q.T @ z) <= 1e-13 * np.linalg.norm(z)
 
@@ -473,5 +467,5 @@ def test_rectangular_operator_sweeps(m, n):
         assert hybrid.error is None and inner_iterations(hybrid) == [0] * len(plain.rows)
     exact = inner_solvers(identity.L, 1e-6)[0]
     for j in range(1, k):
-        assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j))[0], cgme_iterate(state, j))
-        assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j))[0], tcgme_iterate(state, j))
+        assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j)).x_L, cgme_iterate(state, j))
+        assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j)).x_L, tcgme_iterate(state, j))

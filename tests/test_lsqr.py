@@ -138,6 +138,24 @@ def test_projected_operator_terminates_within_dimension_bound(n, k, seed):
     assert report.iterations <= n - k + 5
 
 
+def test_default_cap_is_twice_the_projected_dimension():
+    # min |M (I - QQ^T) z - d| lives on the (n - k)-dimensional null(Q^T),
+    # so LSQR ends within n - k iterations in exact arithmetic; the default
+    # cap doubles that, and binds below min(M.rows, n) once k > n / 2.  On
+    # this consistent system, with M's singular values spread over ten
+    # decades, the backward error stalls far above tol, so only the cap stops.
+    n, k = 60, 40
+    rng = np.random.default_rng(60)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = DenseOperator(U * np.logspace(0, -10, n) @ V.T)
+    Q = random_orthonormal(n, k, seed=k)
+    z = rng.standard_normal(n)
+    z -= Q @ (Q.T @ z)
+    report = lsqr_solve(M, M.apply(z), tol=1e-15, Q=Q)
+    assert (report.iterations, report.stop_reason) == (2 * (n - k), "max_iters")
+
+
 def test_max_iters_stop():
     rng = np.random.default_rng(12)
     M = DenseOperator(rng.standard_normal((50, 40)))

@@ -17,7 +17,7 @@ from krylreg.operators import (
     SymmetricSemiseparableOperator,
     check_orthonormal,
 )
-from krylreg.problems import gen_baart
+from krylreg.problems import gen_baart, make_L
 
 from conftest import random_orthonormal
 
@@ -26,8 +26,12 @@ def test_shape_validation():
     for empty in ((0, 3), (3, 0)):
         with pytest.raises(ValueError, match="at least 1x1"):
             DenseOperator(np.zeros(empty))
-    with pytest.raises(ValueError, match="at least 1x1"):
-        IdentityOperator(0)
+    # a shape that is not an integer, or is a bool, is no shape either
+    for build in (lambda: IdentityOperator(0), lambda: IdentityOperator(True),
+                  lambda: FirstDifferenceOperator(2.5), lambda: Stacked2DDifferenceOperator(2.5),
+                  lambda: make_L("first_diff_1d", 4.0)):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            build()
     A = DenseOperator(np.zeros((4, 3)))
     assert (A.rows, A.cols) == (4, 3)
     with pytest.raises(AttributeError):

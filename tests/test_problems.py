@@ -272,3 +272,25 @@ def test_add_noise_validation():
 def test_add_noise_rejects_nonfinite_level(epsilon):
     with pytest.raises(ValueError, match="finite"):
         add_noise(np.ones(4), epsilon, 0)
+
+
+@pytest.mark.parametrize(
+    "epsilon, seed, message",
+    [
+        pytest.param(True, 1, "epsilon", id="epsilon-bool"),
+        pytest.param(1.5, 1, "epsilon", id="epsilon-above-1"),
+        pytest.param("0.1", 1, "epsilon", id="epsilon-str"),
+        pytest.param(0.1, True, "seed must be a non-negative integer", id="seed-bool"),
+        pytest.param(0.1, 1.5, "seed must be a non-negative integer", id="seed-float"),
+        pytest.param(0.1, -1, "seed must be a non-negative integer", id="seed-negative"),
+    ],
+)
+def test_noise_level_and_seed_follow_one_rule(epsilon, seed, message):
+    # add_noise (and so build_problem and with_noise) and ExperimentSpec
+    # refuse the same noise levels and seeds, with the same message
+    with pytest.raises(ValueError, match=message):
+        add_noise(np.ones(4), epsilon, seed)
+    with pytest.raises(ValueError, match=message):
+        build_problem("shaw", 16, epsilon, seed)
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(problem="shaw", size=16, epsilons=(epsilon,), seed=seed, methods=("cgme",))
