@@ -110,7 +110,9 @@ class BidiagState:
     the coefficient lists are the recurrence's own storage (do not mutate).
 
     ``A`` is kept for :func:`bidiag_extend`, the single writer; reads are
-    safe once an extension has returned.
+    safe once an extension has returned.  ``cgme_coeffs`` and ``cgme_last``
+    are :func:`krylreg.solvers.cgme_iterate`'s memo: completed steps never
+    change, so it stays valid as the state grows.
     """
 
     def __init__(self, A: LinearOperator, p_block: _ColumnBlock, q_block: _ColumnBlock,
@@ -122,6 +124,8 @@ class BidiagState:
         self.betas = betas
         self.breakdown_tol = breakdown_tol
         self.breakdown_step: int | None = None
+        self.cgme_coeffs: list[float] = []
+        self.cgme_last: tuple[int, np.ndarray | None] = (0, None)
 
     @property
     def k(self) -> int:
@@ -229,6 +233,6 @@ def bidiagonal(state: BidiagState, rows: int, cols: int) -> np.ndarray:
     if cols > state.k:
         raise ValueError(f"a {rows} x {cols} block needs {cols} bidiagonalization steps, have {state.k}")
     B = np.zeros((rows, cols))
-    B[np.arange(cols), np.arange(cols)] = state.alphas[:cols]
-    B[np.arange(1, rows), np.arange(rows - 1)] = state.betas[1:rows]
+    np.fill_diagonal(B, state.alphas[:cols])
+    np.fill_diagonal(B[1:], state.betas[1:rows])
     return B

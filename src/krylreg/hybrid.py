@@ -127,8 +127,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     active method reads, each base iterate (CGME, TCGME) is computed once
     for its plain and its hybrid method, and each hybrid runs its inner
     solve through the sweep's one :func:`inner_solvers` chain.  Relative
-    errors are the L-seminorm errors against ``x_true``; ``best_k`` and
-    ``best_error`` are :func:`analyze_curve`'s.
+    errors are the L-seminorm errors against ``x_true``, each through one
+    :func:`relative_error` call that reuses the sweep's one ``|L x_true|``;
+    ``best_k`` and ``best_error`` are :func:`analyze_curve`'s.
 
     Every method's result is the one it gets when swept alone.  A Krylov
     breakdown is recorded, with its original message, on the methods that
@@ -150,6 +151,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             record.breakdown = str(exc)
         return records
     chain = inner_solvers(problem.L, inner_tol)
+    denom: float | None = None  # |L x_true|, computed once, by the first row
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
     active = list(records)
@@ -196,7 +198,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                     inner_iters = hybrid.inner_iterations
                     if hybrid.fallback is not None:
                         record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
-                rel_error = relative_error(problem.L, x, problem.x_true)
+                if denom is None:
+                    denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
+                rel_error = relative_error(problem.L, x, problem.x_true, denom)
             except OrthonormalityError as exc:
                 # a basis that drifted past the projector tolerance (the
                 # reorthogonalization failed to hold it) stops this sweep

@@ -28,8 +28,11 @@ projection subtracts an exact zero.
 
 The loop runs once per inner iteration of every hybrid step, and on short
 vectors its cost is the number of numpy calls, so it makes 11 per
-iteration: the two products with ``M``, the projection (two gemvs and a
-subtraction) and six vector operations.  ``u`` and ``v`` are kept
+iteration: the two updates ``u <- M v - c u`` and ``v' <- M^T u - c v``,
+three calls each through the operator's ``_apply_sub``/``_adjoint_sub``,
+the projection (two gemvs and a subtraction) and two norms.  A first
+difference fuses its products into those updates as in-place passes over
+slices, with no temporary vector.  ``u`` and ``v`` are kept
 unnormalized, as their Golub-Kahan vectors times scales the loop tracks in
 Python floats; ``1/beta`` and ``1/alfa`` are folded into the coefficients
 of the next update, and a vector is rescaled, exactly, by a power of two
@@ -188,9 +191,10 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
     ``Q`` is an ``n x k`` block (``n = M.cols``) whose columns must be
     orthonormal to ``ORTHONORMALITY_TOL``, or :class:`OrthonormalityError`
     is raised; without it the solve is ``min |M z - d|``.  The solution
-    lies in ``null(Q^T)``.  The operator's private ``_apply``/``_adjoint``
-    run on the loop's own vectors, which have the right lengths by
-    construction.  The caller's ``d`` and ``Q`` are left untouched.
+    lies in ``null(Q^T)``.  The operator's private ``_adjoint`` and fused
+    updates ``_apply_sub``/``_adjoint_sub`` run on the loop's own vectors,
+    which have the right lengths by construction.  The caller's ``d`` and
+    ``Q`` are left untouched.
 
     Raises :class:`NumericalFailure` as soon as a bidiagonal coefficient
     (``alfa``, ``beta``) or a rotation quantity (``rho``, ``phi``) is
@@ -213,8 +217,8 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
     if bnorm == 0.0:
         return LsqrReport(x, 0, 0.0, "exact_breakdown", 0.0, np.zeros(1))
 
-    dot, subtract, multiply = np.dot, np.subtract, np.multiply
-    apply, adjoint = M._apply, M._adjoint
+    dot = np.dot
+    apply_sub, adjoint_sub = M._apply_sub, M._adjoint_sub
     sqrt, isfinite = math.sqrt, math.isfinite
     Qt = Q.T
     qtv = np.empty(Q.shape[1])
@@ -232,7 +236,7 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
     if not _SCALE_LO <= cu <= _SCALE_HI:
         cu = _rescale(u, cu)
     v = ring[0]
-    v[:] = adjoint(u)
+    v[:] = M._adjoint(u)
     dot(Qt, v, out=qtv)
     dot(Q, qtv, out=step)
     v -= step
@@ -260,8 +264,7 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
     while itn < max_iters:
         itn += 1
         # u = M v - alfa u  (M P v = M v, since v lies in null(Q^T)), times cv
-        u *= alfa * cv / cu
-        subtract(apply(v), u, out=u)
+        apply_sub(v, alfa * cv / cu, u)
         cu = sqrt(dot(u, u))
         beta = cu / cv
         if not isfinite(beta):
@@ -273,8 +276,7 @@ def lsqr_solve(M: LinearOperator, d, *, tol: float = 1e-6, max_iters: int | None
                 cu = _rescale(u, cu)
             # v = P (M^T u - beta v), times cu, into the next row
             row = ring[len(scales)]
-            multiply(v, beta * cu / cv, out=row)
-            subtract(adjoint(u), row, out=row)
+            adjoint_sub(u, beta * cu / cv, v, row)
             dot(Qt, row, out=qtv)
             dot(Q, qtv, out=step)
             row -= step

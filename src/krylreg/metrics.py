@@ -53,11 +53,13 @@ class GammaGapReport:
     theta_min: float
 
 
-def relative_error(L: LinearOperator, x, x_true) -> float:
-    """Seminorm relative error ``|L (x - x_true)| / |L x_true|``."""
+def relative_error(L: LinearOperator, x, x_true, denom: float | None = None) -> float:
+    """Seminorm relative error ``|L (x - x_true)| / |L x_true|``.  A sweep over
+    one ``x_true`` passes ``denom = float(np.linalg.norm(L.apply(x_true)))``."""
     x = np.asarray(x, dtype=np.float64)
     x_true = np.asarray(x_true, dtype=np.float64)
-    denom = float(np.linalg.norm(L.apply(x_true)))
+    if denom is None:
+        denom = float(np.linalg.norm(L.apply(x_true)))
     if denom == 0.0:
         raise ValueError("relative error is undefined: L x_true = 0")
     return float(np.linalg.norm(L.apply(x - x_true)) / denom)

@@ -114,6 +114,17 @@ class LinearOperator:
     def _adjoint(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    # LSQR's two updates; a subclass may fuse them into fewer passes.
+    def _apply_sub(self, v: np.ndarray, c: float, u: np.ndarray) -> None:
+        """``u <- A v - c u``, in place."""
+        u *= c
+        np.subtract(self._apply(v), u, out=u)
+
+    def _adjoint_sub(self, u: np.ndarray, c: float, v: np.ndarray, out: np.ndarray) -> None:
+        """``out <- A^T u - c v``."""
+        np.multiply(v, c, out=out)
+        np.subtract(self._adjoint(u), out, out=out)
+
     def frobenius_norm(self) -> float:
         """Exact Frobenius norm ``|A|_F``."""
         raise NotImplementedError
@@ -248,6 +259,16 @@ class FirstDifferenceOperator(LinearOperator):
         w[0] = u[0]
         w[-1] = -u[-1]
         return w
+
+    def _apply_sub(self, v: np.ndarray, c: float, u: np.ndarray) -> None:
+        u *= -c
+        u += v[:-1]
+        u -= v[1:]
+
+    def _adjoint_sub(self, u: np.ndarray, c: float, v: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(v, -c, out=out)
+        out[:-1] += u
+        out[1:] -= u
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt(2.0 * (self.cols - 1)))

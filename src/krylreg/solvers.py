@@ -9,7 +9,8 @@ best rank-k approximation ``C_k`` and solves
 approximation route when the discarded singular value is small.
 
 In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``, so both
-iterates are read straight from the recurrence coefficients.
+iterates are read straight from the recurrence coefficients.  CGME's
+coefficients gain one entry per step, so a sweep's CGME step is O(n).
 """
 
 from __future__ import annotations
@@ -40,19 +41,28 @@ def _require_steps(state: BidiagState, k: int, needed: int, method: str) -> None
 
 
 def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
-    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1)``, in range(Q_k).
+    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1) = sum_j y_j q_j``, in
+    range(Q_k), as a new array.
 
     ``B_k`` is lower bidiagonal with diagonal ``alpha_1..alpha_k`` and
-    subdiagonal ``beta_2..beta_k``; forward substitution is O(k).  Every
-    stored ``alpha`` exceeds the breakdown threshold, so none is zero.
+    subdiagonal ``beta_2..beta_k``, so forward substitution only appends
+    to ``y``; every stored ``alpha`` exceeds the breakdown threshold.  The
+    state memoizes ``y`` and the last iterate, so the next ``k`` costs one
+    O(n) update.  Any call sums ``y_j q_j`` in column order, from the memo
+    or from zero, so a ``k`` gives the same bits whatever came before.
     """
     _require_steps(state, k, k, "cgme")
-    alphas, betas = state.alphas, state.betas
-    y = np.empty(k)
-    y[0] = state.beta1 / alphas[0]
-    for i in range(1, k):
-        y[i] = (0.0 - betas[i] * y[i - 1]) / alphas[i]
-    return state.Q_cols(k) @ y
+    alphas, betas, y = state.alphas, state.betas, state.cgme_coeffs
+    if not y:
+        y.append(state.beta1 / alphas[0])
+    for i in range(len(y), k):
+        y.append((0.0 - betas[i] * y[i - 1]) / alphas[i])
+    done, x = state.cgme_last if state.cgme_last[0] <= k else (0, None)
+    Q = state.Q_cols(k)
+    for j in range(done, k):
+        x = y[j] * Q[:, j] if x is None else x + y[j] * Q[:, j]
+    state.cgme_last = (k, x)  # never handed out, so no caller can mutate it
+    return x.copy()
 
 
 def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_run_experiment_keeps_a_nonfinite_error_curve_in_its_run(monkeypatch):
 
     real_error = hybrid.relative_error
 
-    def nan_at_k3(L, x, x_true):
+    def nan_at_k3(L, x, x_true, denom=None):
         nan_at_k3.calls += 1
         return float("nan") if nan_at_k3.calls == 3 else real_error(L, x, x_true)
 

@@ -469,3 +469,12 @@ def test_rectangular_operator_sweeps(m, n):
     for j in range(1, k):
         assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j)).x_L, cgme_iterate(state, j))
         assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j)).x_L, tcgme_iterate(state, j))
+
+
+def test_zero_seminorm_truth_fails_every_method_on_its_own_record():
+    problem = dataclasses.replace(build_problem("shaw", 64, 1e-2, 3, L_kind="first_diff_1d"),
+                                  x_true=np.ones(64))
+    records = run_hybrid(problem, METHODS, max_outer_k=5)
+    for record in records.values():
+        assert record.error == "ValueError: relative error is undefined: L x_true = 0"
+        assert record.rows == [] and record.best_k is None

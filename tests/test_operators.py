@@ -223,6 +223,36 @@ def test_first_difference_adjoint_is_the_dense_transpose(n):
         np.testing.assert_array_equal(L.to_dense(), D)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1000])
+def test_first_difference_fused_updates_match_apply_and_adjoint(n):
+    L = FirstDifferenceOperator(n)
+    rng = np.random.default_rng(n)
+    v, w = rng.standard_normal(n), rng.standard_normal(n)
+    u, c = rng.standard_normal(n - 1), 0.7
+    expected = L.apply(v) - c * u
+    L._apply_sub(v, c, u)
+    assert np.linalg.norm(u - expected) <= 1e-15 * np.linalg.norm(expected)
+    expected = L.apply_adjoint(u) - c * w
+    out = np.empty(n)
+    L._adjoint_sub(u, c, w, out)
+    assert np.linalg.norm(out - expected) <= 1e-15 * np.linalg.norm(expected)
+
+
+def test_default_fused_updates_are_the_unfused_expressions(rng):
+    A = DenseOperator(rng.standard_normal((7, 5)))
+    v, w = rng.standard_normal(5), rng.standard_normal(5)
+    u, c = rng.standard_normal(7), -1.3
+    scaled = u * c
+    expected = np.subtract(A.entries @ v, scaled, out=scaled)
+    A._apply_sub(v, c, u)
+    np.testing.assert_array_equal(u, expected)
+    scaled = w * c
+    expected = np.subtract(A.entries.T @ u, scaled, out=scaled)
+    out = np.empty(5)
+    A._adjoint_sub(u, c, w, out)
+    np.testing.assert_array_equal(out, expected)
+
+
 def _layouts(n, k, seed):
     """One orthonormal block as C- and F-ordered arrays and as a strided
     view, every other column of a wider buffer."""

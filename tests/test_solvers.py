@@ -117,3 +117,38 @@ def test_cgme_semi_convergence_interior_minimum():
         errs.append(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
     best = int(np.argmin(errs))
     assert 0 < best < len(errs) - 1
+
+
+def _cgme_oracle(state, k):
+    """Forward substitution through ``B_k`` and one product with ``Q_k``."""
+    y = np.empty(k)
+    y[0] = state.beta1 / state.alphas[0]
+    for i in range(1, k):
+        y[i] = -state.betas[i] * y[i - 1] / state.alphas[i]
+    return state.Q_cols(k) @ y
+
+
+def test_cgme_memo_gives_the_same_bits_in_any_call_order():
+    _, _, state = shaw_state(12)
+    consecutive = [cgme_iterate(state, k) for k in range(1, 13)]
+    for k in (7, 7, 12, 3, 1, 12, 5, 6):  # repeated, backwards, forwards
+        np.testing.assert_array_equal(cgme_iterate(state, k), consecutive[k - 1])
+    for k in (1, 6, 12):
+        _, _, fresh = shaw_state(12)
+        np.testing.assert_array_equal(cgme_iterate(fresh, k), consecutive[k - 1])
+    for k, x in enumerate(consecutive, start=1):
+        oracle = _cgme_oracle(state, k)
+        assert np.linalg.norm(x - oracle) <= 1e-14 * np.linalg.norm(oracle)
+
+
+def test_cgme_memo_keeps_the_step_check_and_its_own_copy():
+    _, _, state = shaw_state(4)
+    _, _, fresh = shaw_state(4)
+    for k in (3, 3, 4):
+        cgme_iterate(state, k)[:] = np.nan  # a caller that overwrites its iterate
+    for k in (3, 4):
+        np.testing.assert_array_equal(cgme_iterate(state, k), cgme_iterate(fresh, k))
+    with pytest.raises(ValueError, match="needs 5 bidiagonalization steps"):
+        cgme_iterate(state, 5)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        cgme_iterate(state, 0)
