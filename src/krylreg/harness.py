@@ -61,6 +61,8 @@ class ExperimentSpec:
         for name, value in (("epsilons", self.epsilons), ("methods", self.methods)):
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
+            # a caller's list could change after this check; a tuple cannot
+            object.__setattr__(self, name, tuple(value))
         _check_sweep(self.methods, self.max_outer_k, self.inner_tol)
         if not self.epsilons:
             raise ValueError("no noise levels given")
@@ -69,7 +71,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Build a spec from a JSON-style mapping; lists become tuples.
+        """Build a spec from a JSON-style mapping.
 
         Unknown or missing keys raise ``ValueError`` naming them.
         """
@@ -81,10 +83,6 @@ class ExperimentSpec:
         missing = sorted(required - set(data))
         if missing:
             raise ValueError(f"missing ExperimentSpec keys {missing}")
-        data = dict(data)
-        for key in ("epsilons", "methods"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
         return cls(**data)
 
 
@@ -212,10 +210,12 @@ def _krylov_state(A, b, steps: int) -> bidiag.BidiagState:
 
 
 def _bidiag_recurrence_check(state: bidiag.BidiagState) -> VerificationCheck:
+    """Criterion 1: both Golub-Kahan recurrences and the orthonormality of
+    ``P`` and ``Q`` hold to 1e-10 (residuals relative to ``|A|_F``)."""
     k = state.k
     B_k, B_kplus = bidiag.bidiagonal(state, k, k), bidiag.bidiagonal(state, k + 1, k)
     fro = state.A.frobenius_norm()
-    dense = state.A.entries
+    dense = state.A.to_dense()
     res1 = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro")
     res2 = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro")
     orth = max(
@@ -230,68 +230,54 @@ def _bidiag_recurrence_check(state: bidiag.BidiagState) -> VerificationCheck:
     )
 
 
-def _gap_ordering_check(state: bidiag.BidiagState) -> VerificationCheck:
-    kmax = 12
-    reports = {k: metrics.gamma_gaps(state, k) for k in range(1, kmax + 1)}
+def _gap_ordering_check(state: bidiag.BidiagState, kmax: int, label: str) -> VerificationCheck:
+    """Criterion 2: the rank-k gap orderings for k = 1..kmax, each within
+    slack 1e-10; the two ``k+1`` inequalities read the report at kmax+1."""
+    reports = [metrics.gamma_gaps(state, k) for k in range(1, kmax + 2)]
     slack = 1e-10
     ok = True
-    prev_lsqr = float(np.linalg.norm(state.A.entries, 2))
-    for k in range(1, kmax + 1):
-        g = reports[k]
+    prev_lsqr = float(np.linalg.norm(state.A.to_dense(), 2))
+    for g, next_g in zip(reports, reports[1:]):
         ok &= g.gamma_lsqr < g.gamma_cgme + slack
         ok &= g.gamma_cgme < prev_lsqr + slack
-        if k + 1 <= kmax:
-            ok &= reports[k + 1].gamma_cgme < g.gamma_cgme + slack
-            ok &= g.gamma_tcgme <= g.theta_min + reports[k + 1].gamma_cgme + slack
+        ok &= next_g.gamma_cgme < g.gamma_cgme + slack
+        ok &= g.gamma_tcgme <= g.theta_min + next_g.gamma_cgme + slack
         prev_lsqr = g.gamma_lsqr
-    return _check("gap-orderings", ok, f"shaw(64) k=1..{kmax}")
+    return _check("gap-orderings", ok, f"{label} k=1..{kmax}")
 
 
-def _identity_collapse_check() -> VerificationCheck:
-    problem = build_problem("shaw", 200, 1e-2, 11, L_kind="identity")
-    state = _krylov_state(problem.A, problem.b, 9)
+def _identity_collapse_check(state: bidiag.BidiagState, L, cgme_ks, tcgme_ks) -> VerificationCheck:
+    """Criterion 4: with ``L = I`` each hybrid step returns its plain
+    iterate to 1e-8 relative, at CGME's and TCGME's own ``k``s."""
     worst = 0.0
-    for k in (2, 5, 8):
-        xc = solvers.cgme_iterate(state, k)
-        xt = solvers.tcgme_iterate(state, k)
-        hc = hyb_cgme_step(state, problem.L, k, 1e-10).x_L
-        ht = hyb_tcgme_step(state, problem.L, k, 1e-10).x_L
-        worst = max(
-            worst,
-            np.linalg.norm(hc - xc) / np.linalg.norm(xc),
-            np.linalg.norm(ht - xt) / np.linalg.norm(xt),
-        )
+    for ks, step, plain in ((cgme_ks, hyb_cgme_step, solvers.cgme_iterate),
+                            (tcgme_ks, hyb_tcgme_step, solvers.tcgme_iterate)):
+        for k in ks:
+            x_k = plain(state, k)
+            worst = max(worst, np.linalg.norm(step(state, L, k, 1e-10).x_L - x_k) / np.linalg.norm(x_k))
     return _check("identity-collapse", worst <= 1e-8, f"max rel dev {worst:.2e}")
 
 
-def _condition_monotonicity_check() -> VerificationCheck:
-    problem = build_problem("deriv2", 120, 1e-2, 13)
-    state = _krylov_state(problem.A, problem.b, 40)
-    prev = np.inf
-    ok = True
-    for k in range(2, 41):
-        kappa = metrics.projected_condition(problem.L, state.Q_cols(k))
-        ok &= kappa <= prev * (1.0 + 1e-10)
-        prev = kappa
-    return _check("condition-monotonicity", ok, "deriv2(120) k=2..40")
+def _condition_monotonicity_check(state: bidiag.BidiagState, L, label: str) -> VerificationCheck:
+    """Criterion 5: the condition number of ``L`` on the complement of
+    ``Q_k`` does not grow (to 1e-10 relative) over k = 2..state.k."""
+    kappas = [metrics.projected_condition(L, state.Q_cols(k)) for k in range(2, state.k + 1)]
+    ok = all(kappa <= prev * (1.0 + 1e-10) for prev, kappa in zip([np.inf, *kappas], kappas))
+    return _check("condition-monotonicity", ok, f"{label} k=2..{state.k}")
 
 
-def _lsqr_pinv_check() -> VerificationCheck:
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(5):
-        m, n, r = 40, 30, 18
-        U = np.linalg.qr(rng.standard_normal((m, r)))[0]
-        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
-        svals = np.linspace(1.0, 3.0, r)
-        M = DenseOperator(U @ np.diag(svals) @ V.T)
-        d = rng.standard_normal(m)
-        report = lsqr_solve(M, d, tol=1e-12, max_iters=400)
+def _lsqr_pinv_check(systems) -> VerificationCheck:
+    """Criterion 8: LSQR at tol 1e-12 on each ``(M, d, max_iters)`` meets
+    ``pinv(M) d`` to 1e-6 relative, with a residual history that never
+    rises by more than 1e-12."""
+    worst, monotone = 0.0, True
+    for M, d, max_iters in systems:
+        report = lsqr_solve(M, d, tol=1e-12, max_iters=max_iters)
         expected = np.linalg.pinv(M.entries) @ d
         worst = max(worst, np.linalg.norm(report.solution - expected) / np.linalg.norm(expected))
-        if np.any(np.diff(report.residual_history) > 1e-12):
-            return _check("lsqr-pinv", False, "residual history not monotone")
-    return _check("lsqr-pinv", worst <= 1e-6, f"max rel dev {worst:.2e}")
+        monotone &= bool(np.all(np.diff(report.residual_history) <= 1e-12))
+    detail = f"max rel dev {worst:.2e}" + ("" if monotone else "; residual history not monotone")
+    return _check("lsqr-pinv", worst <= 1e-6 and monotone, detail)
 
 
 def _semi_convergence_check(seed: int) -> tuple[VerificationCheck, list[RunRecord]]:
@@ -331,12 +317,20 @@ def verification_suite(seed: int = 20240101) -> tuple[list[VerificationCheck], l
     # leading columns, which do not depend on how far it was extended
     A, _, b_true = problems.gen_shaw(64)
     shaw = _krylov_state(A, problems.add_noise(b_true, 1e-2, 7), 30)
+    identity = build_problem("shaw", 200, 1e-2, 11, L_kind="identity")
+    deriv2 = build_problem("deriv2", 120, 1e-2, 13)
+    rng = np.random.default_rng(3)
+    systems = []
+    for _ in range(5):  # rank-18 40 x 30 matrices with singular values in [1, 3]
+        U = np.linalg.qr(rng.standard_normal((40, 18)))[0]
+        V = np.linalg.qr(rng.standard_normal((30, 18)))[0]
+        systems.append((DenseOperator(U @ np.diag(np.linspace(1.0, 3.0, 18)) @ V.T), rng.standard_normal(40), 400))
     checks = [
         _bidiag_recurrence_check(shaw),
-        _gap_ordering_check(shaw),
-        _identity_collapse_check(),
-        _condition_monotonicity_check(),
-        _lsqr_pinv_check(),
+        _gap_ordering_check(shaw, 12, "shaw(64)"),
+        _identity_collapse_check(_krylov_state(identity.A, identity.b, 9), identity.L, (2, 5, 8), (2, 5, 8)),
+        _condition_monotonicity_check(_krylov_state(deriv2.A, deriv2.b, 40), deriv2.L, "deriv2(120)"),
+        _lsqr_pinv_check(systems),
     ]
     trend, records = _semi_convergence_check(seed)
     checks.append(trend)

@@ -46,3 +46,11 @@ def no_reorth(monkeypatch):
     """Run the Golub-Kahan recurrence without reorthogonalization, so the
     basis loses orthogonality as the raw recurrence does."""
     monkeypatch.setattr("krylreg.bidiag._reorthogonalize", lambda r, block: (r, float(np.linalg.norm(r))))
+
+
+def pinv_oracle(L, Q, x_k):
+    """Acceptance criterion 3's closed form of the inner solve:
+    ``x_L = x_k - pinv(L (I - Q Q^T), rcond=1e-10) L x_k``."""
+    Ld = L.to_dense()
+    M = Ld @ (np.eye(Q.shape[0]) - Q @ Q.T)
+    return x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ld @ x_k)

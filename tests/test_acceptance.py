@@ -1,19 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; the summary battery is also reachable via ``krylreg verify``.
+lines.  Criteria 1, 2, 4, 5 (its conditioning half) and 8 run the same
+checks as ``krylreg verify``, on larger cases.
 """
 
 import subprocess
 import sys
 
 import numpy as np
-from conftest import rectangular_baart
+from conftest import pinv_oracle, rectangular_baart
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
+from krylreg.harness import (
+    _bidiag_recurrence_check,
+    _condition_monotonicity_check,
+    _gap_ordering_check,
+    _identity_collapse_check,
+    _krylov_state,
+    _lsqr_pinv_check,
+)
 from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
-from krylreg.lsqr import lsqr_solve
-from krylreg.metrics import analyze_curve, gamma_gaps, projected_condition
+from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator
 from krylreg.problems import add_noise, build_problem, gen_shaw, make_L
 from krylreg.solvers import cgme_iterate, tcgme_iterate
@@ -27,66 +34,30 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def extend_until(state, A, target):
-    try:
-        if state.k < target:
-            bidiag_extend(state, target - state.k)
-    except GolubKahanBreakdown:
-        pass
-    return state.k
+def report_checks(name: str, checks, note: str = "") -> None:
+    """One PASS/FAIL line for a criterion that passes when all its checks do."""
+    report(name, all(check.passed for check in checks), "; ".join(check.detail for check in checks) + note)
 
 
 def test_criterion_1_bidiagonalization_exactness():
-    worst = 0.0
-    reached = []
-    cases = []
     rng = np.random.default_rng(SEED)
-    cases.append(("random 120x90", DenseOperator(rng.standard_normal((120, 90))), rng.standard_normal(120)))
     A, x_true, b_true = gen_shaw(64)
-    cases.append(("shaw(64)", A, add_noise(b_true, 1e-2, SEED)))
-    for label, op, b in cases:
-        state = bidiag_init(op, b)
-        k = extend_until(state, op, 30)
-        reached.append(f"{label} k={k}")
-        B_k, B_kplus = bidiagonal(state, k, k), bidiagonal(state, k + 1, k)
-        dense = op.entries
-        fro = op.frobenius_norm()
-        res_right = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ B_kplus, "fro") / fro
-        res_left = np.linalg.norm(dense.T @ state.P_cols(k) - state.Q_cols(k) @ B_k.T, "fro") / fro
-        P, Q = state.P, state.Q
-        orth = max(
-            np.abs(P.T @ P - np.eye(P.shape[1])).max(),
-            np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(),
-        )
-        worst = max(worst, res_right, res_left, orth)
-    report(
-        "criterion-1 bidiagonalization exactness",
-        worst <= 1e-10,
-        f"max deviation {worst:.2e} ({'; '.join(reached)})",
-    )
+    cases = [
+        (DenseOperator(rng.standard_normal((120, 90))), rng.standard_normal(120)),
+        (A, add_noise(b_true, 1e-2, SEED)),
+    ]
+    checks = [_bidiag_recurrence_check(_krylov_state(op, b, 30)) for op, b in cases]
+    report_checks("criterion-1 bidiagonalization exactness", checks, " (random 120x90; shaw(64))")
 
 
 def test_criterion_2_rank_k_gap_orderings():
-    slack = 1e-10
-    ok = True
-    details = []
     cases = [(f"{name}(64)", build_problem(name, 64, 1e-2, SEED)) for name in ("shaw", "heat")]
     cases += [(f"baart({m}x{n})", rectangular_baart(m, n, "first_diff_1d", seed=SEED)) for m, n in RECTANGULAR]
+    checks = []
     for label, problem in cases:
-        state = bidiag_init(problem.A, problem.b)
-        reached = extend_until(state, problem.A, 17)
-        kmax = min(15, reached - 2)
-        reports = {k: gamma_gaps(state, k) for k in range(1, kmax + 2)}
-        prev_lsqr = float(np.linalg.norm(problem.A.to_dense(), 2))
-        for k in range(1, kmax + 1):
-            g = reports[k]
-            ok &= g.gamma_lsqr < g.gamma_cgme + slack
-            ok &= g.gamma_cgme < prev_lsqr + slack
-            ok &= reports[k + 1].gamma_cgme < g.gamma_cgme + slack
-            ok &= g.gamma_tcgme <= g.theta_min + reports[k + 1].gamma_cgme + slack
-            prev_lsqr = g.gamma_lsqr
-        details.append(f"{label} k=1..{kmax}")
-    report("criterion-2 rank-k gap orderings", ok, "; ".join(details))
+        state = _krylov_state(problem.A, problem.b, 17)
+        checks.append(_gap_ordering_check(state, min(15, state.k - 2), label))
+    report_checks("criterion-2 rank-k gap orderings", checks)
 
 
 def test_criterion_3_closed_form_equivalence():
@@ -95,19 +66,14 @@ def test_criterion_3_closed_form_equivalence():
     problems = [build_problem(name, 200, 1e-2, SEED) for name in ("shaw", "deriv2")]
     problems += [rectangular_baart(m, n, "first_diff_1d", seed=SEED) for m, n in RECTANGULAR]
     for problem in problems:
-        Ldense = problem.L.to_dense()
-        state = bidiag_init(problem.A, problem.b)
-        extend_until(state, problem.A, 11)
+        state = _krylov_state(problem.A, problem.b, 11)
         for k in (2, 5, 10):
             for step, krylov, cols in (
                 (hyb_cgme_step, cgme_iterate, k),
                 (hyb_tcgme_step, tcgme_iterate, k + 1),
             ):
                 it = step(state, problem.L, k, tight)
-                x_k = krylov(state, k)
-                Q = state.Q_cols(cols)
-                M = Ldense @ (np.eye(problem.A.cols) - Q @ Q.T)
-                oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ldense @ x_k)
+                oracle = pinv_oracle(problem.L, state.Q_cols(cols), krylov(state, k))
                 dev = np.linalg.norm(it.x_L - oracle) / np.linalg.norm(oracle)
                 worst = max(worst, dev)
     report(
@@ -119,44 +85,22 @@ def test_criterion_3_closed_form_equivalence():
 
 def test_criterion_4_identity_collapse():
     problem = build_problem("shaw", 500, 1e-2, SEED, L_kind="identity")
-    state = bidiag_init(problem.A, problem.b)
-    reached = extend_until(state, problem.A, 21)
-    tight = 1e-10
-    worst = 0.0
-    k_cgme = min(20, reached)
-    for k in range(1, k_cgme + 1):
-        x_k = cgme_iterate(state, k)
-        it = hyb_cgme_step(state, problem.L, k, tight)
-        worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
-    k_tcgme = min(20, reached - 1)
-    for k in range(1, k_tcgme + 1):
-        x_k = tcgme_iterate(state, k)
-        it = hyb_tcgme_step(state, problem.L, k, tight)
-        worst = max(worst, np.linalg.norm(it.x_L - x_k) / np.linalg.norm(x_k))
-    report(
-        "criterion-4 identity collapse",
-        worst <= 1e-8,
-        f"max rel deviation {worst:.2e} (shaw(500), k<={k_cgme})",
-    )
+    state = _krylov_state(problem.A, problem.b, 21)
+    k_cgme, k_tcgme = min(20, state.k), min(20, state.k - 1)
+    check = _identity_collapse_check(state, problem.L, range(1, k_cgme + 1), range(1, k_tcgme + 1))
+    report_checks("criterion-4 identity collapse", [check], f" (shaw(500), k<={k_cgme})")
 
 
 def test_criterion_5_conditioning_monotonicity_and_inner_work():
     # conditioning of the projected regularizer along one Krylov sequence
     problem = build_problem("deriv2", 200, 1e-2, SEED)
-    state = bidiag_init(problem.A, problem.b)
-    reached = extend_until(state, problem.A, 60)
+    state = _krylov_state(problem.A, problem.b, 60)
     rng = np.random.default_rng(SEED + 1)
     regs = {
         "L1(200)": DenseOperator(make_L("first_diff_1d", 200).to_dense()),
         "random 220x200": DenseOperator(rng.standard_normal((220, 200))),
     }
-    ok = True
-    for label, L in regs.items():
-        prev = np.inf
-        for k in range(2, min(60, reached) + 1):
-            kappa = projected_condition(L, state.Q_cols(k))
-            ok &= kappa <= prev * (1.0 + 1e-10)
-            prev = kappa
+    checks = [_condition_monotonicity_check(state, L, label) for label, L in regs.items()]
 
     # inner LSQR work decreases with k on shaw(1000)
     shaw = build_problem("shaw", 1000, 1e-2, SEED)
@@ -164,11 +108,10 @@ def test_criterion_5_conditioning_monotonicity_and_inner_work():
     iters = np.array([row.inner_iterations for row in record.rows], dtype=float)
     quarter = max(len(iters) // 4, 1)
     first, last = iters[:quarter].mean(), iters[-quarter:].mean()
-    ok &= last <= first
     report(
         "criterion-5 conditioning monotonicity",
-        ok,
-        f"kappa non-increasing k=2..{min(60, reached)}; inner iters {first:.1f} -> {last:.1f}",
+        all(c.passed for c in checks) and last <= first,
+        f"kappa non-increasing on {'; '.join(c.detail for c in checks)}; inner iters {first:.1f} -> {last:.1f}",
     )
 
 
@@ -178,11 +121,10 @@ def test_criterion_6_tolerance_insensitivity():
     for name in ("shaw", "heat"):
         for eps in (1e-1, 1e-2):
             problem = build_problem(name, 500, eps, SEED)
-            state = bidiag_init(problem.A, problem.b)
-            reached = extend_until(state, problem.A, 31)
+            state = _krylov_state(problem.A, problem.b, 31)
             loose, tight = 1e-6, 1e-10
             for step in (hyb_cgme_step, hyb_tcgme_step):
-                kmax = reached if step is hyb_cgme_step else reached - 1
+                kmax = state.k if step is hyb_cgme_step else state.k - 1
                 kmax = min(kmax, 30)
                 tight_iterates = {k: step(state, problem.L, k, tight).x_L for k in range(1, kmax + 1)}
                 errs = [
@@ -232,8 +174,7 @@ def test_criterion_7_desk_scale_error_bands():
 
 def test_criterion_8_lsqr_minimum_norm_oracle():
     rng = np.random.default_rng(SEED)
-    worst = 0.0
-    monotone = True
+    systems = []
     for trial in range(30):
         m = int(rng.integers(20, 151))
         n = int(rng.integers(20, 151))
@@ -241,17 +182,8 @@ def test_criterion_8_lsqr_minimum_norm_oracle():
         U = np.linalg.qr(rng.standard_normal((m, r)))[0]
         V = np.linalg.qr(rng.standard_normal((n, r)))[0]
         svals = rng.uniform(0.5, 3.0, r)
-        M = DenseOperator(U @ np.diag(svals) @ V.T)
-        d = rng.standard_normal(m)
-        rep = lsqr_solve(M, d, tol=1e-12, max_iters=4 * min(m, n))
-        oracle = np.linalg.pinv(M.entries) @ d
-        worst = max(worst, np.linalg.norm(rep.solution - oracle) / np.linalg.norm(oracle))
-        monotone &= bool(np.all(np.diff(rep.residual_history) <= 1e-12))
-    report(
-        "criterion-8 lsqr minimum-norm oracle",
-        worst <= 1e-6 and monotone,
-        f"max rel deviation {worst:.2e} over 30 rank-deficient systems; monotone={monotone}",
-    )
+        systems.append((DenseOperator(U @ np.diag(svals) @ V.T), rng.standard_normal(m), 4 * min(m, n)))
+    report_checks("criterion-8 lsqr minimum-norm oracle", [_lsqr_pinv_check(systems)], " over 30 rank-deficient systems")
 
 
 def test_criterion_9_verify_determinism(tmp_path):

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+from krylreg import cli
+from krylreg.harness import VerificationCheck
+
 CLI = [sys.executable, "-m", "krylreg.cli"]
 
 
@@ -49,6 +52,13 @@ def test_verify_creates_missing_output_directories(tmp_path):
     proc = run_cli("verify", "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert out.read_text().startswith("method,problem,epsilon,best_k,best_error,total_wall_ms\n")
+
+
+def test_verify_reports_a_failed_check_and_exits_1(tmp_path, monkeypatch, capsys):
+    failing = VerificationCheck(name="stub-check", passed=False, detail="measured 1.0 > bound 0.5")
+    monkeypatch.setattr(cli, "verification_suite", lambda seed: ([failing], []))
+    assert cli.main(["verify", "--out", str(tmp_path / "verify.csv")]) == 1
+    assert "FAIL stub-check: measured 1.0 > bound 0.5\n" in capsys.readouterr().out
 
 
 def test_run_accepts_config_file(tmp_path):

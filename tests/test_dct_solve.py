@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthonormal
+from conftest import pinv_oracle, random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import (
@@ -76,13 +76,6 @@ def test_gram_is_pinv_of_neumann_laplacian(n):
     # to zero up to rounding amplified by 1/lam_min ~ (n/pi)^2
     np.testing.assert_allclose(solver._gram(L.apply_adjoint(L.apply(v))), v - v.mean(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(solver._gram(np.ones(n * n)), 0.0, rtol=0, atol=1e-15 * n**2)
-
-
-def pinv_oracle(L, Q, x_k):
-    # acceptance criterion 3: x_L = x_k - pinv(L (I - QQ^T)) L x_k
-    Ld = L.to_dense()
-    M = Ld @ (np.eye(Q.shape[0]) - Q @ Q.T)
-    return x_k - np.linalg.pinv(M, rcond=1e-10) @ (Ld @ x_k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +8,12 @@ from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.harness import (
     ExperimentSpec,
     RunRecord,
+    _bidiag_recurrence_check,
+    _condition_monotonicity_check,
+    _gap_ordering_check,
+    _identity_collapse_check,
+    _krylov_state,
+    _lsqr_pinv_check,
     emit_csv,
     emit_json,
     emit_summary_csv,
@@ -15,7 +22,8 @@ from krylreg.harness import (
 )
 from krylreg.hybrid import InnerFallback, hyb_cgme_step, hyb_tcgme_step
 from krylreg.metrics import relative_error
-from krylreg.problems import build_problem
+from krylreg.operators import DenseOperator
+from krylreg.problems import add_noise, build_problem, gen_shaw
 
 SMALL_SPEC = ExperimentSpec(
     problem="shaw",
@@ -286,3 +294,46 @@ def test_spec_from_dict_accepts_lists():
     )
     assert spec.epsilons == (0.1, 0.01)
     assert spec.methods == ("cgme", "hyb_tcgme")
+
+
+def test_spec_built_from_lists_holds_tuples():
+    epsilons, methods = [0.01], ["hyb_cgme"]
+    spec = ExperimentSpec(problem="shaw", size=64, epsilons=epsilons, seed=1, methods=methods)
+    epsilons.append(5.0)
+    methods.append("bogus")
+    assert (spec.epsilons, spec.methods) == ((0.01,), ("hyb_cgme",))
+    assert hash(spec) == hash(ExperimentSpec(problem="shaw", size=64, epsilons=(0.01,), seed=1,
+                                             methods=("hyb_cgme",)))
+
+
+def test_recurrence_and_gap_checks_fail_once_A_changes_after_the_recurrence():
+    A, _, b_true = gen_shaw(64)
+    state = _krylov_state(A, add_noise(b_true, 1e-2, 7), 14)
+    state.A = DenseOperator(1.001 * A.entries)
+    assert _bidiag_recurrence_check(state).passed is False
+    # at A = 0 no rank-k gap lies below |A| = 0
+    state.A = DenseOperator(np.zeros((64, 64)))
+    assert _gap_ordering_check(state, 12, "zero A").passed is False
+
+
+def test_identity_collapse_check_fails_for_a_first_difference_L():
+    problem = build_problem("shaw", 200, 1e-2, 11, L_kind="first_diff_1d")
+    state = _krylov_state(problem.A, problem.b, 9)
+    assert _identity_collapse_check(state, problem.L, (2, 5, 8), ()).passed is False
+    assert _identity_collapse_check(state, problem.L, (), (2, 5, 8)).passed is False
+
+
+def test_condition_check_fails_on_krylov_blocks_in_reverse_order():
+    problem = build_problem("deriv2", 120, 1e-2, 13)
+    state = _krylov_state(problem.A, problem.b, 40)
+    shrinking = types.SimpleNamespace(k=state.k, Q_cols=lambda k: state.Q_cols(state.k + 2 - k))
+    assert _condition_monotonicity_check(shrinking, problem.L, "reversed").passed is False
+
+
+def test_lsqr_pinv_check_fails_when_lsqr_stops_after_one_iteration():
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((40, 18)))[0]
+    V = np.linalg.qr(rng.standard_normal((30, 18)))[0]
+    M = DenseOperator(U @ np.diag(np.linspace(1.0, 3.0, 18)) @ V.T)
+    assert _lsqr_pinv_check([(M, rng.standard_normal(40), 400)]).passed is True
+    assert _lsqr_pinv_check([(M, rng.standard_normal(40), 1)]).passed is False

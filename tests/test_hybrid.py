@@ -4,9 +4,10 @@ import types
 
 import numpy as np
 import pytest
-from conftest import rectangular_baart
+from conftest import pinv_oracle, rectangular_baart
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
+from krylreg.harness import _bidiag_recurrence_check, _identity_collapse_check, _krylov_state
 from krylreg.hybrid import METHODS, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import LsqrSolver, inner_solvers
 from krylreg.metrics import analyze_curve
@@ -22,11 +23,6 @@ def prepared(name, n, k_steps, eps=1e-2, seed=21, L_kind="first_diff_1d"):
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, k_steps)
     return problem, state
-
-
-def dense_projected(L, Q):
-    n = Q.shape[0]
-    return L.to_dense() @ (np.eye(n) - Q @ Q.T)
 
 
 def ks(record):
@@ -66,8 +62,7 @@ def test_inner_solve_matches_dense_pinv_oracle():
     x_k = cgme_iterate(state, k)
     x_L = LsqrSolver(problem.L, TIGHT).solve(state.Q_cols(k), x_k).x_L
     z = x_k - x_L
-    M = dense_projected(problem.L, state.Q_cols(k))
-    oracle = np.linalg.pinv(M, rcond=1e-10) @ problem.L.apply(x_k)
+    oracle = x_k - pinv_oracle(problem.L, state.Q_cols(k), x_k)
     assert np.linalg.norm(z - oracle) <= 1e-5 * np.linalg.norm(oracle)
 
 
@@ -85,18 +80,14 @@ def test_inner_correction_stays_in_the_complement_of_the_krylov_basis(k):
 
 def test_hyb_cgme_identity_collapse():
     problem, state = prepared("shaw", 500, 12, L_kind="identity")
-    for k in (3, 8, 12):
-        x_k = cgme_iterate(state, k)
-        it = hyb_cgme_step(state, problem.L, k, TIGHT)
-        assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
+    check = _identity_collapse_check(state, problem.L, (3, 8, 12), ())
+    assert check.passed, check.detail
 
 
 def test_hyb_tcgme_identity_collapse():
     problem, state = prepared("shaw", 500, 13, L_kind="identity")
-    for k in (3, 8, 12):
-        x_k = tcgme_iterate(state, k)
-        it = hyb_tcgme_step(state, problem.L, k, TIGHT)
-        assert np.linalg.norm(it.x_L - x_k) <= 1e-8 * np.linalg.norm(x_k)
+    check = _identity_collapse_check(state, problem.L, (), (3, 8, 12))
+    assert check.passed, check.detail
 
 
 def test_hyb_cgme_matches_closed_form_oracle_on_heat():
@@ -139,8 +130,7 @@ def test_hyb_tcgme_matches_closed_form_oracle_on_shaw():
     k = 5
     it = hyb_tcgme_step(state, problem.L, k, TIGHT)
     x_k = tcgme_iterate(state, k)
-    M = dense_projected(problem.L, state.Q_cols(k + 1))
-    oracle = x_k - np.linalg.pinv(M, rcond=1e-10) @ (problem.L.to_dense() @ x_k)
+    oracle = pinv_oracle(problem.L, state.Q_cols(k + 1), x_k)
     assert np.linalg.norm(it.x_L - oracle) <= 1e-5 * np.linalg.norm(oracle)
 
 
@@ -448,15 +438,10 @@ def test_rectangular_operator_sweeps(m, n):
         assert all(np.isfinite(rel_errors(sweep)))
     assert all(iters > 0 for iters in inner_iterations(sweeps["hyb_tcgme"]))
 
-    state = bidiag_init(problem.A, problem.b)
-    try:
-        bidiag_extend(state, depth + 1)
-    except GolubKahanBreakdown:
-        pass
+    state = _krylov_state(problem.A, problem.b, depth + 1)
     k = state.k
-    dense = problem.A.entries
-    residual = np.linalg.norm(dense @ state.Q_cols(k) - state.P_cols(k + 1) @ bidiagonal(state, k + 1, k), "fro")
-    assert residual <= 1e-10 * problem.A.frobenius_norm()
+    check = _bidiag_recurrence_check(state)
+    assert check.passed, check.detail
 
     # at L = I each hybrid is its plain method, bit for bit
     identity = rectangular_baart(m, n, "identity")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
+from krylreg.bidiag import bidiag_extend, bidiag_init
+from krylreg.harness import _condition_monotonicity_check, _gap_ordering_check, _krylov_state
 from krylreg.metrics import analyze_curve, gamma_gaps, projected_condition, relative_error
 from krylreg.operators import DenseOperator, FirstDifferenceOperator, IdentityOperator
 from krylreg.problems import add_noise, gen_shaw
@@ -45,12 +46,7 @@ def test_relative_error_invariant_under_regularizer_scaling(scale, seed):
 def shaw_state(n=64, steps=17, seed=42):
     A, x_true, b_true = gen_shaw(n)
     b = add_noise(b_true, 1e-2, seed)
-    state = bidiag_init(A, b)
-    try:
-        bidiag_extend(state, steps)
-    except GolubKahanBreakdown:
-        pass
-    return A, state
+    return A, _krylov_state(A, b, steps)
 
 
 def test_gamma_gaps_near_zero_at_numerical_rank():
@@ -70,17 +66,8 @@ def test_gamma_gaps_near_zero_at_numerical_rank():
 
 def test_gamma_gap_orderings_on_shaw():
     A, state = shaw_state()
-    slack = 1e-10
-    reports = {k: gamma_gaps(state, k) for k in range(1, 16)}
-    prev_lsqr = np.linalg.norm(A.entries, 2)  # gamma_0
-    for k in range(1, 16):
-        g = reports[k]
-        assert g.gamma_lsqr < g.gamma_cgme + slack
-        assert g.gamma_cgme < prev_lsqr + slack
-        if k + 1 in reports:
-            assert reports[k + 1].gamma_cgme < g.gamma_cgme + slack
-            assert g.gamma_tcgme <= g.theta_min + reports[k + 1].gamma_cgme + slack
-        prev_lsqr = g.gamma_lsqr
+    check = _gap_ordering_check(state, 15, "shaw(64)")
+    assert check.passed, check.detail
 
 
 def test_gamma_gaps_requires_extra_step():
@@ -121,11 +108,8 @@ def test_projected_condition_monotone_in_k():
     L = np.zeros((n - 1, n))
     L[np.arange(n - 1), np.arange(n - 1)] = 1.0
     L[np.arange(n - 1), np.arange(1, n)] = -1.0
-    prev = np.inf
-    for k in range(2, n):
-        kappa = projected_condition(DenseOperator(L), state.Q_cols(k))
-        assert kappa <= prev * (1.0 + 1e-10)
-        prev = kappa
+    check = _condition_monotonicity_check(state, DenseOperator(L), "random(50)")
+    assert check.passed, check.detail
 
 
 def test_projected_condition_hypothesis_guard():
