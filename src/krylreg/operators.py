@@ -43,16 +43,18 @@ class OrthonormalityError(ValueError):
     """A column block required to be orthonormal is not (beyond tolerance)."""
 
 
-def check_orthonormal(Q: np.ndarray, first: int = 0) -> None:
+def check_orthonormal(Q: np.ndarray, first: int = 0) -> float:
     """Raise :class:`OrthonormalityError` unless columns ``first:`` of ``Q``
     are orthonormal to all of ``Q`` within ``ORTHONORMALITY_TOL``, using
-    one product ``Q^T Q[:, first:]``."""
+    one product ``Q^T Q[:, first:]``; return the largest ``|Q^T Q - I|``
+    entry it saw."""
     gram = Q.T @ Q[:, first:]
     new = np.arange(gram.shape[1])
     gram[first + new, new] -= 1.0
     gram_err = np.abs(gram).max(initial=0.0)
     if gram_err > ORTHONORMALITY_TOL:
         raise OrthonormalityError(f"columns are not orthonormal: max |Q'Q - I| = {gram_err:.3e}")
+    return float(gram_err)
 
 
 def _as_vector(v, length: int, what: str) -> np.ndarray:

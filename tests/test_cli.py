@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from krylreg import cli
 from krylreg.harness import VerificationCheck
 
@@ -20,6 +22,15 @@ def test_list_problems():
     for name in ("shaw", "baart", "deriv2", "heat", "blur2d"):
         assert name in proc.stdout
     assert "hyb_tcgme" in proc.stdout
+
+
+def test_tol_help_says_it_applies_only_where_lsqr_runs(monkeypatch, capsys):
+    # first_diff_2d's LSQR fallback link runs at --tol, so it is not unused there
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per option
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    assert ("inner LSQR tolerance (applies only where LSQR runs: never with --L identity, and with "
+            "first_diff_2d only on steps that fall back to LSQR)") in capsys.readouterr().out
 
 
 def test_run_writes_all_outputs(tmp_path):
