@@ -42,10 +42,13 @@ def main() -> int:
     for rec in records:
         if rec.error:
             print(f"{rec.method:10s} eps={rec.epsilon:<7g} ERROR {rec.error}")
+        elif not rec.rows:
+            print(f"{rec.method:10s} eps={rec.epsilon:<7g} no outer iterations: {rec.breakdown}")
         else:
             print(
                 f"{rec.method:10s} eps={rec.epsilon:<7g} best {rec.best_error:.4f} "
-                f"({rec.best_k}) over {len(rec.rows)} outer iterations"
+                f"({rec.best_k}) over {len(rec.rows)} outer iterations, "
+                f"{len(rec.fallbacks)} LSQR fallbacks"
             )
     print(f"curves written to {out}.csv")
     return 0

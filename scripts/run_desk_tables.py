@@ -50,6 +50,8 @@ def main() -> int:
         for rec in records:
             if rec.error:
                 print(f"{problem:8s} eps={rec.epsilon:<7g} {rec.method:10s} ERROR {rec.error}")
+            elif not rec.rows:
+                print(f"{problem:8s} eps={rec.epsilon:<7g} {rec.method:10s} no outer iterations: {rec.breakdown}")
             else:
                 note = " (truncated: krylov breakdown)" if rec.breakdown else ""
                 print(

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
-from .inner import HybridIterate, LsqrSolver, corrected, inner_solvers
+from .inner import HybridIterate, KrylovIterate, LsqrSolver, corrected, inner_solvers
 from .metrics import analyze_curve, relative_error
 from .operators import LinearOperator, OrthonormalityError, _is_int, _is_real
 from .problems import ProblemInstance
-from .solvers import cgme_iterate, tcgme_iterate
+from .solvers import cgme_coeffs, cgme_iterate, tcgme_coeffs, tcgme_iterate
 
 __all__ = [
     "InnerFallback",
@@ -125,8 +126,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
 
     At each ``k`` the state is extended to the largest step count an
     active method reads, each base iterate (CGME, TCGME) is computed once
-    for its plain and its hybrid method, and each hybrid runs its inner
-    solve through the sweep's one :func:`inner_solvers` chain.  Relative
+    for its plain and its hybrid method as a :class:`KrylovIterate`, whose
+    ``x_k`` is formed only for a row that reads it, and each hybrid runs its
+    inner solve through the sweep's one :func:`inner_solvers` chain.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
     :func:`relative_error` call that reuses the sweep's one ``|L x_true|``;
     ``best_k`` and ``best_error`` are :func:`analyze_curve`'s.
@@ -138,8 +140,8 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     method that found it.  Any other exception is recorded in that method's
     ``error`` and leaves it no rows, breakdown or fallbacks; a non-finite
     error curve keeps its rows and sets ``error``.  Each row's ``wall_ms``
-    charges its own iterate and inner solve plus the Krylov columns the
-    method newly reads at ``k``.
+    charges its own coefficients, ``x_k`` if it reads it, and inner solve,
+    plus the Krylov columns the method newly reads at ``k``.
     """
     _check_sweep(methods, max_outer_k, inner_tol)
     records = {m: RunRecord(method=m, problem=problem.name, size=problem.size,
@@ -167,7 +169,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 # collector frees
                 failure = exc.with_traceback(None)
             column_ms.append((time.perf_counter() - t0) * 1e3)
-        bases: dict[str, tuple[np.ndarray, float]] = {}
+        bases: dict[str, tuple[KrylovIterate, float]] = {}
         for method in tuple(active):
             record = records[method]
             needed = _needed(method, k)
@@ -184,16 +186,24 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             try:
                 if base not in bases:
                     t0 = time.perf_counter()
-                    iterate = cgme_iterate if base == "cgme" else tcgme_iterate
-                    x = iterate(state, k)
-                    bases[base] = (x, (time.perf_counter() - t0) * 1e3)
-                x, base_ms = bases[base]
+                    if base == "cgme":
+                        c, form = cgme_coeffs(state, k), partial(cgme_iterate, state, k)
+                    else:
+                        c = tcgme_coeffs(state, k)
+                        form = partial(np.matmul, state.Q_cols(k + 1), c)
+                    bases[base] = (KrylovIterate(c, form, time.perf_counter), (time.perf_counter() - t0) * 1e3)
+                iterate, base_ms = bases[base]
                 wall += base_ms
                 inner_iters = 0
-                if method != base:
-                    t0 = time.perf_counter()
-                    hybrid = corrected(x, state.Q_cols(needed), chain)
+                if method == base:
+                    x = iterate.x
+                    wall += iterate.form_ms
+                else:
+                    reads, t0 = iterate.reads, time.perf_counter()
+                    hybrid = corrected(iterate, state.Q_cols(needed), chain)
                     wall += (time.perf_counter() - t0) * 1e3
+                    if reads and iterate.reads > reads:  # read an x_k formed for an earlier row
+                        wall += iterate.form_ms
                     x = hybrid.x_L
                     inner_iters = hybrid.inner_iterations
                     if hybrid.fallback is not None:

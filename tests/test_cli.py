@@ -145,3 +145,22 @@ def test_deterministic_output_flag(tmp_path):
             (out.with_suffix(".csv").read_bytes(), (tmp_path / f"d{i}.summary.csv").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+def test_blur2d_exact_path_output_is_deterministic(tmp_path):
+    # the exact 2-D inner solve, run twice, writes the same bytes in all
+    # three files, and every step took the exact path
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"b{i}"
+        proc = run_cli(
+            "run", "--problem", "blur2d", "--n", "24", "--eps", "0.01", "--seed", "20240101",
+            "--method", "hyb_cgme", "--method", "hyb_tcgme", "--L", "first_diff_2d",
+            "--max-k", "12", "--out", str(out), "--deterministic-output",
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(tuple((tmp_path / f"b{i}{suffix}").read_bytes() for suffix in (".csv", ".summary.csv", ".json")))
+    assert outputs[0] == outputs[1]
+    records = json.loads(outputs[0][2])
+    assert [(r["method"], len(r["rows"]), r["fallbacks"]) for r in records] == [("hyb_cgme", 12, []), ("hyb_tcgme", 12, [])]
+    assert all(row["inner_iterations"] == 0 for r in records for row in r["rows"])

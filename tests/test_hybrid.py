@@ -416,7 +416,7 @@ def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
     def broken(state, k):
         raise FloatingPointError("tcgme kernel failed")
 
-    monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
+    monkeypatch.setattr(hybrid, "tcgme_coeffs", broken)
     problem = build_problem("shaw", 100, 1e-2, 3)
     sweeps = run_hybrid(problem, METHODS, max_outer_k=4)
     for method in ("tcgme", "hyb_tcgme"):
