@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
-from .inner import HybridIterate, KrylovIterate, LsqrSolver, corrected, inner_solvers
+from .inner import HybridIterate, LsqrSolver, corrected, inner_solvers
 from .metrics import analyze_curve, relative_error
 from .operators import LinearOperator, OrthonormalityError, _is_int, _is_real
 from .problems import ProblemInstance
-from .solvers import cgme_coeffs, cgme_iterate, tcgme_coeffs, tcgme_iterate
+from .solvers import cgme_iterate, tcgme_iterate
 
 __all__ = [
     "InnerFallback",
@@ -99,6 +98,25 @@ class RunRecord:
     fallbacks: list[InnerFallback] = field(default_factory=list)
 
 
+class KrylovIterate:
+    """One step's ``x_k = Q c`` of ``kernel`` (CGME's or TCGME's): ``coeffs()`` is
+    ``c``; ``np.asarray`` forms ``x_k`` once, timed as ``form_ms``, and counts ``reads``."""
+
+    def __init__(self, kernel, state: BidiagState, k: int) -> None:
+        self._kernel, self._state, self._k, self._x, self.form_ms, self.reads = kernel, state, k, None, 0.0, 0
+
+    def coeffs(self) -> np.ndarray:
+        return self._kernel(self._state, self._k, coeffs=True)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self._x is None:
+            t0 = time.perf_counter()
+            self._x = self._kernel(self._state, self._k)
+            self.form_ms = (time.perf_counter() - t0) * 1e3
+        self.reads += 1
+        return self._x.copy() if copy else self._x
+
+
 def hyb_cgme_step(state: BidiagState, L: LinearOperator, k: int, inner_tol: float) -> HybridIterate:
     """hyb-CGME iterate ``x_k^{cgme} - z_k`` (uses ``Q_k``), with the inner
     problem solved to ``inner_tol`` by the reference :class:`LsqrSolver`."""
@@ -125,10 +143,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     request raises ``ValueError`` before any work.
 
     At each ``k`` the state is extended to the largest step count an
-    active method reads, each base iterate (CGME, TCGME) is computed once
-    for its plain and its hybrid method as a :class:`KrylovIterate`, whose
-    ``x_k`` is formed only for a row that reads it, and each hybrid runs its
-    inner solve through the sweep's one :func:`inner_solvers` chain.  Relative
+    active method reads, each base iterate (CGME, TCGME) is one lazy
+    :class:`KrylovIterate` for its plain and hybrid method, and each hybrid
+    walks the sweep's one :func:`inner_solvers` chain.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
     :func:`relative_error` call that reuses the sweep's one ``|L x_true|``;
     ``best_k`` and ``best_error`` are :func:`analyze_curve`'s.
@@ -140,8 +157,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     method that found it.  Any other exception is recorded in that method's
     ``error`` and leaves it no rows, breakdown or fallbacks; a non-finite
     error curve keeps its rows and sets ``error``.  Each row's ``wall_ms``
-    charges its own coefficients, ``x_k`` if it reads it, and inner solve,
-    plus the Krylov columns the method newly reads at ``k``.
+    charges its own inner solve, ``x_k`` if it reads it, and the Krylov
+    columns the method newly reads at ``k``; of TCGME's two rows on a 2-D
+    ``L``, the first to need the truncation's SVD pays for it.
     """
     _check_sweep(methods, max_outer_k, inner_tol)
     records = {m: RunRecord(method=m, problem=problem.name, size=problem.size,
@@ -169,7 +187,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 # collector frees
                 failure = exc.with_traceback(None)
             column_ms.append((time.perf_counter() - t0) * 1e3)
-        bases: dict[str, tuple[KrylovIterate, float]] = {}
+        bases = {"cgme": KrylovIterate(cgme_iterate, state, k), "tcgme": KrylovIterate(tcgme_iterate, state, k)}
         for method in tuple(active):
             record = records[method]
             needed = _needed(method, k)
@@ -184,30 +202,17 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             wall = sum(column_ms[_needed(method, k - 1) if k > 1 else 0 : needed])
             base = method.removeprefix("hyb_")
             try:
-                if base not in bases:
-                    t0 = time.perf_counter()
-                    if base == "cgme":
-                        c, form = cgme_coeffs(state, k), partial(cgme_iterate, state, k)
-                    else:
-                        c = tcgme_coeffs(state, k)
-                        form = partial(np.matmul, state.Q_cols(k + 1), c)
-                    bases[base] = (KrylovIterate(c, form, time.perf_counter), (time.perf_counter() - t0) * 1e3)
-                iterate, base_ms = bases[base]
-                wall += base_ms
-                inner_iters = 0
+                iterate, inner_iters = bases[base], 0
+                reads, t0 = iterate.reads, time.perf_counter()
                 if method == base:
-                    x = iterate.x
-                    wall += iterate.form_ms
+                    x = np.asarray(iterate)
                 else:
-                    reads, t0 = iterate.reads, time.perf_counter()
                     hybrid = corrected(iterate, state.Q_cols(needed), chain)
-                    wall += (time.perf_counter() - t0) * 1e3
-                    if reads and iterate.reads > reads:  # read an x_k formed for an earlier row
-                        wall += iterate.form_ms
                     x = hybrid.x_L
                     inner_iters = hybrid.inner_iterations
                     if hybrid.fallback is not None:
                         record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
+                wall += (time.perf_counter() - t0) * 1e3 + (iterate.form_ms if 0 < reads < iterate.reads else 0.0)
                 if denom is None:
                     denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
                 rel_error = relative_error(problem.L, x, problem.x_true, denom)

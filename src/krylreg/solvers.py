@@ -9,9 +9,8 @@ best rank-k approximation ``C_k`` and solves
 approximation route when the discarded singular value is small.
 
 In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``, so both
-iterates ``x_k = Q c`` are read straight from the recurrence coefficients
-``c`` (:func:`cgme_coeffs`, :func:`tcgme_coeffs`).  CGME's coefficients gain
-one entry per step, so a sweep's CGME step is O(n).
+iterates ``x_k = Q c``, and ``c`` with ``coeffs=True``, are read straight from
+the recurrence.  CGME's ``c`` gains one entry a step: its sweep step is O(n).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .bidiag import BidiagState, bidiagonal
 
-__all__ = ["IllConditionedTruncation", "cgme_coeffs", "cgme_iterate", "tcgme_coeffs", "tcgme_iterate"]
+__all__ = ["IllConditionedTruncation", "cgme_iterate", "tcgme_iterate"]
 
 _PINV_CONDITION_SCALE = 1e-14
 
@@ -41,35 +40,25 @@ def _require_steps(state: BidiagState, k: int, needed: int, method: str) -> None
         raise ValueError(f"{method} iterate at k={k} needs {needed} bidiagonalization steps; {detail}")
 
 
-def _cgme_memo(state: BidiagState, k: int) -> list[float]:
-    # the state's memo of y, extended to at least k entries
+def cgme_iterate(state: BidiagState, k: int, *, coeffs: bool = False) -> np.ndarray:
+    """CGME iterate ``x_k = Q_k B_k^{-1} (beta_1 e_1) = sum_j y_j q_j``, in
+    range(Q_k), or with ``coeffs`` its coefficients ``y``, as a new array.
+
+    ``B_k`` is lower bidiagonal with diagonal ``alpha_1..alpha_k`` and
+    subdiagonal ``beta_2..beta_k``, so forward substitution only appends
+    to ``y``; every stored ``alpha`` exceeds the breakdown threshold.  The
+    state memoizes ``y`` and the last iterate, so the next ``k`` costs one
+    O(n) update.  Any call sums ``y_j q_j`` in column order, from the memo
+    or from zero, so a ``k`` gives the same bits whatever came before.
+    """
     _require_steps(state, k, k, "cgme")
     alphas, betas, y = state.alphas, state.betas, state.cgme_coeffs
     if not y:
         y.append(state.beta1 / alphas[0])
     for i in range(len(y), k):
         y.append((0.0 - betas[i] * y[i - 1]) / alphas[i])
-    return y
-
-
-def cgme_coeffs(state: BidiagState, k: int) -> np.ndarray:
-    """CGME coefficients ``y = B_k^{-1} (beta_1 e_1)``, so ``x_k = Q_k y``.
-
-    ``B_k`` is lower bidiagonal with diagonal ``alpha_1..alpha_k`` and
-    subdiagonal ``beta_2..beta_k``, so forward substitution only appends
-    to ``y``, which the state memoizes; every stored ``alpha`` exceeds the
-    breakdown threshold.
-    """
-    return np.array(_cgme_memo(state, k)[:k])
-
-
-def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
-    """CGME iterate ``x_k = Q_k y = sum_j y_j q_j``, in range(Q_k), as a new
-    array.  The state memoizes the last iterate, so the next ``k`` costs one
-    O(n) update.  Any call sums ``y_j q_j`` in column order, from the memo or
-    from zero, so a ``k`` gives the same bits whatever came before.
-    """
-    y = _cgme_memo(state, k)
+    if coeffs:
+        return np.array(y[:k])
     done, x = state.cgme_last if state.cgme_last[0] <= k else (0, None)
     Q = state.Q_cols(k)
     for j in range(done, k):
@@ -78,32 +67,28 @@ def cgme_iterate(state: BidiagState, k: int) -> np.ndarray:
     return x.copy()
 
 
-def tcgme_coeffs(state: BidiagState, k: int) -> np.ndarray:
-    """TCGME coefficients through the rank-k truncation of the square
-    ``(k+1) x (k+1)`` bidiagonal block, so ``x_k = Q_{k+1} c`` (requires
-    ``state.k >= k + 1``).
+def tcgme_iterate(state: BidiagState, k: int, *, coeffs: bool = False) -> np.ndarray:
+    """TCGME iterate through the rank-k truncation of the square
+    ``(k+1) x (k+1)`` bidiagonal block, in range(Q_{k+1}) (requires
+    ``state.k >= k + 1``), or with ``coeffs`` its coefficients ``c``.
 
     With ``B_{k+1} = U diag(s) V^T``, ``c = pinv(C_k) beta_1 e_1`` is
     ``V_k diag(1/s_1..1/s_k) U_k^T beta_1 e_1``, and ``U_k^T e_1`` is the
     first row of ``U_k``.  Warns (without failing) when the retained
-    values are themselves nearly rank-deficient.
+    values are themselves nearly rank-deficient.  The state memoizes ``c``.
     """
     _require_steps(state, k, k + 1, "tcgme")
-    U, s, Vt = np.linalg.svd(bidiagonal(state, k + 1, k + 1))
-    kept = s[:k]
-    if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
-        warnings.warn(
-            f"retained singular values span [{kept[-1]:.3e}, {kept[0]:.3e}]; "
-            "pseudo-inverse application is ill conditioned",
-            IllConditionedTruncation,
-            stacklevel=2,
-        )
-    # Moore-Penrose semantics: exactly zero values are excluded, not inverted.
-    inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
-    return Vt.T[:, :k] @ ((U[0, :k] * state.beta1) * inv)
-
-
-def tcgme_iterate(state: BidiagState, k: int) -> np.ndarray:
-    """TCGME iterate ``x_k = Q_{k+1} c``, in range(Q_{k+1})."""
-    c = tcgme_coeffs(state, k)
-    return state.Q_cols(k + 1) @ c
+    if state.tcgme_last[0] != k:
+        U, s, Vt = np.linalg.svd(bidiagonal(state, k + 1, k + 1))
+        kept = s[:k]
+        if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
+            warnings.warn(
+                f"retained singular values span [{kept[-1]:.3e}, {kept[0]:.3e}]; "
+                "pseudo-inverse application is ill conditioned",
+                IllConditionedTruncation,
+                stacklevel=2,
+            )
+        # Moore-Penrose semantics: exactly zero values are excluded, not inverted.
+        inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
+        state.tcgme_last = (k, Vt.T[:, :k] @ ((U[0, :k] * state.beta1) * inv))
+    return state.tcgme_last[1].copy() if coeffs else state.Q_cols(k + 1) @ state.tcgme_last[1]

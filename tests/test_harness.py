@@ -174,7 +174,7 @@ def test_run_experiment_keeps_noise_and_method_failures_in_their_runs(monkeypatc
         raise FloatingPointError("tcgme kernel failed")
 
     monkeypatch.setattr(harness, "with_noise", noise)
-    monkeypatch.setattr(hybrid, "tcgme_coeffs", broken)
+    monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
     spec = ExperimentSpec(
         problem="shaw", size=64, epsilons=(0.1, 0.05), seed=3,
         methods=("cgme", "tcgme"), max_outer_k=4,

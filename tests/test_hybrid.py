@@ -8,7 +8,7 @@ from conftest import pinv_oracle, rectangular_baart
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
 from krylreg.harness import _bidiag_recurrence_check, _identity_collapse_check, _krylov_state
-from krylreg.hybrid import METHODS, hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from krylreg.hybrid import METHODS, KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import LsqrSolver, inner_solvers
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
@@ -410,13 +410,54 @@ def test_joint_sweep_charges_each_row_its_own_krylov_columns(monkeypatch):
         assert [row.wall_ms for row in sweeps[method].rows] == pytest.approx([2.0] + [1.0] * 5)
 
 
+def test_krylov_iterate_forms_x_k_once_and_copies_on_request():
+    calls = []
+
+    def kernel(state, k, coeffs=False):
+        calls.append(coeffs)
+        return np.ones(k) if coeffs else np.arange(3.0)
+
+    iterate = KrylovIterate(kernel, None, 2)
+    assert iterate.reads == 0 and calls == []
+    assert np.asarray(iterate) is np.asarray(iterate)
+    np.array(iterate)[:] = -1.0  # a copy, which the caller may overwrite
+    np.testing.assert_array_equal(np.asarray(iterate), np.arange(3.0))
+    np.testing.assert_array_equal(iterate.coeffs(), np.ones(2))
+    assert calls == [False, True] and iterate.reads == 4
+
+
+def test_joint_sweep_charges_forming_x_k_to_each_row_that_reads_it(monkeypatch):
+    # a clock that only forming a CGME x_k advances, by 1 ms: the plain row
+    # and, through LSQR, its hybrid each pay for it once; the exact 2-D link
+    # reads the coefficients alone and pays for no x_k
+    import krylreg.hybrid as hybrid
+
+    now = [0.0]
+    real_cgme = hybrid.cgme_iterate
+
+    def cgme(state, k, coeffs=False):
+        now[0] += 0.0 if coeffs else 1e-3
+        return real_cgme(state, k, coeffs=coeffs)
+
+    monkeypatch.setattr(hybrid, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(hybrid, "cgme_iterate", cgme)
+    one_d = run_hybrid(build_problem("shaw", 100, 1e-2, 3), ("cgme", "hyb_cgme"), max_outer_k=4)
+    for method in ("cgme", "hyb_cgme"):
+        assert [row.wall_ms for row in one_d[method].rows] == pytest.approx([1.0] * 4)
+    problem = build_problem("blur2d", 8, 1e-2, 5, L_kind="first_diff_2d")
+    two_d = run_hybrid(problem, ("hyb_cgme", "cgme"), max_outer_k=4)
+    assert two_d["hyb_cgme"].fallbacks == []
+    assert [row.wall_ms for row in two_d["hyb_cgme"].rows] == [0.0] * 4
+    assert [row.wall_ms for row in two_d["cgme"].rows] == pytest.approx([1.0] * 4)
+
+
 def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):
     import krylreg.hybrid as hybrid
 
     def broken(state, k):
         raise FloatingPointError("tcgme kernel failed")
 
-    monkeypatch.setattr(hybrid, "tcgme_coeffs", broken)
+    monkeypatch.setattr(hybrid, "tcgme_iterate", broken)
     problem = build_problem("shaw", 100, 1e-2, 3)
     sweeps = run_hybrid(problem, METHODS, max_outer_k=4)
     for method in ("tcgme", "hyb_tcgme"):

@@ -152,3 +152,26 @@ def test_cgme_memo_keeps_the_step_check_and_its_own_copy():
         cgme_iterate(state, 5)
     with pytest.raises(ValueError, match="k must be >= 1"):
         cgme_iterate(state, 0)
+
+
+@pytest.mark.parametrize("iterate,columns", [(cgme_iterate, 0), (tcgme_iterate, 1)])
+def test_coefficients_give_the_iterate(iterate, columns):
+    # x_k = Q c, with c of length k (CGME) or k + 1 (TCGME), as a new array
+    _, _, state = shaw_state(9)
+    for k in range(1, 9):
+        c = iterate(state, k, coeffs=True)
+        assert c.shape == (k + columns,)
+        np.testing.assert_allclose(state.Q_cols(k + columns) @ c, iterate(state, k), rtol=1e-13, atol=1e-15)
+        c[:] = np.nan  # a caller that overwrites its coefficients
+        assert np.all(np.isfinite(iterate(state, k, coeffs=True)))
+
+
+def test_tcgme_truncation_is_taken_once_per_k(monkeypatch):
+    # the coefficients and the iterate at one k share the state's one SVD
+    _, _, state = shaw_state(6)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda B: calls.append(B.shape) or svd(B))
+    for k in (2, 2, 3, 3, 2):
+        tcgme_iterate(state, k, coeffs=True)
+        tcgme_iterate(state, k)
+    assert calls == [(3, 3), (4, 4), (3, 3)]
