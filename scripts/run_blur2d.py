@@ -4,7 +4,8 @@ first-difference regularizer.
 
 Emits the convergence curves (seminorm relative error per outer index)
 as CSV; feed them to any plotting tool to view the semi-convergence
-shape.
+shape.  Prints each run's best error and index, marked "(no interior
+minimum)" when that index is the first or last one swept.
 
 Example:
     python scripts/run_blur2d.py --side 48 --eps 0.01 --out results/blur
@@ -45,9 +46,10 @@ def main() -> int:
         elif not rec.rows:
             print(f"{rec.method:10s} eps={rec.epsilon:<7g} no outer iterations: {rec.breakdown}")
         else:
+            edge = "" if rec.interior_minimum else " (no interior minimum)"
             print(
                 f"{rec.method:10s} eps={rec.epsilon:<7g} best {rec.best_error:.4f} "
-                f"({rec.best_k}) over {len(rec.rows)} outer iterations, "
+                f"({rec.best_k}){edge} over {len(rec.rows)} outer iterations, "
                 f"{len(rec.fallbacks)} LSQR fallbacks"
             )
     print(f"curves written to {out}.csv")

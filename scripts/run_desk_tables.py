@@ -3,8 +3,9 @@
 
 Sweeps hyb-CGME and hyb-TCGME (plus the uncorrected Krylov baselines if
 requested) over shaw/baart/heat/deriv2 at three noise levels and prints
-the smallest seminorm relative error with its outer index, writing the
-full curves next to the summary.
+the smallest seminorm relative error with its outer index, marked
+"(no interior minimum)" when that index is the first or last one swept,
+writing the full curves next to the summary.
 
 Example:
     python scripts/run_desk_tables.py --n 1000 --out results/desk
@@ -54,9 +55,10 @@ def main() -> int:
                 print(f"{problem:8s} eps={rec.epsilon:<7g} {rec.method:10s} no outer iterations: {rec.breakdown}")
             else:
                 note = " (truncated: krylov breakdown)" if rec.breakdown else ""
+                edge = "" if rec.interior_minimum else " (no interior minimum)"
                 print(
                     f"{problem:8s} eps={rec.epsilon:<7g} {rec.method:10s} "
-                    f"best {rec.best_error:.4f} ({rec.best_k}) "
+                    f"best {rec.best_error:.4f} ({rec.best_k}){edge} "
                     f"wall {rec.total_wall_ms:8.1f} ms{note}"
                 )
     emit_csv(all_records, f"{out}.csv")

@@ -18,7 +18,7 @@ solved by LSQR alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -80,9 +80,10 @@ class RunRow:
 @dataclass
 class RunRecord:
     """One (method, epsilon) run: the problem's name, size, noise level and
-    seed, per-k rows, bests, the outer steps whose direct inner solve fell
-    back to LSQR, and why the sweep stopped early (``breakdown``) or failed
-    (``error``).  ``total_wall_ms`` is the sum of the rows' ``wall_ms``."""
+    seed, per-k rows, bests (``interior_minimum``: ``best_k`` lies strictly
+    between the first and last row), the outer steps whose direct inner solve
+    fell back to LSQR, and why the sweep stopped early (``breakdown``) or
+    failed (``error``).  ``total_wall_ms`` is the sum of the rows' ``wall_ms``."""
 
     method: str
     problem: str
@@ -96,6 +97,7 @@ class RunRecord:
     breakdown: str | None = None
     error: str | None = None
     fallbacks: list[InnerFallback] = field(default_factory=list)
+    interior_minimum: bool | None = None
 
 
 class KrylovIterate:
@@ -147,8 +149,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     :class:`KrylovIterate` for its plain and hybrid method, and each hybrid
     walks the sweep's one :func:`inner_solvers` chain.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
-    :func:`relative_error` call that reuses the sweep's one ``|L x_true|``;
-    ``best_k`` and ``best_error`` are :func:`analyze_curve`'s.
+    :func:`relative_error` call that reuses the sweep's one ``|L x_true|``,
+    in k space for the exact 2-D link's answers; ``best_k``, ``best_error``
+    and ``interior_minimum`` are :func:`analyze_curve`'s.
 
     Every method's result is the one it gets when swept alone.  A Krylov
     breakdown is recorded, with its original message, on the methods that
@@ -170,7 +173,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
         for record in records.values():
             record.breakdown = str(exc)
         return records
-    chain = inner_solvers(problem.L, inner_tol)
+    chain = inner_solvers(problem.L, inner_tol, problem.x_true)
     denom: float | None = None  # |L x_true|, computed once, by the first row
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
@@ -208,7 +211,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                     x = np.asarray(iterate)
                 else:
                     hybrid = corrected(iterate, state.Q_cols(needed), chain)
-                    x = hybrid.x_L
+                    x = hybrid
                     inner_iters = hybrid.inner_iterations
                     if hybrid.fallback is not None:
                         record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
@@ -240,5 +243,5 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             except ValueError as exc:
                 record.error = f"ValueError: {exc}"
                 continue
-            record.best_k, record.best_error = curve.best_k, curve.best_error
+            record.best_k, record.best_error, record.interior_minimum = astuple(curve)
     return records

@@ -32,9 +32,10 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
   costs one product with ``G`` (two 2-D transforms, each two ``N x N``
   products with the explicit DCT-II matrix) and one ``L^T L`` product that
   vouches for it, the residual ``delta_j = |L^T L w_j - (q_j - e e^T q_j)|``.
-  A solve takes ``Q^T x_k`` as the sweep's ``x_k.coeffs()``, makes one pass,
-  ``W mu``, and no transform or ``L`` product, and vouches for its answer
-  with k-space bounds on the constraint residual and the backward error.
+  A solve takes ``Q^T x_k`` as the sweep's ``x_k.coeffs()``, makes no pass
+  over ``W`` (``x_L`` is formed when read), transform or ``L`` product, and
+  vouches in k space for its constraint residual, its backward error and,
+  given ``x_true`` (with ``h = Q^T x_true`` grown per column), its error.
 - :class:`LsqrSolver`, last in every other chain and the reference the
   exact links are tested against: :func:`lsqr_solve` on ``L`` over
   ``null(Q^T)``, which from the zero vector returns the minimum-norm ``z_k``.
@@ -42,7 +43,10 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -64,6 +68,25 @@ ACCEPT_RTOL = 1e-10
 ZERO_MODE_TOL = 1e-8
 
 
+def _gamma(count: int) -> float:
+    """Higham's ``gamma_count = count u / (1 - count u)``, ``u = 2^-53``."""
+    return count * 2.0**-53 / (1.0 - count * 2.0**-53)
+
+
+def _sum_with_bound(v: np.ndarray, sigma: float) -> tuple[float, float]:
+    """``sum(v)`` and a bound on its rounding error, in whatever order numpy
+    adds, given a power of two ``sigma >= (n + 2) max|v_k|``.  ``v`` is split
+    exactly into high parts on the grid of ``u sigma``, whose sum is exact in
+    any order, and low parts of at most ``u sigma`` each (ExtractVector in
+    Rump, Ogita and Oishi, SISC 2008): only the low parts' sum and the final
+    addition round."""
+    part = v + sigma
+    part -= sigma  # the high parts
+    high = float(part.sum())
+    total = high + float(np.subtract(v, part, out=part).sum())  # and the low
+    return total, _gamma(1) * abs(total) + _gamma(v.size + 1) * v.size * 2.0**-53 * sigma
+
+
 class DirectSolveRejected(ArithmeticError):
     """The direct inner solve cannot vouch for its answer; the message says
     why.  Callers fall back to LSQR."""
@@ -73,15 +96,23 @@ class DirectSolveRejected(ArithmeticError):
 class HybridIterate:
     """One corrected iterate with its inner-solve diagnostics.
 
-    ``fallback`` is the reason an earlier link of the inner chain was
-    rejected, when a later one produced this iterate in its place.
+    ``x_L`` is ``form``, or ``form()`` called on the first read.  ``fallback``
+    is the reason an earlier link of the inner chain was rejected, when a later
+    one produced this iterate in its place.  An exact link's ``error_terms``
+    ``(|L x_L|^2, <L x_L, L x_true>, slack, rho)`` give ``|L (x_L - x_true)|^2``
+    to within ``slack + rho |L x_true|^2``.
     """
 
-    x_L: np.ndarray
+    form: np.ndarray | Callable[[], np.ndarray]
     inner_iterations: int
     inner_backward_error: float
     inner_cap_hit: bool
     fallback: str | None = None
+    error_terms: tuple[float, float, float, float] | None = None
+
+    @cached_property
+    def x_L(self) -> np.ndarray:
+        return self.form() if callable(self.form) else self.form
 
 
 class IdentitySolver:
@@ -123,7 +154,7 @@ class Difference2DSolver:
     passed (fewer columns than before reuse the leading part).
     """
 
-    def __init__(self, L: Stacked2DDifferenceOperator) -> None:
+    def __init__(self, L: Stacked2DDifferenceOperator, x_true: np.ndarray | None = None) -> None:
         self.L = L
         self.side = n = L.grid_side
         # orthonormal DCT-II, C_ij = sqrt(2/n) cos(pi i (2j + 1) / 2n) with
@@ -140,7 +171,11 @@ class Difference2DSolver:
         self._K = np.zeros((1, 1))  # [0 q0^T; q0 S], constant mode first
         self._delta = []  # |L^T L w_j - (q_j - e e^T q_j)| for each column of W
         self._wnorm = []  # |w_j| for each column of W
+        self._q0_err_sq = [0.0]  # sum of the squared bounds on the rounding of the stored q0_j, j < m
+        # for the q0_j sums: |q_kj| <= |q_j| < 2 once Q passed the orthonormality check
+        self._sigma = 2.0 ** (math.ceil(math.log2(n * n + 2)) + 1)
         self._deficit = 0.0  # largest |Q^T Q - I| entry over the columns grown
+        self._x_true, self._h, self._xt_norm = x_true, [], None if x_true is None else float(np.linalg.norm(x_true))
 
     def _gram(self, v: np.ndarray) -> np.ndarray:
         # (L^T L)^+ v on the C-order view of the image, its transpose, so the
@@ -156,9 +191,13 @@ class Difference2DSolver:
         # by one L^T L product, the residual delta_j of G's defining identity
         self._deficit = max(self._deficit, check_orthonormal(Q, first=self._W.count))
         for j in range(self._W.count, Q.shape[1]):
-            w, q0_j = self._gram(Q[:, j]), Q[:, j].sum() / self.side
+            (total, total_err), w = _sum_with_bound(Q[:, j], self._sigma), self._gram(Q[:, j])
+            q0_j = total / self.side
             self._W.append(w)
             self._wnorm.append(float(np.linalg.norm(w)))
+            self._q0_err_sq.append(self._q0_err_sq[-1] + (total_err / self.side + _gamma(1) * abs(q0_j)) ** 2)
+            if self._x_true is not None:
+                self._h.append(float(Q[:, j] @ self._x_true))  # h_j, for the answers' error terms
             K = np.empty((j + 2, j + 2))
             K[: j + 1, : j + 1] = self._K
             K[0, j + 1] = K[j + 1, 0] = q0_j
@@ -170,16 +209,22 @@ class Difference2DSolver:
     def _constraint_bound(self, sol: np.ndarray, y: np.ndarray) -> float:
         # |Q^T x_L - y| <= |S mu + t q0 - y| (stored S = Q^T W, q0 = Q^T e) + m max|Q^T Q - I| |y|
         # (as y is Q^T Q y) + gamma_{m+1} (sum_j |mu_j| |w_j| + |t|), the rounding of the sum
-        # x_L = W mu + t e (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
-        m, gamma = y.size, (y.size + 1) * 2.0**-53 / (1.0 - (y.size + 1) * 2.0**-53)
-        return float(np.linalg.norm(self._K[1 : m + 1, : m + 1] @ sol - y) + m * self._deficit * np.linalg.norm(y)
-                     + gamma * (np.abs(sol[1:]) @ self._wnorm[:m] + abs(sol[0])))
+        # x_L = W mu + t e (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+        # + |t| |dq0| for the rounding of the stored q0 + gamma_{m+2} |(|K| |sol| + |y|)| for
+        # that of evaluating the first term.  The stored S counts as exact.
+        m = y.size
+        K = self._K[1 : m + 1, : m + 1]
+        evaluation = _gamma(m + 2) * np.linalg.norm(np.abs(K) @ np.abs(sol) + np.abs(y))
+        return float(np.linalg.norm(K @ sol - y) + evaluation + m * self._deficit * np.linalg.norm(y)
+                     + _gamma(m + 1) * (np.abs(sol[1:]) @ self._wnorm[:m] + abs(sol[0]))
+                     + abs(sol[0]) * math.sqrt(self._q0_err_sq[m]))
 
     def solve(self, Q: np.ndarray, x_k: np.typing.ArrayLike) -> HybridIterate:
         """``argmin |L x|`` subject to ``Q^T x = Q^T x_k``, with an upper
         bound on the backward error of ``z = x_k - x_L`` in LSQR's stop
-        test, no inner iterations and no cap hit: one ``n x m`` pass, ``W mu``,
-        given ``x_k.coeffs()``; an array ``x_k`` is checked in n space, two more.
+        test, no inner iterations and no cap hit: no ``n x m`` pass given
+        ``x_k.coeffs()`` (``x_L`` is formed on first read); an array ``x_k``
+        makes three, ``x_L`` and two for the n-space constraint check.
 
         Raises :class:`DirectSolveRejected` when the answer cannot be
         vouched for, and :class:`OrthonormalityError` when ``Q`` is not
@@ -199,9 +244,12 @@ class Difference2DSolver:
         except np.linalg.LinAlgError as exc:
             raise DirectSolveRejected(f"bordered system singular: {exc}") from exc
         t, mu = sol[0], sol[1:]
-        x_L = self._W.view(m) @ mu + t / self.side
-        if not np.all(np.isfinite(x_L)):
+        scale = float(np.abs(mu) @ self._wnorm[:m] + abs(t))  # >= |x_L|; finite iff sol and every |w_j| are
+        if not np.isfinite(scale):
             raise DirectSolveRejected("non-finite direct solution")
+        x_L = lambda: self._W.view(m) @ mu + t / self.side  # formed when read
+        if isinstance(x_k, np.ndarray):
+            x_L = x_L()
         gap = float(np.linalg.norm(Q.T @ x_L - y)) if isinstance(x_k, np.ndarray) else self._constraint_bound(sol, y)
         if gap > ACCEPT_RTOL * float(np.linalg.norm(y)):
             raise DirectSolveRejected(
@@ -217,21 +265,32 @@ class Difference2DSolver:
         # P Q mu = -Q (Q^T Q - I) mu, |P e|^2 <= 1 - (1 - eps) |q0|^2 with
         # eps = m max|Q^T Q - I| >= |Q^T Q - I|_2, and |L x_L|^2 = mu^T y
         # once the constraint holds (q0^T mu = 0 by the first bordered row).
-        eps = m * self._deficit
-        bound = (abs(q0 @ mu) * np.sqrt(max(1.0 - (1.0 - eps) * (q0 @ q0), 0.0))
-                 + np.abs(mu) @ self._delta[:m] + eps * np.linalg.norm(mu))
+        eps, dm, lx_sq = m * self._deficit, float(np.abs(mu) @ self._delta[:m]), float(mu @ y)
+        bound = abs(q0 @ mu) * np.sqrt(max(1.0 - (1.0 - eps) * (q0 @ q0), 0.0)) + dm + eps * np.linalg.norm(mu)
         backward_error = 0.0
         if bound > 0.0:
-            lx_sq = float(mu @ y)
             backward_error = bound / (np.sqrt(lx_sq) * self.L.frobenius_norm()) if lx_sq > 0.0 else np.inf
         if not backward_error <= ACCEPT_RTOL:
             raise DirectSolveRejected(
                 f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}"
             )
-        return HybridIterate(x_L, 0, backward_error, False)
+        if self._x_true is None:
+            return HybridIterate(x_L, 0, backward_error, False)
+        # Seminorm error terms, with r = K sol - [0; y], r_0 = q0^T mu, h = Q^T x_true, and
+        # L f = (L^+)^T sum_j mu_j d_j for the error f of W mu (|L^+|_2 = 1 / (2 sin(pi / 2N))):
+        #   |L x_L|^2 = mu^T y + mu^T r_1: - (e^T x_L) r_0 + (L x_L)^T L f,
+        #   <L x_L, L x_true> = mu^T h - (e^T x_true) r_0 + sum_j mu_j x_true^T d_j.
+        # S and q0 count as exact here; rho is the rounding of the m-term sums and of
+        # h and |L x_true|, n-term dots taken at 4 sqrt(n) u (Higham and Mary, SISC 2019).
+        r, xt_norm = self._K[: m + 1, : m + 1] @ sol - np.append(0.0, y), self._xt_norm
+        bordered = float(np.linalg.norm(r[1:]) * np.linalg.norm(mu) + (scale + 2.0 * xt_norm) * abs(r[0]))
+        lift, rho = dm * 0.5 / np.sin(0.5 * np.pi / self.side), (4.0 * self.side + m + 2) * 2.0**-53
+        slack = (bordered + lift * (lift + np.sqrt(abs(lx_sq) + bordered)) + 2.0 * xt_norm * dm
+                 + rho * (abs(lx_sq) + 2.0 * xt_norm * np.abs(mu).sum()))
+        return HybridIterate(x_L, 0, backward_error, False, None, (lx_sq, float(mu @ self._h[:m]), slack, rho))
 
 
-def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
+def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray | None = None) -> tuple:
     """Fresh inner solvers for one sweep with regularizer ``L``, in the
     order they are tried: an exact solver when ``L`` has structure one
     exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
@@ -242,7 +301,7 @@ def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
     if isinstance(L, IdentityOperator):
         return (IdentitySolver(),)
     if isinstance(L, Stacked2DDifferenceOperator):
-        return Difference2DSolver(L), LsqrSolver(L, inner_tol)
+        return Difference2DSolver(L, x_true), LsqrSolver(L, inner_tol)
     return (LsqrSolver(L, inner_tol),)
 
 

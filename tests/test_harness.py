@@ -282,6 +282,17 @@ def test_json_carries_inner_fallbacks():
     assert payload[0]["fallbacks"] == [{"k": 2, "reason": "why"}]
 
 
+@pytest.mark.parametrize("seed", [20240101, 20250607])
+def test_json_says_whether_the_best_k_is_an_interior_minimum(seed):
+    # the benchmark's blur2d case: hyb_cgme turns back up after k = 9, while
+    # hyb_tcgme still falls at its last step, so its best is no minimum
+    spec = ExperimentSpec(problem="blur2d", size=96, epsilons=(0.01,), seed=seed,
+                          methods=("hyb_cgme", "hyb_tcgme"), L_kind="first_diff_2d", max_outer_k=30)
+    payload = json.loads(records_to_json(run_experiment(spec)))
+    assert [(entry["method"], entry["best_k"], entry["interior_minimum"]) for entry in payload] == [
+        ("hyb_cgme", 9, True), ("hyb_tcgme", 30, False)]
+
+
 def test_spec_from_dict_accepts_lists():
     spec = ExperimentSpec.from_dict(
         {

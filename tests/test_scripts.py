@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from krylreg.harness import CURVE_COLUMNS, SUMMARY_COLUMNS
-from krylreg.hybrid import RunRecord
+from krylreg.hybrid import RunRecord, RunRow
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -45,6 +45,24 @@ def test_script_prints_a_run_that_broke_down_before_any_step(tmp_path, monkeypat
     assert module["main"]() == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "eps=" in line]
     assert lines and all(line.endswith("no outer iterations: zero right-hand side") for line in lines)
+
+
+@pytest.mark.parametrize("script", ["run_desk_tables.py", "run_blur2d.py"])
+def test_script_marks_a_best_that_is_no_interior_minimum(tmp_path, monkeypatch, capsys, script):
+    # the first method's curve falls to its last step, the second's turns up
+    def swept(spec):
+        return [RunRecord(method=method, problem=spec.problem, size=spec.size, epsilon=eps, seed=spec.seed,
+                          rows=[RunRow(k, 0.5, 0, 0.0) for k in (1, 2, 3)], best_k=best_k, best_error=0.5,
+                          interior_minimum=best_k == 2)
+                for eps in spec.epsilons for method, best_k in zip(spec.methods, (3, 2))]
+
+    module = runpy.run_path(str(SCRIPTS / script))
+    monkeypatch.setitem(module["main"].__globals__, "run_experiment", swept)
+    monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path / "tables")])
+    assert module["main"]() == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "eps=" in line]
+    assert lines and all(("(3) (no interior minimum) " in line) == ("(2) " not in line) for line in lines)
+    assert {"(no interior minimum)" in line for line in lines} == {True, False}
 
 
 def test_blur2d_script_prints_each_runs_fallback_count(tmp_path):
