@@ -10,6 +10,7 @@ repeated executions produce byte-identical files (the mode used by the
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -73,8 +74,10 @@ class ExperimentSpec:
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         """Build a spec from a JSON-style mapping.
 
-        Unknown or missing keys raise ``ValueError`` naming them.
+        A non-mapping, and unknown or missing keys (named), raise ``ValueError``.
         """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         names = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - names)
         if unknown:
@@ -298,10 +301,8 @@ def _semi_convergence_check(seed: int) -> tuple[VerificationCheck, list[RunRecor
         and cg.best_error is not None
         and tc.best_error < cg.best_error
         and tc.best_error <= 0.5
+        and tc.interior_minimum
     )
-    if ok:
-        curve = metrics.analyze_curve([r.rel_error for r in tc.rows])
-        ok = curve.interior_minimum
     detail = f"tcgme best={tc.best_error}(k={tc.best_k}) cgme best={cg.best_error}"
     return _check("semi-convergence-trend", ok, detail), records
 

@@ -32,10 +32,10 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
   costs one product with ``G`` (two 2-D transforms, each two ``N x N``
   products with the explicit DCT-II matrix) and one ``L^T L`` product that
   vouches for it, the residual ``delta_j = |L^T L w_j - (q_j - e e^T q_j)|``.
-  A solve takes ``Q^T x_k`` as the sweep's ``x_k.coeffs()``, makes no pass
-  over ``W`` (``x_L`` is formed when read), transform or ``L`` product, and
-  vouches in k space for its constraint residual, its backward error and,
-  given ``x_true`` (with ``h = Q^T x_true`` grown per column), its error.
+  A solve reads ``Q^T x_k`` as the sweep's ``x_k.coeffs()``, refuses a
+  block whose row 0 is not the one it grew, and vouches in k space for its
+  constraint residual, its backward error and its error against ``x_true``
+  (``h = Q^T x_true`` grown per column); ``x_L`` is formed when read.
 - :class:`LsqrSolver`, last in every other chain and the reference the
   exact links are tested against: :func:`lsqr_solve` on ``L`` over
   ``null(Q^T)``, which from the zero vector returns the minimum-norm ``z_k``.
@@ -99,8 +99,9 @@ class HybridIterate:
     ``x_L`` is ``form``, or ``form()`` called on the first read.  ``fallback``
     is the reason an earlier link of the inner chain was rejected, when a later
     one produced this iterate in its place.  An exact link's ``error_terms``
-    ``(|L x_L|^2, <L x_L, L x_true>, slack, rho)`` give ``|L (x_L - x_true)|^2``
-    to within ``slack + rho |L x_true|^2``.
+    ``(x_true, |L x_L|^2, <L x_L, L x_true>, slack, rho)`` give
+    ``|L (x_L - x_true)|^2`` for that very ``x_true`` array to within
+    ``slack + rho |L x_true|^2``.
     """
 
     form: np.ndarray | Callable[[], np.ndarray]
@@ -108,7 +109,7 @@ class HybridIterate:
     inner_backward_error: float
     inner_cap_hit: bool
     fallback: str | None = None
-    error_terms: tuple[float, float, float, float] | None = None
+    error_terms: tuple[np.ndarray, float, float, float, float] | None = None
 
     @cached_property
     def x_L(self) -> np.ndarray:
@@ -151,10 +152,11 @@ class Difference2DSolver:
 
     ``solve`` takes the sweep's growing orthonormal block ``Q``: each call
     must pass a block whose leading columns are the ones earlier calls
-    passed (fewer columns than before reuse the leading part).
+    passed (fewer columns than before reuse the leading part).  Errors are
+    taken against ``x_true``.
     """
 
-    def __init__(self, L: Stacked2DDifferenceOperator, x_true: np.ndarray | None = None) -> None:
+    def __init__(self, L: Stacked2DDifferenceOperator, x_true: np.ndarray) -> None:
         self.L = L
         self.side = n = L.grid_side
         # orthonormal DCT-II, C_ij = sqrt(2/n) cos(pi i (2j + 1) / 2n) with
@@ -168,6 +170,7 @@ class Difference2DSolver:
         self._inv_lam = np.zeros_like(lam)
         self._inv_lam[1:] = 1.0 / lam[1:]  # mode 0 is the constant image
         self._W = _ColumnBlock(n * n)
+        self._row0 = np.empty(0)  # row 0 of the columns grown, to tell a block that extends them
         self._K = np.zeros((1, 1))  # [0 q0^T; q0 S], constant mode first
         self._delta = []  # |L^T L w_j - (q_j - e e^T q_j)| for each column of W
         self._wnorm = []  # |w_j| for each column of W
@@ -175,7 +178,7 @@ class Difference2DSolver:
         # for the q0_j sums: |q_kj| <= |q_j| < 2 once Q passed the orthonormality check
         self._sigma = 2.0 ** (math.ceil(math.log2(n * n + 2)) + 1)
         self._deficit = 0.0  # largest |Q^T Q - I| entry over the columns grown
-        self._x_true, self._h, self._xt_norm = x_true, [], None if x_true is None else float(np.linalg.norm(x_true))
+        self._x_true, self._h, self._xt_norm = x_true, [], float(np.linalg.norm(x_true))
 
     def _gram(self, v: np.ndarray) -> np.ndarray:
         # (L^T L)^+ v on the C-order view of the image, its transpose, so the
@@ -188,16 +191,19 @@ class Difference2DSolver:
     def _grow(self, Q: np.ndarray) -> None:
         # the LSQR path's orthonormality check on the new columns only:
         # O(nk) per step instead of O(nk^2); each new column is vouched for
-        # by one L^T L product, the residual delta_j of G's defining identity
+        # by one L^T L product, the residual delta_j of G's defining identity;
+        # a block whose row 0 is not that of the columns grown is refused
+        if (Q[0, : self._W.count] != self._row0[: Q.shape[1]]).any():
+            raise DirectSolveRejected("block does not extend the columns grown: row 0 differs")
         self._deficit = max(self._deficit, check_orthonormal(Q, first=self._W.count))
+        self._row0 = np.append(self._row0, Q[0, self._W.count :])
         for j in range(self._W.count, Q.shape[1]):
             (total, total_err), w = _sum_with_bound(Q[:, j], self._sigma), self._gram(Q[:, j])
             q0_j = total / self.side
             self._W.append(w)
             self._wnorm.append(float(np.linalg.norm(w)))
             self._q0_err_sq.append(self._q0_err_sq[-1] + (total_err / self.side + _gamma(1) * abs(q0_j)) ** 2)
-            if self._x_true is not None:
-                self._h.append(float(Q[:, j] @ self._x_true))  # h_j, for the answers' error terms
+            self._h.append(float(Q[:, j] @ self._x_true))  # h_j, for the answers' error terms
             K = np.empty((j + 2, j + 2))
             K[: j + 1, : j + 1] = self._K
             K[0, j + 1] = K[j + 1, 0] = q0_j
@@ -219,12 +225,11 @@ class Difference2DSolver:
                      + _gamma(m + 1) * (np.abs(sol[1:]) @ self._wnorm[:m] + abs(sol[0]))
                      + abs(sol[0]) * math.sqrt(self._q0_err_sq[m]))
 
-    def solve(self, Q: np.ndarray, x_k: np.typing.ArrayLike) -> HybridIterate:
-        """``argmin |L x|`` subject to ``Q^T x = Q^T x_k``, with an upper
-        bound on the backward error of ``z = x_k - x_L`` in LSQR's stop
-        test, no inner iterations and no cap hit: no ``n x m`` pass given
-        ``x_k.coeffs()`` (``x_L`` is formed on first read); an array ``x_k``
-        makes three, ``x_L`` and two for the n-space constraint check.
+    def solve(self, Q: np.ndarray, x_k) -> HybridIterate:
+        """``argmin |L x|`` subject to ``Q^T x = Q^T x_k``, read as
+        ``x_k.coeffs()``, with an upper bound on the backward error of
+        ``z = x_k - x_L`` in LSQR's stop test, no inner iterations and no cap
+        hit; no ``n x m`` pass, as ``x_L`` is formed on first read.
 
         Raises :class:`DirectSolveRejected` when the answer cannot be
         vouched for, and :class:`OrthonormalityError` when ``Q`` is not
@@ -234,11 +239,9 @@ class Difference2DSolver:
         m = Q.shape[1]
         q0 = self._K[0, 1 : m + 1]
         if np.linalg.norm(q0) <= ZERO_MODE_TOL:
-            raise DirectSolveRejected(
-                f"constants numerically orthogonal to range(Q): "
-                f"|Q^T 1|/sqrt(n) = {np.linalg.norm(q0):.3e}"
-            )
-        y = Q.T @ x_k if isinstance(x_k, np.ndarray) else x_k.coeffs()
+            raise DirectSolveRejected(f"constants numerically orthogonal to range(Q): "
+                                      f"|Q^T 1|/sqrt(n) = {np.linalg.norm(q0):.3e}")
+        y = x_k.coeffs()
         try:
             sol = np.linalg.solve(self._K[: m + 1, : m + 1], np.append(0.0, y))
         except np.linalg.LinAlgError as exc:
@@ -247,15 +250,10 @@ class Difference2DSolver:
         scale = float(np.abs(mu) @ self._wnorm[:m] + abs(t))  # >= |x_L|; finite iff sol and every |w_j| are
         if not np.isfinite(scale):
             raise DirectSolveRejected("non-finite direct solution")
-        x_L = lambda: self._W.view(m) @ mu + t / self.side  # formed when read
-        if isinstance(x_k, np.ndarray):
-            x_L = x_L()
-        gap = float(np.linalg.norm(Q.T @ x_L - y)) if isinstance(x_k, np.ndarray) else self._constraint_bound(sol, y)
+        gap = self._constraint_bound(sol, y)
         if gap > ACCEPT_RTOL * float(np.linalg.norm(y)):
-            raise DirectSolveRejected(
-                f"constraint residual |Q^T x_L - Q^T x_k| = {gap:.3e} "
-                f"above {ACCEPT_RTOL:g} relative"
-            )
+            raise DirectSolveRejected(f"constraint residual |Q^T x_L - Q^T x_k| = {gap:.3e} "
+                                      f"above {ACCEPT_RTOL:g} relative")
         # With z = x_k - x_L the inner residual is L(I - QQ^T) z - L x_k =
         # -L x_L, and z solves a problem perturbed by E exactly, with |E|/|M|
         # the normal-equation backward error |P L^T L x_L| / (|M| |L x_L|),
@@ -271,11 +269,7 @@ class Difference2DSolver:
         if bound > 0.0:
             backward_error = bound / (np.sqrt(lx_sq) * self.L.frobenius_norm()) if lx_sq > 0.0 else np.inf
         if not backward_error <= ACCEPT_RTOL:
-            raise DirectSolveRejected(
-                f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}"
-            )
-        if self._x_true is None:
-            return HybridIterate(x_L, 0, backward_error, False)
+            raise DirectSolveRejected(f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}")
         # Seminorm error terms, with r = K sol - [0; y], r_0 = q0^T mu, h = Q^T x_true, and
         # L f = (L^+)^T sum_j mu_j d_j for the error f of W mu (|L^+|_2 = 1 / (2 sin(pi / 2N))):
         #   |L x_L|^2 = mu^T y + mu^T r_1: - (e^T x_L) r_0 + (L x_L)^T L f,
@@ -287,12 +281,13 @@ class Difference2DSolver:
         lift, rho = dm * 0.5 / np.sin(0.5 * np.pi / self.side), (4.0 * self.side + m + 2) * 2.0**-53
         slack = (bordered + lift * (lift + np.sqrt(abs(lx_sq) + bordered)) + 2.0 * xt_norm * dm
                  + rho * (abs(lx_sq) + 2.0 * xt_norm * np.abs(mu).sum()))
-        return HybridIterate(x_L, 0, backward_error, False, None, (lx_sq, float(mu @ self._h[:m]), slack, rho))
+        return HybridIterate(lambda: self._W.view(m) @ mu + t / self.side, 0, backward_error, False, None,
+                             (self._x_true, lx_sq, float(mu @ self._h[:m]), slack, rho))
 
 
-def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray | None = None) -> tuple:
-    """Fresh inner solvers for one sweep with regularizer ``L``, in the
-    order they are tried: an exact solver when ``L`` has structure one
+def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tuple:
+    """Fresh inner solvers for one sweep with regularizer ``L`` and truth ``x_true``, in
+    the order they are tried: an exact solver when ``L`` has structure one
     exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
 
     The last link never rejects: every chain ends in :class:`IdentitySolver`

@@ -55,17 +55,18 @@ class GammaGapReport:
 
 
 def relative_error(L: LinearOperator, x, x_true, denom: float | None = None) -> float:
-    """Seminorm relative error ``|L (x - x_true)| / |L x_true|``.  A sweep over
-    one ``x_true`` passes ``denom = float(np.linalg.norm(L.apply(x_true)))``.  For an inner
-    answer (:class:`~krylreg.inner.HybridIterate`) whose ``error_terms`` vouch for it to 1e-10
-    relative, the error comes from them in k space; otherwise its ``x_L`` is measured."""
+    """Seminorm relative error ``|L (x - x_true)| / |L x_true|``.  A sweep over one ``x_true``
+    passes ``denom = float(np.linalg.norm(L.apply(x_true)))``.  An inner answer
+    (:class:`~krylreg.inner.HybridIterate`) whose ``error_terms`` were built on this very
+    ``x_true`` array and vouch for it to 1e-10 relative is measured in k space, else by its ``x_L``."""
+    in_k_space = isinstance(x, HybridIterate) and x.error_terms is not None and x.error_terms[0] is x_true
     x_true = np.asarray(x_true, dtype=np.float64)
     if denom is None:
         denom = float(np.linalg.norm(L.apply(x_true)))
     if denom == 0.0:
         raise ValueError("relative error is undefined: L x_true = 0")
-    if isinstance(x, HybridIterate) and x.error_terms is not None:
-        lx_sq, cross, slack, rho = x.error_terms
+    if in_k_space:
+        _, lx_sq, cross, slack, rho = x.error_terms
         num_sq = lx_sq - 2.0 * cross + denom * denom  # |a - b| <= |a^2 - b^2| / a for a, b >= 0
         if slack + rho * denom * denom <= ACCEPT_RTOL * num_sq:
             return float(np.sqrt(num_sq) / denom)

@@ -225,10 +225,12 @@ def _check_noise(epsilon: float, seed: int) -> None:
 
 
 def add_noise(b_true, epsilon: float, seed: int) -> np.ndarray:
-    """Add seeded Gaussian noise rescaled so ``|e| = epsilon |b_true|``, for
-    a real ``epsilon`` in (0, 1) and a non-negative integer ``seed``."""
+    """Add seeded Gaussian noise rescaled so ``|e| = epsilon |b_true|`` to a finite
+    vector ``b_true``, for a real ``epsilon`` in (0, 1) and an integer ``seed >= 0``."""
     _check_noise(epsilon, seed)
     b_true = np.asarray(b_true, dtype=np.float64)
+    if b_true.ndim != 1 or not np.all(np.isfinite(b_true)):
+        raise ValueError(f"b_true must be a finite 1-D vector, got shape {b_true.shape}")
     bnorm = np.linalg.norm(b_true)
     if bnorm == 0.0:
         raise ValueError("cannot scale noise against a zero right-hand side")

@@ -11,6 +11,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
+from krylreg.hybrid import KrylovIterate
 from krylreg.operators import DenseOperator
 from krylreg.problems import ProblemInstance, add_noise, make_L
 
@@ -20,6 +21,15 @@ def random_orthonormal(n: int, k: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def coefficients(Q, c):
+    """``x_k = Q c`` carried as ``c``, as the sweep passes it."""
+
+    def kernel(state, k, coeffs=False):
+        return c if coeffs else Q @ c
+
+    return KrylovIterate(kernel, None, len(c))
 
 
 def rectangular_baart(m, n, L_kind, eps=1e-2, seed=3):

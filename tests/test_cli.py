@@ -106,6 +106,18 @@ def test_run_rejects_spec_flags_given_with_config(tmp_path):
     assert not (tmp_path / "cfg.csv").exists()
 
 
+@pytest.mark.parametrize("text", ['"abc"', "[]", "5", "null"])
+def test_run_rejects_a_config_that_is_not_a_json_object(text, tmp_path):
+    # these reported unknown keys ['a', 'b', 'c'], missing keys, or a TypeError
+    config = tmp_path / "spec.json"
+    config.write_text(text)
+    proc = run_cli("run", "--config", str(config), "--out", str(tmp_path / "cfg"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert (err["error"], err["message"].split(",")[0]) == ("ValueError", "config must be a JSON object")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_run_missing_flags_errors_with_json(tmp_path):
     proc = run_cli("run", "--out", str(tmp_path / "x"))
     assert proc.returncode == 1

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pinv_oracle, random_orthonormal
+from conftest import coefficients, pinv_oracle, random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
-from krylreg.hybrid import hyb_cgme_step, hyb_tcgme_step, run_hybrid
+from krylreg.hybrid import KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import (
     Difference2DSolver,
     DirectSolveRejected,
@@ -50,7 +50,7 @@ def test_dct_matches_explicit_cosine_matrix(n):
     # Laplacian with the spectrum lam1, and maps the constants to row 0
     C = cosine_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-13)
-    solver = Difference2DSolver(Stacked2DDifferenceOperator(n))
+    solver = Difference2DSolver(Stacked2DDifferenceOperator(n), np.zeros(n * n))
     np.testing.assert_allclose(solver._C, C, atol=1e-13)
     D = difference_matrix(n)
     lam1 = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
@@ -64,7 +64,7 @@ def test_dct_matches_explicit_cosine_matrix(n):
 def test_gram_is_pinv_of_neumann_laplacian(n):
     # _gram(v) = (L^T L)^+ v for the 2-D difference stack
     L = Stacked2DDifferenceOperator(n)
-    solver = Difference2DSolver(L)
+    solver = Difference2DSolver(L, np.zeros(n * n))
     v = np.random.default_rng(n).standard_normal(n * n)
     if n <= 16:
         D = np.vstack([np.kron(np.eye(n), difference_matrix(n)), np.kron(difference_matrix(n), np.eye(n))])
@@ -90,7 +90,8 @@ def test_direct_solve_matches_pinv_oracle(side, frac, seed):
     k = 1 + int(frac * (n - 2))
     Q = random_orthonormal(n, k, seed)
     x_k = np.random.default_rng(seed + 1).standard_normal(n)
-    answer = Difference2DSolver(L).solve(Q, x_k)
+    # the feasible set {x : Q^T x = Q^T x_k} is the oracle's, so x_k = Q Q^T x_k has its answer
+    answer = Difference2DSolver(L, np.zeros(n)).solve(Q, coefficients(Q, Q.T @ x_k))
     oracle = pinv_oracle(L, Q, x_k)
     assert np.linalg.norm(answer.x_L - oracle) <= 1e-10 * np.linalg.norm(oracle)
     assert answer.inner_backward_error <= 1e-10
@@ -103,10 +104,11 @@ def test_direct_solve_grows_and_reuses_its_basis():
     L = Stacked2DDifferenceOperator(6)
     Q = random_orthonormal(36, 9, seed=5)
     x_k = np.random.default_rng(6).standard_normal(36)
-    solver = Difference2DSolver(L)
+    solver = Difference2DSolver(L, np.zeros(36))
     for m in (1, 2, 5, 9, 4):
-        x_L = solver.solve(Q[:, :m], x_k).x_L
-        fresh = Difference2DSolver(L).solve(Q[:, :m], x_k).x_L
+        iterate = coefficients(Q[:, :m], Q[:, :m].T @ x_k)
+        x_L = solver.solve(Q[:, :m], iterate).x_L
+        fresh = Difference2DSolver(L, np.zeros(36)).solve(Q[:, :m], iterate).x_L
         np.testing.assert_allclose(x_L, fresh, atol=1e-12)
         np.testing.assert_allclose(x_L, pinv_oracle(L, Q[:, :m], x_k), atol=1e-10)
 
@@ -121,25 +123,31 @@ def test_constants_orthogonal_to_range_rejected():
     L = Stacked2DDifferenceOperator(5)
     Q = constants_orthogonal_block(25, 3, seed=2)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
-        Difference2DSolver(L).solve(Q, np.ones(25))
+        Difference2DSolver(L, np.zeros(25)).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
 
 
 def test_block_that_does_not_extend_the_cached_one_rejected():
+    # the k-space checks read only the cached columns, which hold the
+    # constraint for a block they were not built on
     L = Stacked2DDifferenceOperator(5)
     x_k = np.random.default_rng(1).standard_normal(25)
-    solver = Difference2DSolver(L)
-    solver.solve(random_orthonormal(25, 3, seed=1), x_k)
-    with pytest.raises(DirectSolveRejected, match="constraint residual"):
-        solver.solve(random_orthonormal(25, 4, seed=2), x_k)
+    solver = Difference2DSolver(L, np.zeros(25))
+    first, other = random_orthonormal(25, 3, seed=1), random_orthonormal(25, 4, seed=2)
+    solver.solve(first, coefficients(first, first.T @ x_k))
+    with pytest.raises(DirectSolveRejected, match="block does not extend the columns grown"):
+        solver.solve(other, coefficients(other, other.T @ x_k))
+    with pytest.raises(DirectSolveRejected, match="block does not extend the columns grown"):
+        solver.solve(other[:, :2], coefficients(other[:, :2], other[:, :2].T @ x_k))
 
 
 def test_wrong_spectrum_caught_by_backward_error():
     # a feasible but non-optimal answer: the constraint holds, optimality not
     L = Stacked2DDifferenceOperator(5)
-    solver = Difference2DSolver(L)
+    solver = Difference2DSolver(L, np.zeros(25))
     solver._inv_lam[1:] *= np.linspace(0.5, 2.0, 24)
+    Q = random_orthonormal(25, 3, seed=1)
     with pytest.raises(DirectSolveRejected, match="backward error"):
-        solver.solve(random_orthonormal(25, 3, seed=1), np.random.default_rng(1).standard_normal(25))
+        solver.solve(Q, coefficients(Q, Q.T @ np.random.default_rng(1).standard_normal(25)))
 
 
 @pytest.mark.parametrize(
@@ -153,10 +161,11 @@ def test_broken_gram_rejected_and_sweep_keeps_lsqr_answer(gram, reason, monkeypa
     # G = 0 leaves K = [0 q0^T; q0 0], singular once m >= 2; a NaN G
     # poisons x_L
     L = Stacked2DDifferenceOperator(5)
-    solver = Difference2DSolver(L)
+    solver = Difference2DSolver(L, np.zeros(25))
     solver._gram = gram
+    Q = random_orthonormal(25, 3, seed=1)
     with pytest.raises(DirectSolveRejected, match=reason):
-        solver.solve(random_orthonormal(25, 3, seed=1), np.random.default_rng(1).standard_normal(25))
+        solver.solve(Q, coefficients(Q, Q.T @ np.random.default_rng(1).standard_normal(25)))
     # in a sweep every hyb_tcgme step (m = k + 1 >= 2) falls back, with the
     # reason recorded, and its row is the LSQR link's answer
     monkeypatch.setattr(Difference2DSolver, "_gram", lambda self, v: gram(v))
@@ -176,14 +185,14 @@ def test_non_orthonormal_block_raises_like_lsqr_path():
     Q = random_orthonormal(25, 3, seed=4)
     Q[:, 2] += 1e-6 * Q[:, 0]
     with pytest.raises(OrthonormalityError):
-        Difference2DSolver(L).solve(Q, np.ones(25))
+        Difference2DSolver(L, np.zeros(25)).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
     with pytest.raises(OrthonormalityError):
         LsqrSolver(L, 1e-6).solve(Q, np.ones(25))
 
 
 def test_direct_solver_chosen_by_regularizer_type():
     def kinds(L):
-        return [type(solver) for solver in inner_solvers(L, 1e-6)]
+        return [type(solver) for solver in inner_solvers(L, 1e-6, np.zeros(L.cols))]
 
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
     assert kinds(FirstDifferenceOperator(16)) == [LsqrSolver]
@@ -211,21 +220,23 @@ def test_a_chain_whose_last_link_rejects_raises():
     ],
 )
 def test_every_chain_link_meets_one_contract(L_kind, size):
-    # each link, run on its own, gives a finite x_L that keeps the projected
-    # constraint and agrees with the LSQR reference, also where no LSQR
-    # link closes the chain (L = I), in the one answer record with no
-    # fallback of its own; blur2d also on an odd side
+    # each link, run on its own on the sweep's own KrylovIterate, gives a
+    # finite x_L that keeps the projected constraint and agrees with the LSQR
+    # reference, also where no LSQR link closes the chain (L = I), in the one
+    # answer record with no fallback of its own; blur2d also on an odd side
     name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
     problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 7)
-    chain = inner_solvers(problem.L, 1e-12)
+    chain = inner_solvers(problem.L, 1e-12, problem.x_true)
     lsqr = LsqrSolver(problem.L, 1e-12)
     for k in (1, 3, 6):
-        for x_k, Q in ((cgme_iterate(state, k), state.Q_cols(k)), (tcgme_iterate(state, k), state.Q_cols(k + 1))):
+        for kernel, Q in ((cgme_iterate, state.Q_cols(k)), (tcgme_iterate, state.Q_cols(k + 1))):
+            iterate = KrylovIterate(kernel, state, k)
+            x_k = np.asarray(iterate)
             reference = lsqr.solve(Q, x_k).x_L
             for solver in chain:
-                answer = solver.solve(Q, x_k)
+                answer = solver.solve(Q, iterate)
                 assert isinstance(answer, HybridIterate) and answer.fallback is None
                 x_L = answer.x_L
                 assert np.all(np.isfinite(x_L))
@@ -257,9 +268,9 @@ def test_sweep_records_lsqr_fallback_with_reason():
     # the chain's direct link refuses, and the fallback iterate is the LSQR one
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 3)
-    direct, lsqr = inner_solvers(problem.L, 1e-10)
+    direct, lsqr = inner_solvers(problem.L, 1e-10, problem.x_true)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
-        direct.solve(state.Q_cols(3), cgme_iterate(state, 3))
+        direct.solve(state.Q_cols(3), KrylovIterate(cgme_iterate, state, 3))
     fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3)).x_L
     reference = hyb_cgme_step(state, problem.L, 3, 1e-10)
     assert reference.fallback is None

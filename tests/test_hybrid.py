@@ -491,7 +491,7 @@ def test_rectangular_operator_sweeps(m, n):
         plain, hybrid = sweeps[base], sweeps["hyb_" + base]
         assert ks(hybrid) == ks(plain) and rel_errors(hybrid) == rel_errors(plain)
         assert hybrid.error is None and inner_iterations(hybrid) == [0] * len(plain.rows)
-    exact = inner_solvers(identity.L, 1e-6)[0]
+    exact = inner_solvers(identity.L, 1e-6, identity.x_true)[0]
     for j in range(1, k):
         assert np.array_equal(exact.solve(state.Q_cols(j), cgme_iterate(state, j)).x_L, cgme_iterate(state, j))
         assert np.array_equal(exact.solve(state.Q_cols(j + 1), tcgme_iterate(state, j)).x_L, tcgme_iterate(state, j))

@@ -268,6 +268,22 @@ def test_add_noise_validation():
         add_noise(np.ones(4), -0.5, 0)
 
 
+@pytest.mark.parametrize(
+    "b_true",
+    [
+        # a matrix took one noise vector on every row, a non-finite entry
+        # spread to every entry, and a scalar raised IndexError
+        pytest.param(np.ones((3, 3)), id="matrix"),
+        pytest.param([np.inf, 1.0], id="inf"),
+        pytest.param([np.nan, 1.0], id="nan"),
+        pytest.param(2.0, id="scalar"),
+    ],
+)
+def test_add_noise_requires_a_finite_vector(b_true):
+    with pytest.raises(ValueError, match="b_true must be a finite 1-D vector"):
+        add_noise(b_true, 0.1, 0)
+
+
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
 def test_add_noise_rejects_nonfinite_level(epsilon):
     with pytest.raises(ValueError, match="finite"):
