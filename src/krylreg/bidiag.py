@@ -111,8 +111,8 @@ class BidiagState:
 
     ``A`` is kept for :func:`bidiag_extend`, the single writer; reads are
     safe once an extension has returned.  ``cgme_coeffs``, ``cgme_last`` and
-    ``tcgme_last`` are :mod:`krylreg.solvers`' memos: completed steps never
-    change, so they stay valid as the state grows.
+    ``tcgme_last`` (with ``B_{k+1}``'s singular values) are :mod:`krylreg.solvers`'
+    memos: completed steps never change, so they stay valid as the state grows.
     """
 
     def __init__(self, A: LinearOperator, p_block: _ColumnBlock, q_block: _ColumnBlock,
@@ -126,7 +126,7 @@ class BidiagState:
         self.breakdown_step: int | None = None
         self.cgme_coeffs: list[float] = []
         self.cgme_last: tuple[int, np.ndarray | None] = (0, None)
-        self.tcgme_last: tuple[int, np.ndarray | None] = (0, None)
+        self.tcgme_last: tuple[int, np.ndarray | None, np.ndarray | None] = (0, None, None)
 
     @property
     def k(self) -> int:

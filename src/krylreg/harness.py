@@ -165,10 +165,11 @@ def records_to_json(records: list[RunRecord], deterministic: bool = False) -> st
         entry = asdict(rec)
         if deterministic:
             entry["total_wall_ms"] = 0.0
-            for row in entry["rows"]:
-                row["wall_ms"] = 0.0
+        for row in entry["rows"]:
+            row["wall_ms"] = 0.0 if deterministic else row["wall_ms"]
+            row["rel_error"] = row["rel_error"] if np.isfinite(row["rel_error"]) else None  # RFC 8259 has no NaN
         payload.append(entry)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def emit_json(records: list[RunRecord], path, deterministic: bool = False) -> None:

@@ -102,7 +102,7 @@ class RunRecord:
 
 class KrylovIterate:
     """One step's ``x_k = Q c`` of ``kernel`` (CGME's or TCGME's): ``coeffs()`` is
-    ``c``; ``np.asarray`` forms ``x_k`` once, timed as ``form_ms``, and counts ``reads``."""
+    ``c``; ``np.asarray`` forms ``x_k`` once, read-only, timed as ``form_ms``, and counts ``reads``."""
 
     def __init__(self, kernel, state: BidiagState, k: int) -> None:
         self._kernel, self._state, self._k, self._x, self.form_ms, self.reads = kernel, state, k, None, 0.0, 0
@@ -114,6 +114,7 @@ class KrylovIterate:
         if self._x is None:
             t0 = time.perf_counter()
             self._x = self._kernel(self._state, self._k)
+            self._x.flags.writeable = False  # shared by every reader at this k
             self.form_ms = (time.perf_counter() - t0) * 1e3
         self.reads += 1
         return self._x.copy() if copy else self._x
@@ -162,7 +163,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     error curve keeps its rows and sets ``error``.  Each row's ``wall_ms``
     charges its own inner solve, ``x_k`` if it reads it, and the Krylov
     columns the method newly reads at ``k``; of TCGME's two rows on a 2-D
-    ``L``, the first to need the truncation's SVD pays for it.
+    ``L``, the first to need the truncation pays for it.
     """
     _check_sweep(methods, max_outer_k, inner_tol)
     records = {m: RunRecord(method=m, problem=problem.name, size=problem.size,

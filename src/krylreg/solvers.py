@@ -10,7 +10,8 @@ approximation route when the discarded singular value is small.
 
 In both cases ``P^T b`` collapses analytically to ``beta_1 e_1``, so both
 iterates ``x_k = Q c``, and ``c`` with ``coeffs=True``, are read straight from
-the recurrence.  CGME's ``c`` gains one entry a step: its sweep step is O(n).
+the recurrence: CGME's ``c`` gains one entry a step (an O(n) sweep step), and
+TCGME's is one LAPACK least-squares solve of ``B_{k+1}``, with no SVD.
 """
 
 from __future__ import annotations
@@ -72,23 +73,30 @@ def tcgme_iterate(state: BidiagState, k: int, *, coeffs: bool = False) -> np.nda
     ``(k+1) x (k+1)`` bidiagonal block, in range(Q_{k+1}) (requires
     ``state.k >= k + 1``), or with ``coeffs`` its coefficients ``c``.
 
-    With ``B_{k+1} = U diag(s) V^T``, ``c = pinv(C_k) beta_1 e_1`` is
-    ``V_k diag(1/s_1..1/s_k) U_k^T beta_1 e_1``, and ``U_k^T e_1`` is the
-    first row of ``U_k``.  Warns (without failing) when the retained
-    values are themselves nearly rank-deficient.  The state memoizes ``c``.
+    ``c = pinv(C_k) beta_1 e_1`` is the minimum-norm solution of ``B_{k+1} c =
+    beta_1 e_1`` with ``s_{k+1}`` cut off, which LAPACK's xGELSD (``lstsq``)
+    returns with all of ``s`` and no singular vectors.  Interlacing puts
+    ``s_min(B_k)`` in ``[s_{k+1}, s_k]``, so the cut is the last ``s_min / s_1``
+    (``alpha_1 / |B_2|_F`` at k=1); a rank other than k (or a ``k`` out of
+    sweep order) takes a second solve at ``sqrt(s_k s_{k+1}) / s_1``.  Warns
+    (without failing) when the retained values are themselves nearly
+    rank-deficient.  The state memoizes ``c`` and ``s``.
     """
     _require_steps(state, k, k + 1, "tcgme")
-    if state.tcgme_last[0] != k:
-        U, s, Vt = np.linalg.svd(bidiagonal(state, k + 1, k + 1))
-        kept = s[:k]
-        if kept[-1] <= _PINV_CONDITION_SCALE * kept[0]:
+    last, c, s = state.tcgme_last
+    if last != k:
+        B, rhs = bidiagonal(state, k + 1, k + 1), np.zeros(k + 1)
+        rhs[0] = state.beta1
+        cut = state.alphas[0] / np.linalg.norm(B) if k == 1 else s[-1] / s[0] if last == k - 1 else -1.0
+        c, _, rank, s = np.linalg.lstsq(B, rhs, rcond=cut)
+        if rank != k:
+            c, _, rank, s = np.linalg.lstsq(B, rhs, rcond=np.sqrt(s[k - 1] * s[k]) / s[0])
+        if s[k - 1] <= _PINV_CONDITION_SCALE * s[0]:
             warnings.warn(
-                f"retained singular values span [{kept[-1]:.3e}, {kept[0]:.3e}]; "
+                f"retained singular values span [{s[k - 1]:.3e}, {s[0]:.3e}]; "
                 "pseudo-inverse application is ill conditioned",
                 IllConditionedTruncation,
                 stacklevel=2,
             )
-        # Moore-Penrose semantics: exactly zero values are excluded, not inverted.
-        inv = np.divide(1.0, kept, out=np.zeros_like(kept), where=kept > 0.0)
-        state.tcgme_last = (k, Vt.T[:, :k] @ ((U[0, :k] * state.beta1) * inv))
-    return state.tcgme_last[1].copy() if coeffs else state.Q_cols(k + 1) @ state.tcgme_last[1]
+        state.tcgme_last = (k, c, s)
+    return c.copy() if coeffs else state.Q_cols(k + 1) @ c

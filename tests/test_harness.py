@@ -207,6 +207,14 @@ def test_run_experiment_keeps_a_nonfinite_error_curve_in_its_run(monkeypatch):
     assert first.best_k is None and len(first.rows) == 4
     assert second.error is None and second.best_k is not None
 
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    written = json.loads(records_to_json([first, second]), parse_constant=no_constants)
+    assert [row["rel_error"] for row in written[0]["rows"]][2] is None
+    assert [row["rel_error"] for row in written[0]["rows"]][:2] == [row.rel_error for row in first.rows[:2]]
+    assert written[0]["error"] == first.error
+
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"

@@ -420,10 +420,12 @@ def test_krylov_iterate_forms_x_k_once_and_copies_on_request():
     iterate = KrylovIterate(kernel, None, 2)
     assert iterate.reads == 0 and calls == []
     assert np.asarray(iterate) is np.asarray(iterate)
+    with pytest.raises(ValueError, match="read-only"):
+        np.asarray(iterate)[0] = 123.0  # shared by every reader at this k
     np.array(iterate)[:] = -1.0  # a copy, which the caller may overwrite
     np.testing.assert_array_equal(np.asarray(iterate), np.arange(3.0))
     np.testing.assert_array_equal(iterate.coeffs(), np.ones(2))
-    assert calls == [False, True] and iterate.reads == 4
+    assert calls == [False, True] and iterate.reads == 5
 
 
 def test_joint_sweep_charges_forming_x_k_to_each_row_that_reads_it(monkeypatch):

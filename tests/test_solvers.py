@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from krylreg.bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
+from krylreg.bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.bidiag import _ColumnBlock  # test-only: hand-built states
 from krylreg.operators import DenseOperator
-from krylreg.problems import add_noise, gen_shaw
+from krylreg.problems import add_noise, gen_deriv2, gen_shaw
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 
@@ -23,8 +23,8 @@ def make_state(alphas, betas, m=None, n=None):
     return BidiagState(None, p, q, list(alphas), list(betas), 1e-300)
 
 
-def shaw_state(k, n=64, seed=21, eps=1e-2):
-    A, x_true, b_true = gen_shaw(n)
+def shaw_state(k, n=64, seed=21, eps=1e-2, gen=gen_shaw):
+    A, x_true, b_true = gen(n)
     b = add_noise(b_true, eps, seed)
     state = bidiag_init(A, b)
     bidiag_extend(state, k)
@@ -166,12 +166,65 @@ def test_coefficients_give_the_iterate(iterate, columns):
         assert np.all(np.isfinite(iterate(state, k, coeffs=True)))
 
 
+def count_truncations(monkeypatch):
+    """Record the shape of every least-squares solve a truncation makes."""
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda B, rhs, rcond: calls.append(B.shape) or lstsq(B, rhs, rcond))
+    return calls
+
+
 def test_tcgme_truncation_is_taken_once_per_k(monkeypatch):
-    # the coefficients and the iterate at one k share the state's one SVD
+    # the coefficients and the iterate at one k share the state's one
+    # solve; in sweep order (and at k=1) that solve's first cut holds
     _, _, state = shaw_state(6)
-    svd, calls = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda B: calls.append(B.shape) or svd(B))
-    for k in (2, 2, 3, 3, 2):
+    calls = count_truncations(monkeypatch)
+    for k in (1, 1, 2, 2, 3, 3, 1):
         tcgme_iterate(state, k, coeffs=True)
         tcgme_iterate(state, k)
-    assert calls == [(3, 3), (4, 4), (3, 3)]
+    assert calls == [(2, 2), (3, 3), (4, 4), (2, 2)]
+
+
+def _tcgme_oracle(A, b, state, k):
+    """``Q_{k+1} pinv(C_k) P_{k+1}^T b``, with ``C_k`` the rank-k SVD
+    truncation of the dense ``P_{k+1}^T A Q_{k+1}``."""
+    P, Q = state.P_cols(k + 1), state.Q_cols(k + 1)
+    U, s, Vt = np.linalg.svd(P.T @ A.to_dense() @ Q)
+    C = (U[:, :k] * s[:k]) @ Vt[:k]
+    return Q @ (np.linalg.pinv(C) @ (P.T @ b))
+
+
+def test_tcgme_matches_dense_oracle_past_the_divide_and_conquer_size():
+    # xGELSD solves blocks above 25 x 25 by divide and conquer
+    A, b, state = shaw_state(41, n=300, gen=gen_deriv2)
+    for k in range(1, 41):
+        x = tcgme_iterate(state, k)  # in sweep order, so each k cuts once
+        if k >= 30:
+            oracle = _tcgme_oracle(A, b, state, k)
+            assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle), k
+
+
+def test_tcgme_cut_miss_takes_a_second_solve(monkeypatch):
+    # alpha_3 lifts s_1 from 1.3 to 100: the cut at s_min(B_2) / s_1(B_2)
+    # then lies above s_2(B_3) / s_1(B_3), so it drops two values, and the
+    # second solve cuts between s_2 and s_3 of B_3
+    state = make_state(alphas=[1.0, 1.0, 100.0], betas=[1.0, 0.5, 0.5])
+    calls = count_truncations(monkeypatch)
+    tcgme_iterate(state, 1)
+    c = tcgme_iterate(state, 2, coeffs=True)
+    assert calls == [(2, 2), (3, 3), (3, 3)]
+    B = bidiagonal(state, 3, 3)
+    U, s, Vt = np.linalg.svd(B)
+    oracle = Vt[:2].T @ (U[0, :2] / s[:2])
+    assert np.linalg.norm(c - oracle) <= 1e-14 * np.linalg.norm(oracle)
+
+
+def test_tcgme_memo_gives_the_same_bits_in_any_call_order():
+    def fresh():
+        return shaw_state(36, n=300, gen=gen_deriv2)[2]
+
+    state = fresh()
+    consecutive = [tcgme_iterate(state, k, coeffs=True) for k in range(1, 36)]
+    for k in (30, 30, 35, 3, 1, 35, 29, 28, 2):  # repeated, backwards, forwards
+        np.testing.assert_array_equal(tcgme_iterate(state, k, coeffs=True), consecutive[k - 1])
+    for k in (2, 27, 35):
+        np.testing.assert_array_equal(tcgme_iterate(fresh(), k, coeffs=True), consecutive[k - 1])
