@@ -69,12 +69,14 @@ class InnerFallback:
 @dataclass(frozen=True, slots=True)
 class RunRow:
     """One outer step.  ``wall_ms`` is what the step costs its method alone
-    (see :func:`run_hybrid`), not the shared sweep's time."""
+    (see :func:`run_hybrid`), not the shared sweep's time; ``inner_cap_hit``
+    says the inner LSQR stopped at its iteration cap."""
 
     k: int
     rel_error: float
     inner_iterations: int
     wall_ms: float
+    inner_cap_hit: bool = False
 
 
 @dataclass
@@ -206,14 +208,14 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             wall = sum(column_ms[_needed(method, k - 1) if k > 1 else 0 : needed])
             base = method.removeprefix("hyb_")
             try:
-                iterate, inner_iters = bases[base], 0
+                iterate, inner_iters, cap_hit = bases[base], 0, False
                 reads, t0 = iterate.reads, time.perf_counter()
                 if method == base:
                     x = np.asarray(iterate)
                 else:
                     hybrid = corrected(iterate, state.Q_cols(needed), chain)
                     x = hybrid
-                    inner_iters = hybrid.inner_iterations
+                    inner_iters, cap_hit = hybrid.inner_iterations, hybrid.inner_cap_hit
                     if hybrid.fallback is not None:
                         record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
                 wall += (time.perf_counter() - t0) * 1e3 + (iterate.form_ms if 0 < reads < iterate.reads else 0.0)
@@ -230,7 +232,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 record.error = f"{type(exc).__name__}: {exc}"
                 active.remove(method)
                 continue
-            record.rows.append(RunRow(k=k, rel_error=rel_error, inner_iterations=inner_iters, wall_ms=wall))
+            record.rows.append(RunRow(k, rel_error, inner_iters, wall, cap_hit))
         if not active:
             break
     for record in records.values():

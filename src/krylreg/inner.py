@@ -36,6 +36,9 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
   block whose row 0 is not the one it grew, and vouches in k space for its
   constraint residual, its backward error and its error against ``x_true``
   (``h = Q^T x_true`` grown per column); ``x_L`` is formed when read.
+- :class:`ConstantSolver`, first for the 1-D first difference: on a one-column
+  block ``q`` alone, ``x_L = t 1``, ``t = x_k.coeffs() / sum(q)``, as ``null(L)``
+  is the constants.  On a wider block it returns None, and is passed over.
 - :class:`LsqrSolver`, last in every other chain and the reference the
   exact links are tested against: :func:`lsqr_solve` on ``L`` over
   ``null(Q^T)``, which from the zero vector returns the minimum-norm ``z_k``.
@@ -52,10 +55,11 @@ import numpy as np
 
 from .bidiag import _ColumnBlock
 from .lsqr import lsqr_solve
-from .operators import IdentityOperator, LinearOperator, Stacked2DDifferenceOperator, check_orthonormal
+from .operators import (FirstDifferenceOperator, IdentityOperator, LinearOperator, Stacked2DDifferenceOperator,
+                        check_orthonormal)
 
-__all__ = ["DirectSolveRejected", "HybridIterate", "IdentitySolver", "LsqrSolver", "Difference2DSolver",
-           "inner_solvers", "corrected"]
+__all__ = ["DirectSolveRejected", "HybridIterate", "IdentitySolver", "ConstantSolver", "LsqrSolver",
+           "Difference2DSolver", "inner_solvers", "corrected"]
 
 # The direct answer is accepted only when it reproduces the constraint
 # Q^T x_L = Q^T x_k, and its backward-error bound meets LSQR's stop test,
@@ -128,6 +132,35 @@ class IdentitySolver:
 
     def solve(self, Q: np.ndarray, x_k: np.typing.ArrayLike) -> HybridIterate:
         return HybridIterate(np.asarray(x_k), 0, 0.0, False)
+
+
+@dataclass(frozen=True, eq=False)
+class ConstantSolver:
+    """Exact corrected iterates for a one-column block ``q`` and the 1-D first
+    difference: ``x_L = t 1``, the one feasible point in ``null(L)``, which
+    ``L`` maps to exact zeros.  Returns None on a wider block."""
+
+    x_true: np.ndarray
+
+    def solve(self, Q: np.ndarray, x_k) -> HybridIterate | None:
+        n, m = Q.shape
+        if m != 1:
+            return None
+        deficit = check_orthonormal(Q)  # so |q_i| < 2, as the split sum's sigma needs
+        total, total_err = _sum_with_bound(Q[:, 0], 2.0 ** (math.ceil(math.log2(n + 2)) + 1))
+        if not (zero_mode := abs(total) / math.sqrt(n)) > ZERO_MODE_TOL:
+            raise DirectSolveRejected(f"constants numerically orthogonal to range(Q): "
+                                      f"|Q^T 1|/sqrt(n) = {zero_mode:.3e}")
+        c = float(x_k.coeffs()[0])
+        t = c / total
+        if not math.isfinite(t):
+            raise DirectSolveRejected("non-finite direct solution")
+        # |q^T x_L - q^T x_k| <= |t| |sum(q) - total| + |q^T q - 1| |c|, up to the rounding of t
+        gap = abs(t) * total_err + deficit * abs(c)
+        if gap > ACCEPT_RTOL * abs(c):
+            raise DirectSolveRejected(f"constraint residual |Q^T x_L - Q^T x_k| = {gap:.3e} "
+                                      f"above {ACCEPT_RTOL:g} relative")
+        return HybridIterate(lambda: np.full(n, t), 0, 0.0, False, None, (self.x_true, 0.0, 0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -289,6 +322,7 @@ def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tu
     """Fresh inner solvers for one sweep with regularizer ``L`` and truth ``x_true``, in
     the order they are tried: an exact solver when ``L`` has structure one
     exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
+    :class:`ConstantSolver` answers only one-column blocks and passes wider ones on.
 
     The last link never rejects: every chain ends in :class:`IdentitySolver`
     or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
@@ -297,12 +331,15 @@ def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tu
         return (IdentitySolver(),)
     if isinstance(L, Stacked2DDifferenceOperator):
         return Difference2DSolver(L, x_true), LsqrSolver(L, inner_tol)
+    if isinstance(L, FirstDifferenceOperator):
+        return ConstantSolver(x_true), LsqrSolver(L, inner_tol)
     return (LsqrSolver(L, inner_tol),)
 
 
 def corrected(x_k: np.ndarray, Q: np.ndarray, chain) -> HybridIterate:
     """The answer of the first link of ``chain`` that vouches for it, with
-    the reason the link before it was rejected as its ``fallback``."""
+    the reason the link before it was rejected as its ``fallback``.  A link that
+    returns None does not answer blocks of ``Q``'s shape, and is passed over."""
     fallback = None
     for solver in chain:
         try:
@@ -310,5 +347,6 @@ def corrected(x_k: np.ndarray, Q: np.ndarray, chain) -> HybridIterate:
         except DirectSolveRejected as exc:
             fallback = str(exc)
             continue
-        return answer if fallback is None else replace(answer, fallback=fallback)
+        if answer is not None:
+            return answer if fallback is None else replace(answer, fallback=fallback)
     raise DirectSolveRejected(f"every inner solver rejected the step: {fallback}")

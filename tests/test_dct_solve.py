@@ -7,6 +7,7 @@ from conftest import coefficients, pinv_oracle, random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.hybrid import KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import (
+    ConstantSolver,
     Difference2DSolver,
     DirectSolveRejected,
     HybridIterate,
@@ -195,7 +196,8 @@ def test_direct_solver_chosen_by_regularizer_type():
         return [type(solver) for solver in inner_solvers(L, 1e-6, np.zeros(L.cols))]
 
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
-    assert kinds(FirstDifferenceOperator(16)) == [LsqrSolver]
+    assert kinds(FirstDifferenceOperator(16)) == [ConstantSolver, LsqrSolver]
+    assert kinds(DenseOperator(difference_matrix(16))) == [LsqrSolver]
     assert kinds(IdentityOperator(16)) == [IdentitySolver]  # it never rejects
 
 
@@ -223,7 +225,9 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
     # each link, run on its own on the sweep's own KrylovIterate, gives a
     # finite x_L that keeps the projected constraint and agrees with the LSQR
     # reference, also where no LSQR link closes the chain (L = I), in the one
-    # answer record with no fallback of its own; blur2d also on an odd side
+    # answer record with no fallback of its own; blur2d also on an odd side.
+    # The 1-D constant link answers CGME's one-column block at k=1 and passes
+    # (returns None) on every wider block
     name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
     problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
@@ -237,6 +241,9 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
             reference = lsqr.solve(Q, x_k).x_L
             for solver in chain:
                 answer = solver.solve(Q, iterate)
+                if isinstance(solver, ConstantSolver) and Q.shape[1] > 1:
+                    assert answer is None
+                    continue
                 assert isinstance(answer, HybridIterate) and answer.fallback is None
                 x_L = answer.x_L
                 assert np.all(np.isfinite(x_L))
@@ -276,3 +283,79 @@ def test_sweep_records_lsqr_fallback_with_reason():
     assert reference.fallback is None
     np.testing.assert_allclose(fallen, reference.x_L, atol=1e-12)
     assert sweep.rows[2].rel_error == relative_error(problem.L, reference.x_L, problem.x_true)
+
+
+def first_diff_state():
+    """shaw at n=64 with ``first_diff_1d``, and its first two Krylov columns."""
+    problem = build_problem("shaw", 64, 1e-2, 5)
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, 2)
+    return problem, state
+
+
+def test_constant_link_is_the_exact_answer_on_one_column():
+    # x_L = t 1 is the oracle's answer; its k-space seminorm error is exactly
+    # |L x_true| / |L x_true| = 1, as the formed x_L's n-space error is
+    problem, state = first_diff_state()
+    Q, iterate = state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1)
+    answer = ConstantSolver(problem.x_true).solve(Q, iterate)
+    assert iterate.reads == 0  # no x_k formed
+    assert (answer.inner_iterations, answer.inner_backward_error, answer.inner_cap_hit) == (0, 0.0, False)
+    oracle = pinv_oracle(problem.L, Q, cgme_iterate(state, 1))
+    assert np.linalg.norm(answer.x_L - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert not problem.L.apply(answer.x_L).any()
+    k_space = relative_error(problem.L, answer, problem.x_true)
+    n_space = relative_error(problem.L, answer.x_L, problem.x_true)
+    assert abs(k_space - n_space) <= 1e-15 and abs(k_space - 1.0) <= 1e-15
+
+
+def test_constant_link_rejects_a_block_orthogonal_to_the_constants():
+    # an alternating column sums to exactly 0: the link refuses, LSQR answers
+    # the minimum-norm problem, and the chain records why
+    problem, _ = first_diff_state()
+    Q = np.where(np.arange(64) % 2, -1.0, 1.0)[:, None] / 8.0
+    iterate = coefficients(Q, np.array([0.7]))
+    chain = inner_solvers(problem.L, 1e-10, problem.x_true)
+    with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
+        chain[0].solve(Q, iterate)
+    answer = corrected(iterate, Q, chain)
+    assert "constants numerically orthogonal" in answer.fallback
+    assert answer.inner_iterations > 0
+    np.testing.assert_array_equal(answer.x_L, LsqrSolver(problem.L, 1e-10).solve(Q, Q @ [0.7]).x_L)
+    np.testing.assert_allclose(answer.x_L, pinv_oracle(problem.L, Q, Q @ [0.7]), atol=1e-8)
+
+
+def test_constant_link_rejects_an_unvouched_constraint(monkeypatch):
+    # a sum whose error bound is as large as the sum leaves t unvouched
+    import krylreg.inner as inner
+
+    problem, state = first_diff_state()
+    monkeypatch.setattr(inner, "_sum_with_bound", lambda v, sigma: (float(v.sum()), abs(float(v.sum()))))
+    with pytest.raises(DirectSolveRejected, match="constraint residual"):
+        ConstantSolver(problem.x_true).solve(state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1))
+
+
+def test_constant_link_rejects_a_non_finite_answer():
+    problem, state = first_diff_state()
+    Q = state.Q_cols(1)
+    with pytest.raises(DirectSolveRejected, match="non-finite"):
+        ConstantSolver(problem.x_true).solve(Q, coefficients(Q, np.array([np.nan])))
+
+
+def test_constant_link_passes_a_wider_block_to_lsqr():
+    problem, state = first_diff_state()
+    Q, iterate = state.Q_cols(2), KrylovIterate(tcgme_iterate, state, 1)
+    chain = inner_solvers(problem.L, 1e-10, problem.x_true)
+    assert chain[0].solve(Q, iterate) is None
+    answer = corrected(iterate, Q, chain)
+    assert answer.fallback is None and answer.inner_iterations > 0
+    np.testing.assert_array_equal(answer.x_L, chain[1].solve(Q, tcgme_iterate(state, 1)).x_L)
+
+
+def test_shaw_sweep_answers_hyb_cgme_k1_without_lsqr():
+    records = run_hybrid(build_problem("shaw", 1000, 1e-2, 20240101), ("hyb_cgme", "hyb_tcgme"), max_outer_k=3)
+    assert all(record.fallbacks == [] for record in records.values())
+    first = records["hyb_cgme"].rows[0]
+    assert (first.k, first.inner_iterations, first.inner_cap_hit) == (1, 0, False)
+    assert abs(first.rel_error - 1.0) <= 2.0**-52
+    assert all(row.inner_iterations > 0 for row in records["hyb_cgme"].rows[1:] + records["hyb_tcgme"].rows)

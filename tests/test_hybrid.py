@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import types
 
 import numpy as np
@@ -7,12 +8,19 @@ import pytest
 from conftest import pinv_oracle, rectangular_baart
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init
-from krylreg.harness import _bidiag_recurrence_check, _identity_collapse_check, _krylov_state
+from krylreg.harness import (
+    CURVE_COLUMNS,
+    _bidiag_recurrence_check,
+    _identity_collapse_check,
+    _krylov_state,
+    emit_csv,
+    records_to_json,
+)
 from krylreg.hybrid import METHODS, KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import LsqrSolver, inner_solvers
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
-from krylreg.problems import ProblemInstance, build_problem
+from krylreg.problems import ProblemInstance, build_problem, make_L
 from krylreg.solvers import cgme_iterate, tcgme_iterate
 
 TIGHT = 1e-10
@@ -430,8 +438,9 @@ def test_krylov_iterate_forms_x_k_once_and_copies_on_request():
 
 def test_joint_sweep_charges_forming_x_k_to_each_row_that_reads_it(monkeypatch):
     # a clock that only forming a CGME x_k advances, by 1 ms: the plain row
-    # and, through LSQR, its hybrid each pay for it once; the exact 2-D link
-    # reads the coefficients alone and pays for no x_k
+    # and, through LSQR, its hybrid each pay for it once; the exact links
+    # (2-D, and 1-D on the one-column block at k=1) read the coefficients
+    # alone and pay for no x_k
     import krylreg.hybrid as hybrid
 
     now = [0.0]
@@ -444,8 +453,8 @@ def test_joint_sweep_charges_forming_x_k_to_each_row_that_reads_it(monkeypatch):
     monkeypatch.setattr(hybrid, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(hybrid, "cgme_iterate", cgme)
     one_d = run_hybrid(build_problem("shaw", 100, 1e-2, 3), ("cgme", "hyb_cgme"), max_outer_k=4)
-    for method in ("cgme", "hyb_cgme"):
-        assert [row.wall_ms for row in one_d[method].rows] == pytest.approx([1.0] * 4)
+    assert [row.wall_ms for row in one_d["cgme"].rows] == pytest.approx([1.0] * 4)
+    assert [row.wall_ms for row in one_d["hyb_cgme"].rows] == pytest.approx([0.0, 1.0, 1.0, 1.0])
     problem = build_problem("blur2d", 8, 1e-2, 5, L_kind="first_diff_2d")
     two_d = run_hybrid(problem, ("hyb_cgme", "cgme"), max_outer_k=4)
     assert two_d["hyb_cgme"].fallbacks == []
@@ -506,3 +515,18 @@ def test_zero_seminorm_truth_fails_every_method_on_its_own_record():
     for record in records.values():
         assert record.error == "ValueError: relative error is undefined: L x_true = 0"
         assert record.rows == [] and record.best_k is None
+
+
+def test_rows_record_inner_cap_hits_in_the_json_records_only(tmp_path):
+    # the k=1 hyb_cgme solve is consistent: LSQR on a dense copy of L runs it
+    # to its cap, and the exact 1-D link answers it with no LSQR at all
+    problem = build_problem("shaw", 64, 1e-2, 3)
+    dense = dataclasses.replace(problem, L=DenseOperator(make_L("first_diff_1d", 64).to_dense()))
+    capped = run_hybrid(dense, ("hyb_cgme",), max_outer_k=2)["hyb_cgme"]
+    exact = run_hybrid(problem, ("hyb_cgme",), max_outer_k=2)["hyb_cgme"]
+    assert [row.inner_cap_hit for row in capped.rows] == [True, False]
+    assert capped.rows[0].inner_iterations == 63
+    assert [row.inner_cap_hit for row in exact.rows] == [False, False]
+    assert [row["inner_cap_hit"] for row in json.loads(records_to_json([capped]))[0]["rows"]] == [True, False]
+    emit_csv([capped], tmp_path / "curves.csv")
+    assert (tmp_path / "curves.csv").read_text().splitlines()[0] == CURVE_COLUMNS

@@ -14,14 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # problems to max_outer_k=100, so TCGME's 101 columns each; blur2d sweeps
 # one; desk1d 4 problems at 3 noise levels.  Only desk1d runs the inner
 # LSQR: blur2d takes the DCT solve and krylov_identity (L = I) needs none,
-# and desk1d's iteration count pins LSQR's path, step for step.  Its 12
-# cap hits are the hyb_cgme k=1 solves, one per (problem, noise level):
-# that inner system is consistent, and the backward-error test, the only
-# stop test, never fires on a consistent system.
+# and desk1d's iteration count pins LSQR's path, step for step.  desk1d's
+# 12 hyb_cgme k=1 steps, one per (problem, noise level), take the exact
+# constant link: that inner system is consistent, and LSQR, whose only stop
+# test is the backward-error one, would run each to its 999-iteration cap.
 COUNTS = {
     "blur2d": {"bidiag.inits": 1, "lsqr.calls": 0},
     "krylov_identity": {"bidiag.inits": 2, "bidiag.steps": 202, "lsqr.calls": 0},
-    "desk1d": {"bidiag.inits": 12, "lsqr.calls": 540, "lsqr.iters": 167_461, "lsqr.cap_hits": 12},
+    "desk1d": {"bidiag.inits": 12, "lsqr.calls": 528, "lsqr.iters": 155_473, "lsqr.cap_hits": 0},
 }
 
 
