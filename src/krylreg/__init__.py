@@ -24,7 +24,7 @@ from .harness import (
     verification_suite,
 )
 from .hybrid import METHODS, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
-from .inner import Difference2DSolver, DirectSolveRejected, HybridIterate, LsqrSolver, inner_solvers
+from .inner import Difference1DSolver, Difference2DSolver, DirectSolveRejected, HybridIterate, LsqrSolver, inner_solvers
 from .lsqr import LsqrReport, NumericalFailure, lsqr_solve
 from .metrics import ErrorCurve, GammaGapReport, analyze_curve, gamma_gaps, projected_condition, relative_error
 from .operators import (

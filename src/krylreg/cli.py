@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--L", choices=L_KINDS, dest="L_kind")
     run.add_argument("--max-k", type=int)
     run.add_argument("--tol", type=float, help="inner LSQR tolerance (applies only where LSQR runs: never with "
-                     "--L identity, and with first_diff_2d only on steps that fall back to LSQR)")
+                     "--L identity, with first_diff_2d only on steps that fall back to LSQR, and with first_diff_1d "
+                     "on all but hyb_cgme's k=1 step)")
     run.add_argument("--out", required=True, help="output prefix: writes <out>.csv, <out>.summary.csv, <out>.json")
     run.add_argument(
         "--deterministic-output",

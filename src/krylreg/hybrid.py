@@ -153,7 +153,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     walks the sweep's one :func:`inner_solvers` chain.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
     :func:`relative_error` call that reuses the sweep's one ``|L x_true|``,
-    in k space for the exact 2-D link's answers; ``best_k``, ``best_error``
+    in k space for the exact links' answers; ``best_k``, ``best_error``
     and ``interior_minimum`` are :func:`analyze_curve`'s.
 
     Every method's result is the one it gets when swept alone.  A Krylov

@@ -16,29 +16,27 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
 
 - :class:`IdentitySolver`, the chain for ``L = I``: every Krylov iterate
   lies in range(Q), so ``x_L = x_k``.
-- :class:`Difference2DSolver`, first for the 2-D difference stack.
-  ``L^T L`` is the 2-D Neumann Laplacian ``C^T diag(lam) C``, with ``C`` the
-  orthonormal 2-D DCT-II and ``lam_ij = 4 sin^2(pi i / 2N) +
-  4 sin^2(pi j / 2N)``, zero only for the constant image ``e`` that spans
-  ``null(L)``.  With ``G = (L^T L)^+ = C^T diag(1/lam) C`` (``1/0`` read
-  as 0) the Lagrange conditions give ``x_L = W mu + t e``, ``W = G Q``, where
+- :class:`Difference2DSolver`, first for the 2-D difference stack, and its
+  :class:`Difference1DSolver`, first for the 1-D first difference.  Both
+  ``L^T L`` are Neumann Laplacians, zero only on the unit constant vector
+  ``e`` that spans ``null(L)``.  With ``G = (L^T L)^+`` the Lagrange
+  conditions give ``x_L = W mu + t e``, ``W = G Q``, where
 
       [ 0   q0^T ] [ t  ]   [    0    ]
       [ q0  S    ] [ mu ] = [ Q^T x_k ],   S = Q^T W,  q0 = Q^T e.
 
   The minimizer is unique, and is the minimum-norm LSQR answer, whenever
-  the constants are not orthogonal to range(Q).  ``Q`` only grows over a
-  sweep, so the link keeps ``W`` and the bordered matrix: a new column
-  costs one product with ``G`` (two 2-D transforms, each two ``N x N``
-  products with the explicit DCT-II matrix) and one ``L^T L`` product that
-  vouches for it, the residual ``delta_j = |L^T L w_j - (q_j - e e^T q_j)|``.
-  A solve reads ``Q^T x_k`` as the sweep's ``x_k.coeffs()``, refuses a
-  block whose row 0 is not the one it grew, and vouches in k space for its
-  constraint residual, its backward error and its error against ``x_true``
-  (``h = Q^T x_true`` grown per column); ``x_L`` is formed when read.
-- :class:`ConstantSolver`, first for the 1-D first difference: on a one-column
-  block ``q`` alone, ``x_L = t 1``, ``t = x_k.coeffs() / sum(q)``, as ``null(L)``
-  is the constants.  On a wider block it returns None, and is passed over.
+  the constants are not orthogonal to range(Q).  ``G`` is ``C^T diag(1/lam)
+  C`` with ``C`` the explicit 2-D DCT-II in 2-D, and two cumulative sums in
+  1-D.  ``Q`` only grows over a sweep, so the link keeps ``W`` and the
+  bordered matrix: a new column costs one product with ``G`` and one
+  ``L^T L`` product that vouches for it, the residual
+  ``delta_j = |L^T L w_j - (q_j - e e^T q_j)|``.  A solve reads ``Q^T x_k``
+  as the sweep's ``x_k.coeffs()``, refuses a block whose row 0 is not the
+  one it grew, and vouches in k space for its constraint residual, its
+  backward error and its error against ``x_true`` (``h = Q^T x_true`` grown
+  per column); ``x_L`` is formed when read.  The 1-D link answers one-column
+  blocks only, and returns None on a wider one, which is passed over.
 - :class:`LsqrSolver`, last in every other chain and the reference the
   exact links are tested against: :func:`lsqr_solve` on ``L`` over
   ``null(Q^T)``, which from the zero vector returns the minimum-norm ``z_k``.
@@ -58,8 +56,8 @@ from .lsqr import lsqr_solve
 from .operators import (FirstDifferenceOperator, IdentityOperator, LinearOperator, Stacked2DDifferenceOperator,
                         check_orthonormal)
 
-__all__ = ["DirectSolveRejected", "HybridIterate", "IdentitySolver", "ConstantSolver", "LsqrSolver",
-           "Difference2DSolver", "inner_solvers", "corrected"]
+__all__ = ["DirectSolveRejected", "HybridIterate", "IdentitySolver", "LsqrSolver", "Difference2DSolver",
+           "Difference1DSolver", "inner_solvers", "corrected"]
 
 # The direct answer is accepted only when it reproduces the constraint
 # Q^T x_L = Q^T x_k, and its backward-error bound meets LSQR's stop test,
@@ -134,35 +132,6 @@ class IdentitySolver:
         return HybridIterate(np.asarray(x_k), 0, 0.0, False)
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantSolver:
-    """Exact corrected iterates for a one-column block ``q`` and the 1-D first
-    difference: ``x_L = t 1``, the one feasible point in ``null(L)``, which
-    ``L`` maps to exact zeros.  Returns None on a wider block."""
-
-    x_true: np.ndarray
-
-    def solve(self, Q: np.ndarray, x_k) -> HybridIterate | None:
-        n, m = Q.shape
-        if m != 1:
-            return None
-        deficit = check_orthonormal(Q)  # so |q_i| < 2, as the split sum's sigma needs
-        total, total_err = _sum_with_bound(Q[:, 0], 2.0 ** (math.ceil(math.log2(n + 2)) + 1))
-        if not (zero_mode := abs(total) / math.sqrt(n)) > ZERO_MODE_TOL:
-            raise DirectSolveRejected(f"constants numerically orthogonal to range(Q): "
-                                      f"|Q^T 1|/sqrt(n) = {zero_mode:.3e}")
-        c = float(x_k.coeffs()[0])
-        t = c / total
-        if not math.isfinite(t):
-            raise DirectSolveRejected("non-finite direct solution")
-        # |q^T x_L - q^T x_k| <= |t| |sum(q) - total| + |q^T q - 1| |c|, up to the rounding of t
-        gap = abs(t) * total_err + deficit * abs(c)
-        if gap > ACCEPT_RTOL * abs(c):
-            raise DirectSolveRejected(f"constraint residual |Q^T x_L - Q^T x_k| = {gap:.3e} "
-                                      f"above {ACCEPT_RTOL:g} relative")
-        return HybridIterate(lambda: np.full(n, t), 0, 0.0, False, None, (self.x_true, 0.0, 0.0, 0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class LsqrSolver:
     """The reference inner solve, and the last link of every chain:
@@ -181,17 +150,35 @@ class LsqrSolver:
 
 
 class Difference2DSolver:
-    """Exact corrected iterates ``x_L`` for one sweep with a 2-D difference ``L``.
+    """Exact corrected iterates ``x_L`` for one sweep with a first difference
+    ``L`` (the 2-D stack here, the 1-D one in :class:`Difference1DSolver`).
 
     ``solve`` takes the sweep's growing orthonormal block ``Q``: each call
     must pass a block whose leading columns are the ones earlier calls
     passed (fewer columns than before reuse the leading part).  Errors are
-    taken against ``x_true``.
+    taken against ``x_true``.  Only ``_set_up`` and ``_gram`` depend on
+    which first difference ``L`` is.
     """
 
-    def __init__(self, L: Stacked2DDifferenceOperator, x_true: np.ndarray) -> None:
+    def __init__(self, L: LinearOperator, x_true: np.ndarray) -> None:
         self.L = L
-        self.side = n = L.grid_side
+        n = L.cols
+        self.ones_norm = math.sqrt(n)  # |1|, as e = 1 / |1|
+        self._pinv_norm = self._set_up()
+        self._W = _ColumnBlock(n)
+        self._row0 = np.empty(0)  # row 0 of the columns grown, to tell a block that extends them
+        self._K = np.zeros((1, 1))  # [0 q0^T; q0 S], constant mode first
+        self._delta = []  # |L^T L w_j - (q_j - e e^T q_j)| for each column of W
+        self._wnorm = []  # |w_j| for each column of W
+        self._q0_err_sq = [0.0]  # sum of the squared bounds on the rounding of the stored q0_j, j < m
+        # for the q0_j sums: |q_kj| <= |q_j| < 2 once Q passed the orthonormality check
+        self._sigma = 2.0 ** (math.ceil(math.log2(n + 2)) + 1)
+        self._deficit = 0.0  # largest |Q^T Q - I| entry over the columns grown
+        self._x_true, self._h, self._xt_norm = x_true, [], float(np.linalg.norm(x_true))
+
+    def _set_up(self) -> float:
+        """Build what ``_gram`` reads, and return ``|L^+|_2``."""
+        n = self.L.grid_side
         # orthonormal DCT-II, C_ij = sqrt(2/n) cos(pi i (2j + 1) / 2n) with
         # row 0 scaled to 1/sqrt(n); the integer argument is reduced mod 4n
         # first, so every cosine is taken on [0, 2 pi)
@@ -202,21 +189,12 @@ class Difference2DSolver:
         lam = (lam1[:, None] + lam1[None, :]).ravel()
         self._inv_lam = np.zeros_like(lam)
         self._inv_lam[1:] = 1.0 / lam[1:]  # mode 0 is the constant image
-        self._W = _ColumnBlock(n * n)
-        self._row0 = np.empty(0)  # row 0 of the columns grown, to tell a block that extends them
-        self._K = np.zeros((1, 1))  # [0 q0^T; q0 S], constant mode first
-        self._delta = []  # |L^T L w_j - (q_j - e e^T q_j)| for each column of W
-        self._wnorm = []  # |w_j| for each column of W
-        self._q0_err_sq = [0.0]  # sum of the squared bounds on the rounding of the stored q0_j, j < m
-        # for the q0_j sums: |q_kj| <= |q_j| < 2 once Q passed the orthonormality check
-        self._sigma = 2.0 ** (math.ceil(math.log2(n * n + 2)) + 1)
-        self._deficit = 0.0  # largest |Q^T Q - I| entry over the columns grown
-        self._x_true, self._h, self._xt_norm = x_true, [], float(np.linalg.norm(x_true))
+        return 0.5 / np.sin(0.5 * np.pi / n)  # 1 / sqrt(lam_min) over the modes off the constants
 
     def _gram(self, v: np.ndarray) -> np.ndarray:
         # (L^T L)^+ v on the C-order view of the image, its transpose, so the
         # coefficients come out transposed; ``lam`` is symmetric
-        image_t = v.reshape((self.side, self.side))
+        image_t = v.reshape((self.L.grid_side, self.L.grid_side))
         coef = self._C @ image_t @ self._C.T
         coef *= self._inv_lam.reshape(coef.shape)
         return (self._C.T @ coef @ self._C).ravel()
@@ -232,17 +210,17 @@ class Difference2DSolver:
         self._row0 = np.append(self._row0, Q[0, self._W.count :])
         for j in range(self._W.count, Q.shape[1]):
             (total, total_err), w = _sum_with_bound(Q[:, j], self._sigma), self._gram(Q[:, j])
-            q0_j = total / self.side
+            q0_j = total / self.ones_norm
             self._W.append(w)
             self._wnorm.append(float(np.linalg.norm(w)))
-            self._q0_err_sq.append(self._q0_err_sq[-1] + (total_err / self.side + _gamma(1) * abs(q0_j)) ** 2)
+            self._q0_err_sq.append(self._q0_err_sq[-1] + (total_err / self.ones_norm + _gamma(1) * abs(q0_j)) ** 2)
             self._h.append(float(Q[:, j] @ self._x_true))  # h_j, for the answers' error terms
             K = np.empty((j + 2, j + 2))
             K[: j + 1, : j + 1] = self._K
             K[0, j + 1] = K[j + 1, 0] = q0_j
             K[1:, j + 1] = K[j + 1, 1:] = Q[:, : j + 1].T @ w
             self._K = K
-            residual = self.L.apply_adjoint(self.L.apply(w)) - Q[:, j] + q0_j / self.side
+            residual = self.L.apply_adjoint(self.L.apply(w)) - Q[:, j] + q0_j / self.ones_norm
             self._delta.append(float(np.linalg.norm(residual)))
 
     def _constraint_bound(self, sol: np.ndarray, y: np.ndarray) -> float:
@@ -304,25 +282,43 @@ class Difference2DSolver:
         if not backward_error <= ACCEPT_RTOL:
             raise DirectSolveRejected(f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}")
         # Seminorm error terms, with r = K sol - [0; y], r_0 = q0^T mu, h = Q^T x_true, and
-        # L f = (L^+)^T sum_j mu_j d_j for the error f of W mu (|L^+|_2 = 1 / (2 sin(pi / 2N))):
+        # L f = (L^+)^T sum_j mu_j d_j for the error f of W mu (|L^+|_2 from ``_set_up``):
         #   |L x_L|^2 = mu^T y + mu^T r_1: - (e^T x_L) r_0 + (L x_L)^T L f,
         #   <L x_L, L x_true> = mu^T h - (e^T x_true) r_0 + sum_j mu_j x_true^T d_j.
         # S and q0 count as exact here; rho is the rounding of the m-term sums and of
         # h and |L x_true|, n-term dots taken at 4 sqrt(n) u (Higham and Mary, SISC 2019).
         r, xt_norm = self._K[: m + 1, : m + 1] @ sol - np.append(0.0, y), self._xt_norm
         bordered = float(np.linalg.norm(r[1:]) * np.linalg.norm(mu) + (scale + 2.0 * xt_norm) * abs(r[0]))
-        lift, rho = dm * 0.5 / np.sin(0.5 * np.pi / self.side), (4.0 * self.side + m + 2) * 2.0**-53
+        lift, rho = dm * self._pinv_norm, (4.0 * self.ones_norm + m + 2) * 2.0**-53
         slack = (bordered + lift * (lift + np.sqrt(abs(lx_sq) + bordered)) + 2.0 * xt_norm * dm
                  + rho * (abs(lx_sq) + 2.0 * xt_norm * np.abs(mu).sum()))
-        return HybridIterate(lambda: self._W.view(m) @ mu + t / self.side, 0, backward_error, False, None,
+        return HybridIterate(lambda: self._W.view(m) @ mu + t / self.ones_norm, 0, backward_error, False, None,
                              (self._x_true, lx_sq, float(mu @ self._h[:m]), slack, rho))
+
+
+class Difference1DSolver(Difference2DSolver):
+    """:class:`Difference2DSolver`'s exact link for the 1-D first difference,
+    with ``(L^T L)^+`` as two cumulative sums; it answers one-column blocks
+    only, returning None on a wider one, so that LSQR answers those."""
+
+    def _set_up(self) -> float:
+        return 0.5 / np.sin(0.5 * np.pi / self.L.cols)  # 1 / (2 sin(pi / 2n)), one over L's least singular value
+
+    def _gram(self, v: np.ndarray) -> np.ndarray:
+        # L^T L x = v - mean(v) with mean(x) = 0: L^T u = v - mean(v) has u the
+        # partial sums of v - mean(v), and L x = u has x_{i+1} = x_i - u_i
+        u = np.cumsum(v - v.mean())[:-1]
+        x = -np.cumsum(np.append(0.0, u))
+        return x - x.mean()
+
+    def solve(self, Q: np.ndarray, x_k) -> HybridIterate | None:
+        return super().solve(Q, x_k) if Q.shape[1] == 1 else None
 
 
 def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tuple:
     """Fresh inner solvers for one sweep with regularizer ``L`` and truth ``x_true``, in
     the order they are tried: an exact solver when ``L`` has structure one
     exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
-    :class:`ConstantSolver` answers only one-column blocks and passes wider ones on.
 
     The last link never rejects: every chain ends in :class:`IdentitySolver`
     or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
@@ -332,7 +328,7 @@ def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tu
     if isinstance(L, Stacked2DDifferenceOperator):
         return Difference2DSolver(L, x_true), LsqrSolver(L, inner_tol)
     if isinstance(L, FirstDifferenceOperator):
-        return ConstantSolver(x_true), LsqrSolver(L, inner_tol)
+        return Difference1DSolver(L, x_true), LsqrSolver(L, inner_tol)
     return (LsqrSolver(L, inner_tol),)
 
 

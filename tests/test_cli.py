@@ -25,12 +25,14 @@ def test_list_problems():
 
 
 def test_tol_help_says_it_applies_only_where_lsqr_runs(monkeypatch, capsys):
-    # first_diff_2d's LSQR fallback link runs at --tol, so it is not unused there
+    # first_diff_2d's LSQR fallback link runs at --tol, so it is not unused
+    # there; first_diff_1d's exact link answers only hyb_cgme's k=1 block
     monkeypatch.setenv("COLUMNS", "400")  # one help line per option
     with pytest.raises(SystemExit):
         cli.main(["run", "--help"])
-    assert ("inner LSQR tolerance (applies only where LSQR runs: never with --L identity, and with "
-            "first_diff_2d only on steps that fall back to LSQR)") in capsys.readouterr().out
+    assert ("inner LSQR tolerance (applies only where LSQR runs: never with --L identity, with "
+            "first_diff_2d only on steps that fall back to LSQR, and with first_diff_1d on all but "
+            "hyb_cgme's k=1 step)") in capsys.readouterr().out
 
 
 def test_run_writes_all_outputs(tmp_path):

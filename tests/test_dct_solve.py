@@ -7,7 +7,7 @@ from conftest import coefficients, pinv_oracle, random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.hybrid import KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import (
-    ConstantSolver,
+    Difference1DSolver,
     Difference2DSolver,
     DirectSolveRejected,
     HybridIterate,
@@ -196,7 +196,7 @@ def test_direct_solver_chosen_by_regularizer_type():
         return [type(solver) for solver in inner_solvers(L, 1e-6, np.zeros(L.cols))]
 
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
-    assert kinds(FirstDifferenceOperator(16)) == [ConstantSolver, LsqrSolver]
+    assert kinds(FirstDifferenceOperator(16)) == [Difference1DSolver, LsqrSolver]
     assert kinds(DenseOperator(difference_matrix(16))) == [LsqrSolver]
     assert kinds(IdentityOperator(16)) == [IdentitySolver]  # it never rejects
 
@@ -226,7 +226,7 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
     # finite x_L that keeps the projected constraint and agrees with the LSQR
     # reference, also where no LSQR link closes the chain (L = I), in the one
     # answer record with no fallback of its own; blur2d also on an odd side.
-    # The 1-D constant link answers CGME's one-column block at k=1 and passes
+    # The 1-D exact link answers CGME's one-column block at k=1 and passes
     # (returns None) on every wider block
     name = "blur2d" if L_kind == "first_diff_2d" else "shaw"
     problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
@@ -241,7 +241,7 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
             reference = lsqr.solve(Q, x_k).x_L
             for solver in chain:
                 answer = solver.solve(Q, iterate)
-                if isinstance(solver, ConstantSolver) and Q.shape[1] > 1:
+                if isinstance(solver, Difference1DSolver) and Q.shape[1] > 1:
                     assert answer is None
                     continue
                 assert isinstance(answer, HybridIterate) and answer.fallback is None
@@ -298,7 +298,7 @@ def test_constant_link_is_the_exact_answer_on_one_column():
     # |L x_true| / |L x_true| = 1, as the formed x_L's n-space error is
     problem, state = first_diff_state()
     Q, iterate = state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1)
-    answer = ConstantSolver(problem.x_true).solve(Q, iterate)
+    answer = Difference1DSolver(problem.L, problem.x_true).solve(Q, iterate)
     assert iterate.reads == 0  # no x_k formed
     assert (answer.inner_iterations, answer.inner_backward_error, answer.inner_cap_hit) == (0, 0.0, False)
     oracle = pinv_oracle(problem.L, Q, cgme_iterate(state, 1))
@@ -332,14 +332,14 @@ def test_constant_link_rejects_an_unvouched_constraint(monkeypatch):
     problem, state = first_diff_state()
     monkeypatch.setattr(inner, "_sum_with_bound", lambda v, sigma: (float(v.sum()), abs(float(v.sum()))))
     with pytest.raises(DirectSolveRejected, match="constraint residual"):
-        ConstantSolver(problem.x_true).solve(state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1))
+        Difference1DSolver(problem.L, problem.x_true).solve(state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1))
 
 
 def test_constant_link_rejects_a_non_finite_answer():
     problem, state = first_diff_state()
     Q = state.Q_cols(1)
     with pytest.raises(DirectSolveRejected, match="non-finite"):
-        ConstantSolver(problem.x_true).solve(Q, coefficients(Q, np.array([np.nan])))
+        Difference1DSolver(problem.L, problem.x_true).solve(Q, coefficients(Q, np.array([np.nan])))
 
 
 def test_constant_link_passes_a_wider_block_to_lsqr():
@@ -359,3 +359,61 @@ def test_shaw_sweep_answers_hyb_cgme_k1_without_lsqr():
     assert (first.k, first.inner_iterations, first.inner_cap_hit) == (1, 0, False)
     assert abs(first.rel_error - 1.0) <= 2.0**-52
     assert all(row.inner_iterations > 0 for row in records["hyb_cgme"].rows[1:] + records["hyb_tcgme"].rows)
+
+
+# Difference1DSolver's G and its solve on wider blocks.  While the 1-D link
+# answers one-column blocks only, where mu = 0 and G changes no answer, these
+# tests are the only check on G: each calls the unguarded solve, the base
+# class's, on blocks of any width.
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_1d_gram_is_pinv_of_neumann_laplacian(n):
+    L = FirstDifferenceOperator(n)
+    solver = Difference1DSolver(L, np.zeros(n))
+    D = difference_matrix(n)
+    np.testing.assert_array_equal(D, L.to_dense())
+    v = np.random.default_rng(n).standard_normal(n) + 3.0  # a mean both sums must take off
+    # pinv(D^T D) = pinv(D) pinv(D)^T, which squares no condition number
+    # (np.linalg.pinv(D.T @ D) itself is off by 2.8e-12 at n=64)
+    expected = np.linalg.pinv(D) @ (np.linalg.pinv(D).T @ v)
+    assert np.linalg.norm(solver._gram(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+    np.testing.assert_allclose(solver._gram(np.ones(n)), 0.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(D.T @ D @ solver._gram(v), v - v.mean(), rtol=0, atol=1e-12 * np.linalg.norm(v))
+    assert solver._pinv_norm == pytest.approx(1.0 / np.linalg.svd(D, compute_uv=False)[-1], rel=1e-13)
+
+
+def test_unguarded_1d_solve_matches_pinv_oracle():
+    # one solver grown over the sweep's own blocks, as a sweep grows it
+    problem, state = first_diff_state()
+    bidiag_extend(state, 6)
+    solver = Difference1DSolver(problem.L, problem.x_true)
+    for k in (1, 2, 3, 5, 7):
+        for kernel, Q in ((cgme_iterate, state.Q_cols(k)), (tcgme_iterate, state.Q_cols(k + 1))):
+            answer = Difference2DSolver.solve(solver, Q, KrylovIterate(kernel, state, k))
+            oracle = pinv_oracle(problem.L, Q, kernel(state, k))
+            assert np.linalg.norm(answer.x_L - oracle) <= 1e-12 * np.linalg.norm(oracle)
+            assert answer.inner_backward_error <= 1e-10 and answer.fallback is None
+
+
+@pytest.mark.parametrize("name", ["shaw", "deriv2"])
+def test_unguarded_1d_solve_matches_tight_lsqr_errors(name):
+    # every per-k seminorm error, taken in k space, against the LSQR
+    # reference at tol=1e-12
+    problem = build_problem(name, 300, 1e-2, 20240101)
+    state = bidiag_init(problem.A, problem.b)
+    bidiag_extend(state, 16)
+    solver = Difference1DSolver(problem.L, problem.x_true)
+    denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
+    for k in range(1, 16):
+        for kernel, step, m in ((cgme_iterate, hyb_cgme_step, k), (tcgme_iterate, hyb_tcgme_step, k + 1)):
+            answer = Difference2DSolver.solve(solver, state.Q_cols(m), KrylovIterate(kernel, state, k))
+            reference = relative_error(problem.L, step(state, problem.L, k, 1e-12).x_L, problem.x_true, denom)
+            assert abs(relative_error(problem.L, answer, problem.x_true, denom) - reference) <= 1e-8 * reference
+
+
+def test_one_column_1d_answer_is_the_constant_closed_form():
+    # x_L = (c_1 / sum(q)) 1, the one feasible point in null(L)
+    problem, state = first_diff_state()
+    Q, iterate = state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1)
+    x_L = Difference1DSolver(problem.L, problem.x_true).solve(Q, iterate).x_L
+    t = iterate.coeffs()[0] / Q[:, 0].sum()
+    assert np.abs(x_L - t).max() <= 1e-15 * abs(t)

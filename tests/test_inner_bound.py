@@ -375,7 +375,7 @@ def extended_error(solver, L, Q, c, x_true):
     solver's stored ``W`` and bordered matrix, in extended precision."""
     m = Q.shape[1]
     sol = np.linalg.solve(solver._K[: m + 1, : m + 1], np.append(0.0, c)).astype(np.longdouble)
-    x_L = solver._W.view(m).astype(np.longdouble) @ sol[1:] + sol[0] / solver.side
+    x_L = solver._W.view(m).astype(np.longdouble) @ sol[1:] + sol[0] / solver.ones_norm
     D, x_true = L.to_dense().astype(np.longdouble), x_true.astype(np.longdouble)
     return float(np.sqrt(np.sum((D @ (x_L - x_true)) ** 2) / np.sum((D @ x_true) ** 2)))
 

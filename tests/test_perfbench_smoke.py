@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # LSQR: blur2d takes the DCT solve and krylov_identity (L = I) needs none,
 # and desk1d's iteration count pins LSQR's path, step for step.  desk1d's
 # 12 hyb_cgme k=1 steps, one per (problem, noise level), take the exact
-# constant link: that inner system is consistent, and LSQR, whose only stop
+# 1-D link: that inner system is consistent, and LSQR, whose only stop
 # test is the backward-error one, would run each to its 999-iteration cap.
 COUNTS = {
     "blur2d": {"bidiag.inits": 1, "lsqr.calls": 0},
