@@ -8,11 +8,11 @@ which states the inner problem and holds every way of solving it.
 and sweeps every requested method over that state, so a (problem, noise
 level) pair costs one Krylov process however many methods read it, and
 returns each method's finished :class:`RunRecord`.  Its two settings, the
-outer depth and the inner LSQR tolerance, are plain arguments.  Each hybrid
-step walks the sweep's one chain of inner links, and ``RunRecord.fallbacks``
-keeps why a link was passed over.  :func:`hyb_cgme_step` and
-:func:`hyb_tcgme_step` are the reference steps, with the inner problem
-solved by LSQR alone.
+outer depth and the inner LSQR tolerance, are plain arguments.  Each row
+walks one chain of inner links (a plain method's holds the no-correction
+link), and ``RunRecord.fallbacks`` keeps why a link was passed over.
+:func:`hyb_cgme_step` and :func:`hyb_tcgme_step` are the reference steps,
+with the inner problem solved by LSQR alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
-from .inner import HybridIterate, LsqrSolver, corrected, inner_solvers
+from .inner import HybridIterate, IdentitySolver, LsqrSolver, corrected, inner_solvers
 from .metrics import analyze_curve, relative_error
 from .operators import LinearOperator, OrthonormalityError, _is_int, _is_real
 from .problems import ProblemInstance
@@ -149,8 +149,10 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
 
     At each ``k`` the state is extended to the largest step count an
     active method reads, each base iterate (CGME, TCGME) is one lazy
-    :class:`KrylovIterate` for its plain and hybrid method, and each hybrid
-    walks the sweep's one :func:`inner_solvers` chain.  Relative
+    :class:`KrylovIterate` for its plain and hybrid method, and each row,
+    diagnostics too, is the :func:`corrected` answer of one chain walk: the
+    sweep's :func:`inner_solvers` chain for a hybrid, ``(IdentitySolver(),)``
+    for a plain method.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
     :func:`relative_error` call that reuses the sweep's one ``|L x_true|``,
     in k space for the exact links' answers; ``best_k``, ``best_error``
@@ -177,6 +179,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
             record.breakdown = str(exc)
         return records
     chain = inner_solvers(problem.L, inner_tol, problem.x_true)
+    chains = {m: chain if m.startswith("hyb_") else (IdentitySolver(),) for m in methods}
     denom: float | None = None  # |L x_true|, computed once, by the first row
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
@@ -206,18 +209,12 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 active.remove(method)
                 continue
             wall = sum(column_ms[_needed(method, k - 1) if k > 1 else 0 : needed])
-            base = method.removeprefix("hyb_")
             try:
-                iterate, inner_iters, cap_hit = bases[base], 0, False
+                iterate = bases[method.removeprefix("hyb_")]
                 reads, t0 = iterate.reads, time.perf_counter()
-                if method == base:
-                    x = np.asarray(iterate)
-                else:
-                    hybrid = corrected(iterate, state.Q_cols(needed), chain)
-                    x = hybrid
-                    inner_iters, cap_hit = hybrid.inner_iterations, hybrid.inner_cap_hit
-                    if hybrid.fallback is not None:
-                        record.fallbacks.append(InnerFallback(k=k, reason=hybrid.fallback))
+                x = corrected(iterate, state.Q_cols(needed), chains[method])
+                if x.fallback is not None:
+                    record.fallbacks.append(InnerFallback(k=k, reason=x.fallback))
                 wall += (time.perf_counter() - t0) * 1e3 + (iterate.form_ms if 0 < reads < iterate.reads else 0.0)
                 if denom is None:
                     denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
@@ -232,7 +229,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 record.error = f"{type(exc).__name__}: {exc}"
                 active.remove(method)
                 continue
-            record.rows.append(RunRow(k, rel_error, inner_iters, wall, cap_hit))
+            record.rows.append(RunRow(k, rel_error, x.inner_iterations, wall, x.inner_cap_hit))
         if not active:
             break
     for record in records.values():

@@ -14,8 +14,9 @@ projected problem.
 raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
 :func:`corrected` then tries the next link and records why in ``fallback``.
 
-- :class:`IdentitySolver`, the chain for ``L = I``: every Krylov iterate
-  lies in range(Q), so ``x_L = x_k``.
+- :class:`IdentitySolver`, the no-correction link ``x_L = x_k``: the plain
+  methods' chain for every ``L``, and the hybrids' for ``L = I``, where every
+  Krylov iterate lies in range(Q).
 - :class:`Difference2DSolver`, first for the 2-D difference stack, and its
   :class:`Difference1DSolver`, first for the 1-D first difference.  Both
   ``L^T L`` are Neumann Laplacians, zero only on the unit constant vector
@@ -119,13 +120,13 @@ class HybridIterate:
 
 
 class IdentitySolver:
-    """Exact corrected iterates for ``L = I``: ``x_L = x_k``.
+    """The no-correction link ``x_L = x_k``: the plain methods' link for every ``L``.
 
-    ``x_L`` minimizes ``|x|`` over the feasible set ``x_k + null(Q^T)``.
-    A CGME or TCGME iterate is ``x_k = Q y`` for the very block ``Q`` its
-    hybrid passes, so ``x_k`` is orthogonal to ``null(Q^T)`` and is the
-    minimizer, whether or not ``Q`` has kept its orthogonality: ``z_k = 0``
-    with a zero backward error.
+    It is also the exact answer for ``L = I``: ``x_L`` minimizes ``|x|`` over
+    ``x_k + null(Q^T)``.  A CGME or TCGME iterate is ``x_k = Q y`` for the very
+    block ``Q`` its hybrid passes, so ``x_k`` is orthogonal to ``null(Q^T)`` and
+    is the minimizer, whether or not ``Q`` has kept its orthogonality:
+    ``z_k = 0`` with a zero backward error.
     """
 
     def solve(self, Q: np.ndarray, x_k: np.typing.ArrayLike) -> HybridIterate:
@@ -316,9 +317,9 @@ class Difference1DSolver(Difference2DSolver):
 
 
 def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tuple:
-    """Fresh inner solvers for one sweep with regularizer ``L`` and truth ``x_true``, in
-    the order they are tried: an exact solver when ``L`` has structure one
-    exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
+    """Fresh inner solvers for one sweep's hybrids (plain methods walk ``(IdentitySolver(),)``)
+    with regularizer ``L`` and truth ``x_true``, in the order they are tried: an exact solver
+    when ``L`` has structure one exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
 
     The last link never rejects: every chain ends in :class:`IdentitySolver`
     or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
