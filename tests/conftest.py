@@ -11,6 +11,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
+from krylreg.bidiag import BidiagState, _ColumnBlock
 from krylreg.hybrid import KrylovIterate
 from krylreg.operators import DenseOperator
 from krylreg.problems import ProblemInstance, add_noise, make_L
@@ -21,6 +22,26 @@ def random_orthonormal(n: int, k: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def make_state(alphas, betas, m=None, n=None):
+    """State with identity P/Q blocks and prescribed coefficients, and no
+    operator: only an extension or an oracle reads ``state.A``."""
+    k = len(alphas)
+    m = m or k + 1
+    n = n or k + 1
+    p = _ColumnBlock(m)
+    for j in range(min(k + 1, m)):
+        p.append(np.eye(m)[:, j])
+    q = _ColumnBlock(n)
+    for j in range(k):
+        q.append(np.eye(n)[:, j])
+    return BidiagState(None, p, q, list(alphas), list(betas), 1e-300)
+
+
+def difference_matrix(n: int) -> np.ndarray:
+    """The ``(n-1) x n`` forward first-difference matrix, rows (1, -1)."""
+    return np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
 
 
 def coefficients(Q, c):

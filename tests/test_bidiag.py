@@ -2,8 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import random_orthonormal
-from test_solvers import make_state
+from conftest import make_state, random_orthonormal
 
 from krylreg.bidiag import GolubKahanBreakdown, _reorthogonalize, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.harness import _bidiag_recurrence_check, _krylov_state

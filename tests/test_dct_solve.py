@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coefficients, pinv_oracle, random_orthonormal
+from conftest import coefficients, difference_matrix, pinv_oracle, random_orthonormal
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.hybrid import KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from krylreg.inner import (
@@ -34,11 +34,6 @@ def cosine_matrix(n: int) -> np.ndarray:
     C = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(i, 2 * i + 1) / (2 * n))
     C[0] /= np.sqrt(2.0)
     return C
-
-
-def difference_matrix(n: int) -> np.ndarray:
-    """The ``(n-1) x n`` forward first-difference matrix, rows (1, -1)."""
-    return np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
 
 
 SIDES = [2, 3, 7, 8, 9, 15, 16, 96, 97]

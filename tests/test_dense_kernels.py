@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_solvers import make_state
+from conftest import make_state
 
 from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.metrics import gamma_gaps

@@ -17,7 +17,7 @@ from krylreg.harness import (
     records_to_json,
 )
 from krylreg.hybrid import METHODS, KrylovIterate, hyb_cgme_step, hyb_tcgme_step, run_hybrid
-from krylreg.inner import LsqrSolver, inner_solvers
+from krylreg.inner import Difference1DSolver, Difference2DSolver, LsqrSolver, inner_solvers
 from krylreg.metrics import analyze_curve
 from krylreg.operators import DenseOperator, IdentityOperator
 from krylreg.problems import ProblemInstance, build_problem, make_L
@@ -460,6 +460,24 @@ def test_joint_sweep_charges_forming_x_k_to_each_row_that_reads_it(monkeypatch):
     assert two_d["hyb_cgme"].fallbacks == []
     assert [row.wall_ms for row in two_d["hyb_cgme"].rows] == [0.0] * 4
     assert [row.wall_ms for row in two_d["cgme"].rows] == pytest.approx([1.0] * 4)
+
+
+@pytest.mark.parametrize("name, size, L_kind, exact", [("blur2d", 16, "first_diff_2d", Difference2DSolver),
+                                                        ("shaw", 64, "first_diff_1d", Difference1DSolver)])
+def test_plain_rows_walk_the_no_correction_link(name, size, L_kind, exact, monkeypatch):
+    # a plain-only sweep never calls the exact link that its hybrid twin does,
+    # and each plain row carries the no-correction link's diagnostics
+    calls = []
+    solve = exact.solve
+    monkeypatch.setattr(exact, "solve", lambda self, Q, x_k: calls.append(Q.shape[1]) or solve(self, Q, x_k))
+    problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
+    plain = run_hybrid(problem, ("cgme", "tcgme"), max_outer_k=6)
+    assert calls == []
+    for record in plain.values():
+        assert ks(record) == list(range(1, 7)) and record.fallbacks == [] and record.error is None
+        assert inner_iterations(record) == [0] * 6 and not any(row.inner_cap_hit for row in record.rows)
+    run_hybrid(problem, ("hyb_cgme", "hyb_tcgme"), max_outer_k=6)
+    assert len(calls) == 12
 
 
 def test_joint_sweep_keeps_a_method_failure_in_that_method(monkeypatch):

@@ -19,7 +19,7 @@ from krylreg.operators import (
 )
 from krylreg.problems import gen_baart, make_L
 
-from conftest import random_orthonormal
+from conftest import difference_matrix, random_orthonormal
 
 
 def test_shape_validation():
@@ -206,17 +206,10 @@ def test_projected_operator_requires_orthonormal_columns():
         lsqr_solve(L, np.ones(4), Q=bad)
 
 
-def _first_difference_dense(n):
-    D = np.zeros((n - 1, n))
-    D[np.arange(n - 1), np.arange(n - 1)] = 1.0
-    D[np.arange(n - 1), np.arange(1, n)] = -1.0
-    return D
-
-
 @pytest.mark.parametrize("n", [2, 3, 1000])
 def test_first_difference_adjoint_is_the_dense_transpose(n):
     L = FirstDifferenceOperator(n)
-    D = _first_difference_dense(n)
+    D = difference_matrix(n)
     u = np.random.default_rng(n).standard_normal(n - 1)
     np.testing.assert_array_equal(L.apply_adjoint(u), D.T @ u)
     if n <= 3:
@@ -309,7 +302,7 @@ def test_projected_solve_leaves_the_callers_block_and_rhs_untouched(layout):
 @pytest.mark.parametrize("N", [2, 5, 16])
 def test_stacked_2d_difference_matches_kronecker(N):
     op = Stacked2DDifferenceOperator(N)
-    D = _first_difference_dense(N)
+    D = difference_matrix(N)
     dense = np.vstack([np.kron(np.eye(N), D), np.kron(D, np.eye(N))])
     assert op.rows == 2 * N * (N - 1)
     np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)

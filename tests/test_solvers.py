@@ -1,26 +1,11 @@
 import numpy as np
 import pytest
+from conftest import make_state
 
-from krylreg.bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
-from krylreg.bidiag import _ColumnBlock  # test-only: hand-built states
+from krylreg.bidiag import GolubKahanBreakdown, bidiag_extend, bidiag_init, bidiagonal
 from krylreg.operators import DenseOperator
 from krylreg.problems import add_noise, gen_deriv2, gen_shaw
 from krylreg.solvers import cgme_iterate, tcgme_iterate
-
-
-def make_state(alphas, betas, m=None, n=None):
-    """State with identity P/Q blocks and prescribed coefficients, and no
-    operator: only an extension or an oracle reads ``state.A``."""
-    k = len(alphas)
-    m = m or k + 1
-    n = n or k + 1
-    p = _ColumnBlock(m)
-    for j in range(min(k + 1, m)):
-        p.append(np.eye(m)[:, j])
-    q = _ColumnBlock(n)
-    for j in range(k):
-        q.append(np.eye(n)[:, j])
-    return BidiagState(None, p, q, list(alphas), list(betas), 1e-300)
 
 
 def shaw_state(k, n=64, seed=21, eps=1e-2, gen=gen_shaw):
