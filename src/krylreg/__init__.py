@@ -26,7 +26,7 @@ from .harness import (
 from .hybrid import METHODS, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .inner import Difference1DSolver, Difference2DSolver, DirectSolveRejected, HybridIterate, LsqrSolver, inner_solvers
 from .lsqr import LsqrReport, NumericalFailure, lsqr_solve
-from .metrics import ErrorCurve, GammaGapReport, analyze_curve, gamma_gaps, projected_condition, relative_error
+from .metrics import ErrorCurve, GammaGapReport, Truth, analyze_curve, gamma_gaps, projected_condition, relative_error
 from .operators import (
     DenseOperator,
     DimensionMismatch,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bidiag import BidiagState, GolubKahanBreakdown, bidiag_extend, bidiag_init
 from .inner import HybridIterate, IdentitySolver, LsqrSolver, corrected, inner_solvers
-from .metrics import analyze_curve, relative_error
+from .metrics import Truth, analyze_curve, relative_error
 from .operators import LinearOperator, OrthonormalityError, _is_int, _is_real
 from .problems import ProblemInstance
 from .solvers import cgme_iterate, tcgme_iterate
@@ -154,7 +154,7 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
     sweep's :func:`inner_solvers` chain for a hybrid, ``(IdentitySolver(),)``
     for a plain method.  Relative
     errors are the L-seminorm errors against ``x_true``, each through one
-    :func:`relative_error` call that reuses the sweep's one ``|L x_true|``,
+    :func:`relative_error` call against the sweep's one :class:`Truth`,
     in k space for the exact links' answers; ``best_k``, ``best_error``
     and ``interior_minimum`` are :func:`analyze_curve`'s.
 
@@ -178,9 +178,9 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
         for record in records.values():
             record.breakdown = str(exc)
         return records
-    chain = inner_solvers(problem.L, inner_tol, problem.x_true)
+    chain = inner_solvers(problem.L, inner_tol)
     chains = {m: chain if m.startswith("hyb_") else (IdentitySolver(),) for m in methods}
-    denom: float | None = None  # |L x_true|, computed once, by the first row
+    truth: Truth | None = None  # the sweep's one Truth, built by the first row
     column_ms: list[float] = []  # time to build Krylov column j, at j - 1
     failure: GolubKahanBreakdown | None = None
     active = list(records)
@@ -216,9 +216,8 @@ def run_hybrid(problem: ProblemInstance, methods: Sequence[str], *,
                 if x.fallback is not None:
                     record.fallbacks.append(InnerFallback(k=k, reason=x.fallback))
                 wall += (time.perf_counter() - t0) * 1e3 + (iterate.form_ms if 0 < reads < iterate.reads else 0.0)
-                if denom is None:
-                    denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
-                rel_error = relative_error(problem.L, x, problem.x_true, denom)
+                truth = truth or Truth(problem.L, problem.x_true)
+                rel_error = relative_error(x, truth)
             except OrthonormalityError as exc:
                 # a basis that drifted past the projector tolerance (the
                 # reorthogonalization failed to hold it) stops this sweep

@@ -34,9 +34,9 @@ raises :class:`DirectSolveRejected` when it cannot vouch for its answer;
   ``L^T L`` product that vouches for it, the residual
   ``delta_j = |L^T L w_j - (q_j - e e^T q_j)|``.  A solve reads ``Q^T x_k``
   as the sweep's ``x_k.coeffs()``, refuses a block whose row 0 is not the
-  one it grew, and vouches in k space for its constraint residual, its
-  backward error and its error against ``x_true`` (``h = Q^T x_true`` grown
-  per column); ``x_L`` is formed when read.  The 1-D link answers one-column
+  one it grew, and vouches in k space for its constraint residual and its
+  backward error; ``x_L`` is formed when read, and :mod:`krylreg.metrics`
+  measures its error from k-space parts.  The 1-D link answers one-column
   blocks only, and returns None on a wider one, which is passed over.
 - :class:`LsqrSolver`, last in every other chain and the reference the
   exact links are tested against: :func:`lsqr_solve` on ``L`` over
@@ -102,9 +102,9 @@ class HybridIterate:
     ``x_L`` is ``form``, or ``form()`` called on the first read.  ``fallback``
     is the reason an earlier link of the inner chain was rejected, when a later
     one produced this iterate in its place.  An exact link's ``error_terms``
-    ``(x_true, |L x_L|^2, <L x_L, L x_true>, slack, rho)`` give
-    ``|L (x_L - x_true)|^2`` for that very ``x_true`` array to within
-    ``slack + rho |L x_true|^2``.
+    ``(Q, mu, mu^T y, r, scale >= |x_L|, sum_j |mu_j| delta_j, its |L^+|_2 lift)``,
+    with ``r`` the bordered residual, are the k-space parts of ``x_L = W mu + t e``
+    from which :class:`krylreg.metrics.Truth` measures its seminorm error.
     """
 
     form: np.ndarray | Callable[[], np.ndarray]
@@ -112,7 +112,7 @@ class HybridIterate:
     inner_backward_error: float
     inner_cap_hit: bool
     fallback: str | None = None
-    error_terms: tuple[np.ndarray, float, float, float, float] | None = None
+    error_terms: tuple | None = None
 
     @cached_property
     def x_L(self) -> np.ndarray:
@@ -156,12 +156,11 @@ class Difference2DSolver:
 
     ``solve`` takes the sweep's growing orthonormal block ``Q``: each call
     must pass a block whose leading columns are the ones earlier calls
-    passed (fewer columns than before reuse the leading part).  Errors are
-    taken against ``x_true``.  Only ``_set_up`` and ``_gram`` depend on
-    which first difference ``L`` is.
+    passed (fewer columns than before reuse the leading part).  Only
+    ``_set_up`` and ``_gram`` depend on which first difference ``L`` is.
     """
 
-    def __init__(self, L: LinearOperator, x_true: np.ndarray) -> None:
+    def __init__(self, L: LinearOperator) -> None:
         self.L = L
         n = L.cols
         self.ones_norm = math.sqrt(n)  # |1|, as e = 1 / |1|
@@ -175,7 +174,6 @@ class Difference2DSolver:
         # for the q0_j sums: |q_kj| <= |q_j| < 2 once Q passed the orthonormality check
         self._sigma = 2.0 ** (math.ceil(math.log2(n + 2)) + 1)
         self._deficit = 0.0  # largest |Q^T Q - I| entry over the columns grown
-        self._x_true, self._h, self._xt_norm = x_true, [], float(np.linalg.norm(x_true))
 
     def _set_up(self) -> float:
         """Build what ``_gram`` reads, and return ``|L^+|_2``."""
@@ -215,7 +213,6 @@ class Difference2DSolver:
             self._W.append(w)
             self._wnorm.append(float(np.linalg.norm(w)))
             self._q0_err_sq.append(self._q0_err_sq[-1] + (total_err / self.ones_norm + _gamma(1) * abs(q0_j)) ** 2)
-            self._h.append(float(Q[:, j] @ self._x_true))  # h_j, for the answers' error terms
             K = np.empty((j + 2, j + 2))
             K[: j + 1, : j + 1] = self._K
             K[0, j + 1] = K[j + 1, 0] = q0_j
@@ -282,19 +279,9 @@ class Difference2DSolver:
             backward_error = bound / (np.sqrt(lx_sq) * self.L.frobenius_norm()) if lx_sq > 0.0 else np.inf
         if not backward_error <= ACCEPT_RTOL:
             raise DirectSolveRejected(f"backward error {backward_error:.3e} above {ACCEPT_RTOL:g}")
-        # Seminorm error terms, with r = K sol - [0; y], r_0 = q0^T mu, h = Q^T x_true, and
-        # L f = (L^+)^T sum_j mu_j d_j for the error f of W mu (|L^+|_2 from ``_set_up``):
-        #   |L x_L|^2 = mu^T y + mu^T r_1: - (e^T x_L) r_0 + (L x_L)^T L f,
-        #   <L x_L, L x_true> = mu^T h - (e^T x_true) r_0 + sum_j mu_j x_true^T d_j.
-        # S and q0 count as exact here; rho is the rounding of the m-term sums and of
-        # h and |L x_true|, n-term dots taken at 4 sqrt(n) u (Higham and Mary, SISC 2019).
-        r, xt_norm = self._K[: m + 1, : m + 1] @ sol - np.append(0.0, y), self._xt_norm
-        bordered = float(np.linalg.norm(r[1:]) * np.linalg.norm(mu) + (scale + 2.0 * xt_norm) * abs(r[0]))
-        lift, rho = dm * self._pinv_norm, (4.0 * self.ones_norm + m + 2) * 2.0**-53
-        slack = (bordered + lift * (lift + np.sqrt(abs(lx_sq) + bordered)) + 2.0 * xt_norm * dm
-                 + rho * (abs(lx_sq) + 2.0 * xt_norm * np.abs(mu).sum()))
+        r = self._K[: m + 1, : m + 1] @ sol - np.append(0.0, y)  # the bordered residual, for the error terms
         return HybridIterate(lambda: self._W.view(m) @ mu + t / self.ones_norm, 0, backward_error, False, None,
-                             (self._x_true, lx_sq, float(mu @ self._h[:m]), slack, rho))
+                             (Q, mu, lx_sq, r, scale, dm, dm * self._pinv_norm))
 
 
 class Difference1DSolver(Difference2DSolver):
@@ -316,10 +303,9 @@ class Difference1DSolver(Difference2DSolver):
         return super().solve(Q, x_k) if Q.shape[1] == 1 else None
 
 
-def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tuple:
-    """Fresh inner solvers for one sweep's hybrids (plain methods walk ``(IdentitySolver(),)``)
-    with regularizer ``L`` and truth ``x_true``, in the order they are tried: an exact solver
-    when ``L`` has structure one exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
+def inner_solvers(L: LinearOperator, inner_tol: float) -> tuple:
+    """Fresh inner solvers for one sweep's hybrids with regularizer ``L``, in the order they are tried: an exact
+    solver when ``L`` has structure one exploits, then :class:`LsqrSolver` at ``inner_tol`` unless it never rejects.
 
     The last link never rejects: every chain ends in :class:`IdentitySolver`
     or :class:`LsqrSolver`, neither of which raises ``DirectSolveRejected``.
@@ -327,9 +313,9 @@ def inner_solvers(L: LinearOperator, inner_tol: float, x_true: np.ndarray) -> tu
     if isinstance(L, IdentityOperator):
         return (IdentitySolver(),)
     if isinstance(L, Stacked2DDifferenceOperator):
-        return Difference2DSolver(L, x_true), LsqrSolver(L, inner_tol)
+        return Difference2DSolver(L), LsqrSolver(L, inner_tol)
     if isinstance(L, FirstDifferenceOperator):
-        return Difference1DSolver(L, x_true), LsqrSolver(L, inner_tol)
+        return Difference1DSolver(L), LsqrSolver(L, inner_tol)
     return (LsqrSolver(L, inner_tol),)
 
 

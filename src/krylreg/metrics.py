@@ -18,6 +18,7 @@ from .operators import MAX_DENSE_ENTRIES, LinearOperator
 __all__ = [
     "ErrorCurve",
     "GammaGapReport",
+    "Truth",
     "relative_error",
     "gamma_gaps",
     "projected_condition",
@@ -54,24 +55,48 @@ class GammaGapReport:
     theta_min: float
 
 
-def relative_error(L: LinearOperator, x, x_true, denom: float | None = None) -> float:
-    """Seminorm relative error ``|L (x - x_true)| / |L x_true|``.  A sweep over one ``x_true``
-    passes ``denom = float(np.linalg.norm(L.apply(x_true)))``.  An inner answer
-    (:class:`~krylreg.inner.HybridIterate`) whose ``error_terms`` were built on this very
-    ``x_true`` array and vouch for it to 1e-10 relative is measured in k space, else by its ``x_L``."""
-    in_k_space = isinstance(x, HybridIterate) and x.error_terms is not None and x.error_terms[0] is x_true
-    x_true = np.asarray(x_true, dtype=np.float64)
-    if denom is None:
-        denom = float(np.linalg.norm(L.apply(x_true)))
-    if denom == 0.0:
-        raise ValueError("relative error is undefined: L x_true = 0")
-    if in_k_space:
-        _, lx_sq, cross, slack, rho = x.error_terms
-        num_sq = lx_sq - 2.0 * cross + denom * denom  # |a - b| <= |a^2 - b^2| / a for a, b >= 0
-        if slack + rho * denom * denom <= ACCEPT_RTOL * num_sq:
-            return float(np.sqrt(num_sq) / denom)
+class Truth:
+    """One sweep's ``x_true`` under the seminorm of ``L``: ``|L x_true|``, which must not be 0, ``|x_true|``,
+    and ``h = Q^T x_true``, grown by one dot per new column of the blocks the exact links' answers carry."""
+
+    def __init__(self, L: LinearOperator, x_true) -> None:
+        self.L, self.x_true = L, np.asarray(x_true, dtype=np.float64)
+        self.seminorm = float(np.linalg.norm(L.apply(self.x_true)))
+        if self.seminorm == 0.0:
+            raise ValueError("relative error is undefined: L x_true = 0")
+        self._xt_norm, self._h, self._row0 = float(np.linalg.norm(self.x_true)), [], np.empty(0)
+
+    def k_space(self, answer: HybridIterate) -> tuple[float, float] | None:
+        """``(num_sq, bound)``: ``|L (x_L - x_true)|^2`` from an exact link's ``error_terms`` and a bound
+        on its error; None for a block whose row 0 is not that of the columns grown."""
+        Q, mu, lx_sq, r, scale, dm, lift = answer.error_terms
+        m, grown = Q.shape[1], len(self._h)
+        if (Q[0, :grown] != self._row0[:m]).any():
+            return None
+        self._row0 = np.append(self._row0, Q[0, grown:])
+        self._h.extend(float(Q[:, j] @ self.x_true) for j in range(grown, m))
+        # With x_L = W mu + t e, the bordered residual r = K sol - [0; y] (r_0 = q0^T mu), h = Q^T x_true,
+        # and L f = (L^+)^T sum_j mu_j d_j for the error f of W mu, |L f| <= lift = |L^+|_2 sum_j |mu_j| delta_j:
+        #   |L x_L|^2 = mu^T y + mu^T r_1: - (e^T x_L) r_0 + (L x_L)^T L f,
+        #   <L x_L, L x_true> = mu^T h - (e^T x_true) r_0 + sum_j mu_j x_true^T d_j.
+        # S and q0 count as exact here; rho is the rounding of the m-term sums and of
+        # h and |L x_true|, n-term dots taken at 4 sqrt(n) u (Higham and Mary, SISC 2019).
+        bordered = float(np.linalg.norm(r[1:]) * np.linalg.norm(mu) + (scale + 2.0 * self._xt_norm) * abs(r[0]))
+        rho = (4.0 * np.sqrt(self.x_true.size) + m + 2) * 2.0**-53
+        slack = (bordered + lift * (lift + np.sqrt(abs(lx_sq) + bordered)) + 2.0 * self._xt_norm * dm
+                 + rho * (abs(lx_sq) + 2.0 * self._xt_norm * np.abs(mu).sum()))
+        num_sq = lx_sq - 2.0 * float(mu @ self._h[:m]) + self.seminorm * self.seminorm
+        return num_sq, slack + rho * self.seminorm * self.seminorm  # |a - b| <= |a^2 - b^2| / a for a, b >= 0
+
+
+def relative_error(x, truth: Truth) -> float:
+    """Seminorm relative error ``|L (x - x_true)| / |L x_true|`` against ``truth``: in k space for an inner
+    answer (:class:`~krylreg.inner.HybridIterate`) whose terms it vouches for to 1e-10 relative, else in n space."""
+    terms = truth.k_space(x) if isinstance(x, HybridIterate) and x.error_terms is not None else None
+    if terms is not None and terms[1] <= ACCEPT_RTOL * terms[0]:
+        return float(np.sqrt(terms[0]) / truth.seminorm)
     x = np.asarray(x.x_L if isinstance(x, HybridIterate) else x, dtype=np.float64)
-    return float(np.linalg.norm(L.apply(x - x_true)) / denom)
+    return float(np.linalg.norm(truth.L.apply(x - truth.x_true)) / truth.seminorm)
 
 
 def gamma_gaps(state: BidiagState, k: int) -> GammaGapReport:

@@ -16,7 +16,7 @@ from krylreg.inner import (
     corrected,
     inner_solvers,
 )
-from krylreg.metrics import relative_error
+from krylreg.metrics import Truth, relative_error
 from krylreg.operators import (
     DenseOperator,
     FirstDifferenceOperator,
@@ -46,7 +46,7 @@ def test_dct_matches_explicit_cosine_matrix(n):
     # Laplacian with the spectrum lam1, and maps the constants to row 0
     C = cosine_matrix(n)
     np.testing.assert_allclose(C @ C.T, np.eye(n), atol=1e-13)
-    solver = Difference2DSolver(Stacked2DDifferenceOperator(n), np.zeros(n * n))
+    solver = Difference2DSolver(Stacked2DDifferenceOperator(n))
     np.testing.assert_allclose(solver._C, C, atol=1e-13)
     D = difference_matrix(n)
     lam1 = 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
@@ -60,7 +60,7 @@ def test_dct_matches_explicit_cosine_matrix(n):
 def test_gram_is_pinv_of_neumann_laplacian(n):
     # _gram(v) = (L^T L)^+ v for the 2-D difference stack
     L = Stacked2DDifferenceOperator(n)
-    solver = Difference2DSolver(L, np.zeros(n * n))
+    solver = Difference2DSolver(L)
     v = np.random.default_rng(n).standard_normal(n * n)
     if n <= 16:
         D = np.vstack([np.kron(np.eye(n), difference_matrix(n)), np.kron(difference_matrix(n), np.eye(n))])
@@ -87,7 +87,7 @@ def test_direct_solve_matches_pinv_oracle(side, frac, seed):
     Q = random_orthonormal(n, k, seed)
     x_k = np.random.default_rng(seed + 1).standard_normal(n)
     # the feasible set {x : Q^T x = Q^T x_k} is the oracle's, so x_k = Q Q^T x_k has its answer
-    answer = Difference2DSolver(L, np.zeros(n)).solve(Q, coefficients(Q, Q.T @ x_k))
+    answer = Difference2DSolver(L).solve(Q, coefficients(Q, Q.T @ x_k))
     oracle = pinv_oracle(L, Q, x_k)
     assert np.linalg.norm(answer.x_L - oracle) <= 1e-10 * np.linalg.norm(oracle)
     assert answer.inner_backward_error <= 1e-10
@@ -100,11 +100,11 @@ def test_direct_solve_grows_and_reuses_its_basis():
     L = Stacked2DDifferenceOperator(6)
     Q = random_orthonormal(36, 9, seed=5)
     x_k = np.random.default_rng(6).standard_normal(36)
-    solver = Difference2DSolver(L, np.zeros(36))
+    solver = Difference2DSolver(L)
     for m in (1, 2, 5, 9, 4):
         iterate = coefficients(Q[:, :m], Q[:, :m].T @ x_k)
         x_L = solver.solve(Q[:, :m], iterate).x_L
-        fresh = Difference2DSolver(L, np.zeros(36)).solve(Q[:, :m], iterate).x_L
+        fresh = Difference2DSolver(L).solve(Q[:, :m], iterate).x_L
         np.testing.assert_allclose(x_L, fresh, atol=1e-12)
         np.testing.assert_allclose(x_L, pinv_oracle(L, Q[:, :m], x_k), atol=1e-10)
 
@@ -119,7 +119,7 @@ def test_constants_orthogonal_to_range_rejected():
     L = Stacked2DDifferenceOperator(5)
     Q = constants_orthogonal_block(25, 3, seed=2)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
-        Difference2DSolver(L, np.zeros(25)).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
+        Difference2DSolver(L).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
 
 
 def test_block_that_does_not_extend_the_cached_one_rejected():
@@ -127,7 +127,7 @@ def test_block_that_does_not_extend_the_cached_one_rejected():
     # constraint for a block they were not built on
     L = Stacked2DDifferenceOperator(5)
     x_k = np.random.default_rng(1).standard_normal(25)
-    solver = Difference2DSolver(L, np.zeros(25))
+    solver = Difference2DSolver(L)
     first, other = random_orthonormal(25, 3, seed=1), random_orthonormal(25, 4, seed=2)
     solver.solve(first, coefficients(first, first.T @ x_k))
     with pytest.raises(DirectSolveRejected, match="block does not extend the columns grown"):
@@ -139,7 +139,7 @@ def test_block_that_does_not_extend_the_cached_one_rejected():
 def test_wrong_spectrum_caught_by_backward_error():
     # a feasible but non-optimal answer: the constraint holds, optimality not
     L = Stacked2DDifferenceOperator(5)
-    solver = Difference2DSolver(L, np.zeros(25))
+    solver = Difference2DSolver(L)
     solver._inv_lam[1:] *= np.linspace(0.5, 2.0, 24)
     Q = random_orthonormal(25, 3, seed=1)
     with pytest.raises(DirectSolveRejected, match="backward error"):
@@ -157,7 +157,7 @@ def test_broken_gram_rejected_and_sweep_keeps_lsqr_answer(gram, reason, monkeypa
     # G = 0 leaves K = [0 q0^T; q0 0], singular once m >= 2; a NaN G
     # poisons x_L
     L = Stacked2DDifferenceOperator(5)
-    solver = Difference2DSolver(L, np.zeros(25))
+    solver = Difference2DSolver(L)
     solver._gram = gram
     Q = random_orthonormal(25, 3, seed=1)
     with pytest.raises(DirectSolveRejected, match=reason):
@@ -173,7 +173,7 @@ def test_broken_gram_rejected_and_sweep_keeps_lsqr_answer(gram, reason, monkeypa
     bidiag_extend(state, 4)
     for row in sweep.rows:
         reference = hyb_tcgme_step(state, problem.L, row.k, 1e-10)
-        assert row.rel_error == relative_error(problem.L, reference.x_L, problem.x_true)
+        assert row.rel_error == relative_error(reference.x_L, Truth(problem.L, problem.x_true))
 
 
 def test_non_orthonormal_block_raises_like_lsqr_path():
@@ -181,14 +181,14 @@ def test_non_orthonormal_block_raises_like_lsqr_path():
     Q = random_orthonormal(25, 3, seed=4)
     Q[:, 2] += 1e-6 * Q[:, 0]
     with pytest.raises(OrthonormalityError):
-        Difference2DSolver(L, np.zeros(25)).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
+        Difference2DSolver(L).solve(Q, coefficients(Q, Q.T @ np.ones(25)))
     with pytest.raises(OrthonormalityError):
         LsqrSolver(L, 1e-6).solve(Q, np.ones(25))
 
 
 def test_direct_solver_chosen_by_regularizer_type():
     def kinds(L):
-        return [type(solver) for solver in inner_solvers(L, 1e-6, np.zeros(L.cols))]
+        return [type(solver) for solver in inner_solvers(L, 1e-6)]
 
     assert kinds(Stacked2DDifferenceOperator(4)) == [Difference2DSolver, LsqrSolver]
     assert kinds(FirstDifferenceOperator(16)) == [Difference1DSolver, LsqrSolver]
@@ -227,7 +227,7 @@ def test_every_chain_link_meets_one_contract(L_kind, size):
     problem = build_problem(name, size, 1e-2, 5, L_kind=L_kind)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 7)
-    chain = inner_solvers(problem.L, 1e-12, problem.x_true)
+    chain = inner_solvers(problem.L, 1e-12)
     lsqr = LsqrSolver(problem.L, 1e-12)
     for k in (1, 3, 6):
         for kernel, Q in ((cgme_iterate, state.Q_cols(k)), (tcgme_iterate, state.Q_cols(k + 1))):
@@ -270,14 +270,14 @@ def test_sweep_records_lsqr_fallback_with_reason():
     # the chain's direct link refuses, and the fallback iterate is the LSQR one
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 3)
-    direct, lsqr = inner_solvers(problem.L, 1e-10, problem.x_true)
+    direct, lsqr = inner_solvers(problem.L, 1e-10)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
         direct.solve(state.Q_cols(3), KrylovIterate(cgme_iterate, state, 3))
     fallen = lsqr.solve(state.Q_cols(3), cgme_iterate(state, 3)).x_L
     reference = hyb_cgme_step(state, problem.L, 3, 1e-10)
     assert reference.fallback is None
     np.testing.assert_allclose(fallen, reference.x_L, atol=1e-12)
-    assert sweep.rows[2].rel_error == relative_error(problem.L, reference.x_L, problem.x_true)
+    assert sweep.rows[2].rel_error == relative_error(reference.x_L, Truth(problem.L, problem.x_true))
 
 
 def first_diff_state():
@@ -293,14 +293,15 @@ def test_constant_link_is_the_exact_answer_on_one_column():
     # |L x_true| / |L x_true| = 1, as the formed x_L's n-space error is
     problem, state = first_diff_state()
     Q, iterate = state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1)
-    answer = Difference1DSolver(problem.L, problem.x_true).solve(Q, iterate)
+    answer = Difference1DSolver(problem.L).solve(Q, iterate)
     assert iterate.reads == 0  # no x_k formed
     assert (answer.inner_iterations, answer.inner_backward_error, answer.inner_cap_hit) == (0, 0.0, False)
     oracle = pinv_oracle(problem.L, Q, cgme_iterate(state, 1))
     assert np.linalg.norm(answer.x_L - oracle) <= 1e-12 * np.linalg.norm(oracle)
     assert not problem.L.apply(answer.x_L).any()
-    k_space = relative_error(problem.L, answer, problem.x_true)
-    n_space = relative_error(problem.L, answer.x_L, problem.x_true)
+    truth = Truth(problem.L, problem.x_true)
+    k_space = relative_error(answer, truth)
+    n_space = relative_error(answer.x_L, truth)
     assert abs(k_space - n_space) <= 1e-15 and abs(k_space - 1.0) <= 1e-15
 
 
@@ -310,7 +311,7 @@ def test_constant_link_rejects_a_block_orthogonal_to_the_constants():
     problem, _ = first_diff_state()
     Q = np.where(np.arange(64) % 2, -1.0, 1.0)[:, None] / 8.0
     iterate = coefficients(Q, np.array([0.7]))
-    chain = inner_solvers(problem.L, 1e-10, problem.x_true)
+    chain = inner_solvers(problem.L, 1e-10)
     with pytest.raises(DirectSolveRejected, match="constants numerically orthogonal"):
         chain[0].solve(Q, iterate)
     answer = corrected(iterate, Q, chain)
@@ -327,20 +328,20 @@ def test_constant_link_rejects_an_unvouched_constraint(monkeypatch):
     problem, state = first_diff_state()
     monkeypatch.setattr(inner, "_sum_with_bound", lambda v, sigma: (float(v.sum()), abs(float(v.sum()))))
     with pytest.raises(DirectSolveRejected, match="constraint residual"):
-        Difference1DSolver(problem.L, problem.x_true).solve(state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1))
+        Difference1DSolver(problem.L).solve(state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1))
 
 
 def test_constant_link_rejects_a_non_finite_answer():
     problem, state = first_diff_state()
     Q = state.Q_cols(1)
     with pytest.raises(DirectSolveRejected, match="non-finite"):
-        Difference1DSolver(problem.L, problem.x_true).solve(Q, coefficients(Q, np.array([np.nan])))
+        Difference1DSolver(problem.L).solve(Q, coefficients(Q, np.array([np.nan])))
 
 
 def test_constant_link_passes_a_wider_block_to_lsqr():
     problem, state = first_diff_state()
     Q, iterate = state.Q_cols(2), KrylovIterate(tcgme_iterate, state, 1)
-    chain = inner_solvers(problem.L, 1e-10, problem.x_true)
+    chain = inner_solvers(problem.L, 1e-10)
     assert chain[0].solve(Q, iterate) is None
     answer = corrected(iterate, Q, chain)
     assert answer.fallback is None and answer.inner_iterations > 0
@@ -363,7 +364,7 @@ def test_shaw_sweep_answers_hyb_cgme_k1_without_lsqr():
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 def test_1d_gram_is_pinv_of_neumann_laplacian(n):
     L = FirstDifferenceOperator(n)
-    solver = Difference1DSolver(L, np.zeros(n))
+    solver = Difference1DSolver(L)
     D = difference_matrix(n)
     np.testing.assert_array_equal(D, L.to_dense())
     v = np.random.default_rng(n).standard_normal(n) + 3.0  # a mean both sums must take off
@@ -380,7 +381,7 @@ def test_unguarded_1d_solve_matches_pinv_oracle():
     # one solver grown over the sweep's own blocks, as a sweep grows it
     problem, state = first_diff_state()
     bidiag_extend(state, 6)
-    solver = Difference1DSolver(problem.L, problem.x_true)
+    solver = Difference1DSolver(problem.L)
     for k in (1, 2, 3, 5, 7):
         for kernel, Q in ((cgme_iterate, state.Q_cols(k)), (tcgme_iterate, state.Q_cols(k + 1))):
             answer = Difference2DSolver.solve(solver, Q, KrylovIterate(kernel, state, k))
@@ -396,19 +397,19 @@ def test_unguarded_1d_solve_matches_tight_lsqr_errors(name):
     problem = build_problem(name, 300, 1e-2, 20240101)
     state = bidiag_init(problem.A, problem.b)
     bidiag_extend(state, 16)
-    solver = Difference1DSolver(problem.L, problem.x_true)
-    denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
+    solver = Difference1DSolver(problem.L)
+    truth = Truth(problem.L, problem.x_true)
     for k in range(1, 16):
         for kernel, step, m in ((cgme_iterate, hyb_cgme_step, k), (tcgme_iterate, hyb_tcgme_step, k + 1)):
             answer = Difference2DSolver.solve(solver, state.Q_cols(m), KrylovIterate(kernel, state, k))
-            reference = relative_error(problem.L, step(state, problem.L, k, 1e-12).x_L, problem.x_true, denom)
-            assert abs(relative_error(problem.L, answer, problem.x_true, denom) - reference) <= 1e-8 * reference
+            reference = relative_error(step(state, problem.L, k, 1e-12).x_L, truth)
+            assert abs(relative_error(answer, truth) - reference) <= 1e-8 * reference
 
 
 def test_one_column_1d_answer_is_the_constant_closed_form():
     # x_L = (c_1 / sum(q)) 1, the one feasible point in null(L)
     problem, state = first_diff_state()
     Q, iterate = state.Q_cols(1), KrylovIterate(cgme_iterate, state, 1)
-    x_L = Difference1DSolver(problem.L, problem.x_true).solve(Q, iterate).x_L
+    x_L = Difference1DSolver(problem.L).solve(Q, iterate).x_L
     t = iterate.coeffs()[0] / Q[:, 0].sum()
     assert np.abs(x_L - t).max() <= 1e-15 * abs(t)

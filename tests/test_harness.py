@@ -21,7 +21,7 @@ from krylreg.harness import (
     run_experiment,
 )
 from krylreg.hybrid import InnerFallback, hyb_cgme_step, hyb_tcgme_step
-from krylreg.metrics import relative_error
+from krylreg.metrics import Truth, relative_error
 from krylreg.operators import DenseOperator
 from krylreg.problems import add_noise, build_problem, gen_shaw
 
@@ -194,9 +194,9 @@ def test_run_experiment_keeps_a_nonfinite_error_curve_in_its_run(monkeypatch):
 
     real_error = hybrid.relative_error
 
-    def nan_at_k3(L, x, x_true, denom=None):
+    def nan_at_k3(x, truth):
         nan_at_k3.calls += 1
-        return float("nan") if nan_at_k3.calls == 3 else real_error(L, x, x_true)
+        return float("nan") if nan_at_k3.calls == 3 else real_error(x, truth)
 
     nan_at_k3.calls = 0
     monkeypatch.setattr(hybrid, "relative_error", nan_at_k3)
@@ -279,7 +279,7 @@ def test_blur2d_end_to_end_through_harness():
         assert len(rec.rows) == 6
         for row in rec.rows:
             x_L = steps[rec.method](state, problem.L, row.k, 1e-12).x_L
-            expected = relative_error(problem.L, x_L, problem.x_true)
+            expected = relative_error(x_L, Truth(problem.L, problem.x_true))
             assert abs(row.rel_error - expected) <= 1e-8 * expected
 
 

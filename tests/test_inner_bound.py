@@ -1,8 +1,9 @@
 """The exact 2-D inner solve vouches for each new Krylov column once, with the
 residual of one ``L^T L`` product, and for each answer with k-space bounds on
-its constraint residual, its backward error and its seminorm error.  These
-tests hold the bounds against the n-space quantities they replaced, show that
-a wrong column is still rejected, and count the work of a step."""
+its constraint residual and its backward error; ``metrics.Truth`` bounds its
+seminorm error from the answer's k-space parts.  These tests hold the bounds
+against the n-space quantities they replaced, show that a wrong column is
+still rejected, and count the work of a step."""
 
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from conftest import coefficients, random_orthonormal
 from krylreg.bidiag import _ColumnBlock, bidiag_extend, bidiag_init
 from krylreg.hybrid import KrylovIterate, hyb_tcgme_step, run_hybrid
 from krylreg.inner import Difference2DSolver, DirectSolveRejected, _sum_with_bound
-from krylreg.metrics import relative_error
+from krylreg.metrics import Truth, relative_error
 from krylreg.operators import Stacked2DDifferenceOperator
 from krylreg.problems import build_problem
 
@@ -61,7 +62,7 @@ def test_bound_covers_n_space_backward_error_on_random_blocks(side, frac, seed):
     n = side * side
     Q = random_orthonormal(n, 1 + int(frac * (n - 2)), seed)
     x_k = np.random.default_rng(seed + 1).standard_normal(n)
-    answer = Difference2DSolver(L, np.zeros(n)).solve(Q, coefficients(Q, Q.T @ x_k))
+    answer = Difference2DSolver(L).solve(Q, coefficients(Q, Q.T @ x_k))
     oracle = n_space_backward_error(L, Q, x_k, answer.x_L)
     assert_bound_covers_oracle(L, answer.x_L, answer.inner_backward_error, oracle)
 
@@ -101,7 +102,7 @@ def test_a_column_costs_one_L_product_and_a_solve_none(monkeypatch):
 
     for name in ("apply", "apply_adjoint"):
         monkeypatch.setattr(L, name, counted(name))
-    solver = Difference2DSolver(L, np.zeros(36))
+    solver = Difference2DSolver(L)
     Q = random_orthonormal(36, 5, seed=3)
     c = np.random.default_rng(4).standard_normal(5)
     for m, grown in ((3, 3), (3, 0), (2, 0), (5, 2)):
@@ -138,7 +139,7 @@ def test_corrupt_column_rejected_by_every_solve_that_reads_it(j, monkeypatch):
     Q = random_orthonormal(25, 6, seed=1)
     corrupt_column(monkeypatch, j, Q)
     x_k = np.random.default_rng(1).standard_normal(25)
-    solver = Difference2DSolver(L, np.zeros(25))
+    solver = Difference2DSolver(L)
     for m in range(1, 7):
         iterate = coefficients(Q[:, :m], Q[:, :m].T @ x_k)
         if m <= j:
@@ -161,7 +162,7 @@ def test_corrupt_column_sweep_falls_back_from_its_step_on(monkeypatch):
     assert sweep.rows[0].inner_iterations == 0
     for row in sweep.rows[1:]:
         reference = hyb_tcgme_step(state, problem.L, row.k, 1e-10)
-        assert row.rel_error == relative_error(problem.L, reference.x_L, problem.x_true)
+        assert row.rel_error == relative_error(reference.x_L, Truth(problem.L, problem.x_true))
 
 
 PINNED_SEEDS = (20240101, 20250607)
@@ -210,7 +211,7 @@ def test_constraint_bound_covers_n_space_residual_on_random_blocks(side, frac, s
         n = side * side
         Q = random_orthonormal(n, 1 + int(frac * (n - 2)), seed)
         c = np.random.default_rng(seed + 1).standard_normal(Q.shape[1])
-        answer = Difference2DSolver(Stacked2DDifferenceOperator(side), np.zeros(n)).solve(Q, coefficients(Q, c))
+        answer = Difference2DSolver(Stacked2DDifferenceOperator(side)).solve(Q, coefficients(Q, c))
     assert len(bounds) == 1
     assert n_space_constraint_residual(Q, answer.x_L, c) <= bounds[0] <= 1e-10 * np.linalg.norm(c)
 
@@ -245,7 +246,7 @@ def test_constraint_bound_covers_a_block_that_lost_orthogonality(monkeypatch):
     Q = random_orthonormal(36, 5, seed=7)
     Q[:, 4] += 1e-12 * Q[:, 0]
     c = np.random.default_rng(8).standard_normal(5)
-    answer = Difference2DSolver(Stacked2DDifferenceOperator(6), np.zeros(36)).solve(Q, coefficients(Q, c))
+    answer = Difference2DSolver(Stacked2DDifferenceOperator(6)).solve(Q, coefficients(Q, c))
     residual = n_space_constraint_residual(Q, answer.x_L, c)
     assert 1e-13 * np.linalg.norm(c) <= residual <= bounds[0] <= 1e-10 * np.linalg.norm(c)
 
@@ -259,7 +260,7 @@ def test_constraint_bound_covers_a_column_nearly_orthogonal_to_constants(monkeyp
     bounds = recording_constraint_bound(monkeypatch)
     Q = random_orthonormal(64, 1, seed=354292167)
     c = np.random.default_rng(354292168).standard_normal(1)
-    answer = Difference2DSolver(Stacked2DDifferenceOperator(8), np.zeros(64)).solve(Q, coefficients(Q, c))
+    answer = Difference2DSolver(Stacked2DDifferenceOperator(8)).solve(Q, coefficients(Q, c))
     assert abs(Q.sum()) / 8 < 1e-4
     residual = n_space_constraint_residual(Q, answer.x_L, c)
     assert residual <= bounds[0] <= 1e-11 * np.linalg.norm(c)
@@ -323,7 +324,7 @@ def test_exact_solve_makes_one_n_by_k_product(monkeypatch):
     L = Stacked2DDifferenceOperator(6)
     Q = random_orthonormal(36, 5, seed=3).view(CountedBlock)
     c = np.random.default_rng(4).standard_normal(5)
-    solver = Difference2DSolver(L, np.zeros(36))
+    solver = Difference2DSolver(L)
     solver.solve(Q, coefficients(Q, c))
     for m in (5, 3):
         CountedBlock.products.clear()
@@ -333,11 +334,12 @@ def test_exact_solve_makes_one_n_by_k_product(monkeypatch):
         assert CountedBlock.products == [((36, m), (m,))]
 
 
-def error_bound(answer, denom):
-    """The relative bound on the answer's k-space seminorm error that
-    ``relative_error`` requires to be at most 1e-10, given ``|L x_true|``."""
-    _, lx_sq, cross, slack, rho = answer.error_terms
-    return (slack + rho * denom * denom) / (lx_sq - 2.0 * cross + denom * denom)
+def error_bound(answer, truth):
+    """The relative bound on the answer's k-space seminorm error against
+    ``truth`` that ``relative_error`` requires to be at most 1e-10."""
+    num_sq, bound = truth.k_space(answer)
+    assert num_sq > 0.0
+    return bound / num_sq
 
 
 def recording_answers(monkeypatch):
@@ -362,11 +364,11 @@ def test_k_space_error_matches_n_space_on_every_blur2d_row(seed, monkeypatch):
     assert [(len(s.rows), s.fallbacks) for s in sweeps.values()] == [(30, [])] * 2
     assert len(answers) == 60
     assert [answer for answer in answers if "x_L" in vars(answer)] == []
-    denom = float(np.linalg.norm(problem.L.apply(problem.x_true)))
+    truth = Truth(problem.L, problem.x_true)
     rows = [row for pair in zip(sweeps["hyb_cgme"].rows, sweeps["hyb_tcgme"].rows) for row in pair]
     for answer, row in zip(answers, rows):
-        assert error_bound(answer, denom) <= 1e-10
-        n_space = relative_error(problem.L, answer.x_L, problem.x_true, denom)
+        assert error_bound(answer, truth) <= 1e-10
+        n_space = relative_error(answer.x_L, truth)
         assert abs(row.rel_error - n_space) <= 1e-10 * n_space
 
 
@@ -395,12 +397,12 @@ def test_error_bound_covers_n_space_error_on_random_blocks(side, frac, seed):
     Q = random_orthonormal(n, 1 + int(frac * (n - 2)), seed)
     rng = np.random.default_rng(seed + 1)
     c, x_true = rng.standard_normal(Q.shape[1]), rng.standard_normal(n)
-    solver = Difference2DSolver(L, x_true)
+    solver = Difference2DSolver(L)
     answer = solver.solve(Q, coefficients(Q, c))
-    denom = float(np.linalg.norm(L.apply(x_true)))
-    k_space = relative_error(L, answer, x_true, denom)
+    truth = Truth(L, x_true)
+    k_space = relative_error(answer, truth)
     assert "x_L" not in vars(answer)
-    bound = error_bound(answer, denom)
+    bound = error_bound(answer, truth)
     assert abs(k_space - extended_error(solver, L, Q, c, x_true)) <= bound * k_space and bound <= 1e-10
 
 
@@ -415,7 +417,7 @@ def test_error_bound_covers_a_column_corrupted_below_the_rejection_threshold(ter
     L = Stacked2DDifferenceOperator(5)
     Q = random_orthonormal(25, 3, seed=1)
     c = np.random.default_rng(1).standard_normal(3)
-    x_L = Difference2DSolver(L, np.zeros(25)).solve(Q, coefficients(Q, c)).x_L
+    x_L = Difference2DSolver(L).solve(Q, coefficients(Q, c)).x_L
     if term == "cross":
         g = L.apply_adjoint(L.apply(corrupt_column(monkeypatch, 1, Q, size=1e-10)))
         x_true = x_L + 10.0 * g / np.linalg.norm(g)
@@ -423,40 +425,48 @@ def test_error_bound_covers_a_column_corrupted_below_the_rejection_threshold(ter
         f = x_L - Q @ (Q.T @ x_L)
         corrupt_column(monkeypatch, 1, Q, size=1e-11, error=(f - f.mean()) / np.linalg.norm(f - f.mean()))
         x_true = 1e-3 * np.random.default_rng(5).standard_normal(25)
-    answer = Difference2DSolver(L, x_true).solve(Q, coefficients(Q, c))
-    denom = float(np.linalg.norm(L.apply(x_true)))
-    k_space = relative_error(L, answer, x_true, denom)
-    n_space = relative_error(L, answer.x_L, x_true, denom)
-    assert 1e-13 * n_space <= abs(k_space - n_space) <= error_bound(answer, denom) * k_space <= 1e-10 * k_space
+    answer = Difference2DSolver(L).solve(Q, coefficients(Q, c))
+    truth = Truth(L, x_true)
+    k_space = relative_error(answer, truth)
+    n_space = relative_error(answer.x_L, truth)
+    assert 1e-13 * n_space <= abs(k_space - n_space) <= error_bound(answer, truth) * k_space <= 1e-10 * k_space
 
 
-def test_error_against_another_x_true_is_measured_in_n_space():
-    # the k-space terms hold for the x_true array the link was built on; for
-    # any other array, equal or not, the answer's x_L is measured
+def test_one_answer_is_measured_in_k_space_against_each_truth():
+    # each truth grows its own h = Q^T x_true from the answer's block, so one
+    # answer gets its own k-space error against each; a truth whose columns
+    # were grown from another block cannot use its h, and measures x_L
     L = Stacked2DDifferenceOperator(6)
     Q = random_orthonormal(36, 4, seed=2)
     rng = np.random.default_rng(3)
     c, x_true, other = rng.standard_normal(4), rng.standard_normal(36), rng.standard_normal(36)
-    answer = Difference2DSolver(L, x_true).solve(Q, coefficients(Q, c))
-    k_space = relative_error(L, answer, x_true)
+    answer = Difference2DSolver(L).solve(Q, coefficients(Q, c))
+    truths = (Truth(L, x_true), Truth(L, other))
+    k_space = [relative_error(answer, truth) for truth in truths]
     assert "x_L" not in vars(answer)
-    n_space = relative_error(L, answer.x_L, x_true)
-    assert abs(k_space - n_space) <= 1e-10 * n_space
-    assert relative_error(L, answer, x_true.copy()) == n_space
-    assert relative_error(L, answer, other) == relative_error(L, answer.x_L, other)
+    for truth, error in zip(truths, k_space):
+        n_space = relative_error(answer.x_L, truth)
+        assert abs(error - n_space) <= 1e-10 * n_space
+    foreign = random_orthonormal(36, 5, seed=4)
+    for block in (foreign, foreign[:, :2]):
+        stranger = Difference2DSolver(L).solve(block, coefficients(block, rng.standard_normal(block.shape[1])))
+        assert truths[0].k_space(stranger) is None
+        assert relative_error(stranger, truths[0]) == relative_error(stranger.x_L, truths[0])
 
 
 def test_error_of_a_row_next_to_x_true_is_measured_in_n_space():
     # 1e-9 from x_true the three k-space terms cancel to below their rounding,
-    # so the bound cannot vouch for the difference and x_L is formed
+    # so the bound cannot vouch for the difference (the rounded difference may
+    # even come out negative) and x_L is formed
     L = Stacked2DDifferenceOperator(6)
     Q = random_orthonormal(36, 4, seed=2)
     rng = np.random.default_rng(3)
     c, step = rng.standard_normal(4), rng.standard_normal(36)
-    x_true = Difference2DSolver(L, np.zeros(36)).solve(Q, coefficients(Q, c)).x_L + 1e-9 * step / np.linalg.norm(step)
-    answer = Difference2DSolver(L, x_true).solve(Q, coefficients(Q, c))
-    denom = float(np.linalg.norm(L.apply(x_true)))
-    assert error_bound(answer, denom) > 1e-10
-    error = relative_error(L, answer, x_true, denom)
+    x_true = Difference2DSolver(L).solve(Q, coefficients(Q, c)).x_L + 1e-9 * step / np.linalg.norm(step)
+    answer = Difference2DSolver(L).solve(Q, coefficients(Q, c))
+    truth = Truth(L, x_true)
+    num_sq, bound = truth.k_space(answer)
+    assert not bound <= 1e-10 * num_sq  # relative_error's own condition for the k-space path
+    error = relative_error(answer, truth)
     assert "x_L" in vars(answer)
-    assert error == relative_error(L, answer.x_L, x_true, denom) <= 1e-9
+    assert error == relative_error(answer.x_L, truth) <= 1e-9

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from krylreg.bidiag import bidiag_extend, bidiag_init
 from krylreg.harness import _condition_monotonicity_check, _gap_ordering_check, _krylov_state
-from krylreg.metrics import analyze_curve, gamma_gaps, projected_condition, relative_error
+from krylreg.metrics import Truth, analyze_curve, gamma_gaps, projected_condition, relative_error
 from krylreg.operators import DenseOperator, FirstDifferenceOperator, IdentityOperator
 from krylreg.problems import add_noise, gen_shaw
 
@@ -15,19 +15,19 @@ from conftest import random_orthonormal
 def test_relative_error_zero_at_truth():
     L = FirstDifferenceOperator(5)
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert relative_error(L, x, x) == 0.0
+    assert relative_error(x, Truth(L, x)) == 0.0
 
 
 def test_relative_error_doubling_identity():
     L = IdentityOperator(4)
     x_true = np.array([1.0, -2.0, 0.5, 3.0])
-    assert relative_error(L, 2 * x_true, x_true) == pytest.approx(1.0)
+    assert relative_error(2 * x_true, Truth(L, x_true)) == pytest.approx(1.0)
 
 
 def test_relative_error_undefined_for_null_truth():
     L = FirstDifferenceOperator(4)
     with pytest.raises(ValueError):
-        relative_error(L, np.arange(4.0), np.ones(4))
+        relative_error(np.arange(4.0), Truth(L, np.ones(4)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -38,8 +38,8 @@ def test_relative_error_invariant_under_regularizer_scaling(scale, seed):
     L2 = DenseOperator(scale * L1.entries)
     x = rng.standard_normal(5)
     x_true = rng.standard_normal(5)
-    a = relative_error(L1, x, x_true)
-    b = relative_error(L2, x, x_true)
+    a = relative_error(x, Truth(L1, x_true))
+    b = relative_error(x, Truth(L2, x_true))
     assert a == pytest.approx(b, rel=1e-10)
 
 
