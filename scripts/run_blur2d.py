@@ -2,10 +2,10 @@
 """2-D deblurring demo: separable Gaussian blur with the stacked
 first-difference regularizer.
 
-Emits the convergence curves (seminorm relative error per outer index)
-as CSV; feed them to any plotting tool to view the semi-convergence
-shape.  Prints each run's best error and index, marked "(no interior
-minimum)" when that index is the first or last one swept.
+Writes ``<out>.csv`` (seminorm relative error per outer index: plot it for
+the semi-convergence shape), ``<out>.summary.csv`` and ``<out>.json``, the
+three files of ``krylreg run``.  Prints each run's best error and index,
+marked "(no interior minimum)" when that index is the first or last one swept.
 
 Example:
     python scripts/run_blur2d.py --side 48 --eps 0.01 --out results/blur
@@ -14,7 +14,7 @@ Example:
 import argparse
 import sys
 
-from krylreg.harness import ExperimentSpec, emit_csv, emit_summary_csv, run_experiment
+from krylreg.harness import ExperimentSpec, run_experiment, write_outputs
 
 
 def main() -> int:
@@ -38,8 +38,7 @@ def main() -> int:
     )
     records = run_experiment(spec)
     out = args.out
-    emit_csv(records, f"{out}.csv")
-    emit_summary_csv(records, f"{out}.summary.csv")
+    write_outputs(records, out)
     for rec in records:
         if rec.error:
             print(f"{rec.method:10s} eps={rec.epsilon:<7g} ERROR {rec.error}")
@@ -52,7 +51,7 @@ def main() -> int:
                 f"({rec.best_k}){edge} over {len(rec.rows)} outer iterations, "
                 f"{len(rec.fallbacks)} LSQR fallbacks"
             )
-    print(f"curves written to {out}.csv")
+    print(f"curves and summaries written to {out}.csv / {out}.summary.csv / {out}.json")
     return 0
 
 

@@ -14,7 +14,7 @@ Example:
 import argparse
 import sys
 
-from krylreg.harness import ExperimentSpec, emit_csv, emit_json, emit_summary_csv, run_experiment
+from krylreg.harness import ExperimentSpec, run_experiment, write_outputs
 
 PROBLEMS = ("shaw", "baart", "heat", "deriv2")
 EPSILONS = (1e-1, 5e-2, 1e-2)
@@ -61,9 +61,7 @@ def main() -> int:
                     f"best {rec.best_error:.4f} ({rec.best_k}){edge} "
                     f"wall {rec.total_wall_ms:8.1f} ms{note}"
                 )
-    emit_csv(all_records, f"{out}.csv")
-    emit_summary_csv(all_records, f"{out}.summary.csv")
-    emit_json(all_records, f"{out}.json")
+    write_outputs(all_records, out)
     print(f"curves and summaries written to {out}.csv / {out}.summary.csv / {out}.json")
     return 0
 

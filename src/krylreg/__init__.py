@@ -21,7 +21,9 @@ from .harness import (
     emit_json,
     emit_summary_csv,
     run_experiment,
+    timing_free,
     verification_suite,
+    write_outputs,
 )
 from .hybrid import METHODS, InnerFallback, hyb_cgme_step, hyb_tcgme_step, run_hybrid
 from .inner import Difference1DSolver, Difference2DSolver, DirectSolveRejected, HybridIterate, LsqrSolver, inner_solvers

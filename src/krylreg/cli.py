@@ -20,11 +20,11 @@ from pathlib import Path
 
 from .harness import (
     ExperimentSpec,
-    emit_csv,
-    emit_json,
     emit_summary_csv,
     run_experiment,
+    timing_free,
     verification_suite,
+    write_outputs,
 )
 from .hybrid import METHODS
 from .problems import L_KINDS, PROBLEM_NAMES
@@ -82,10 +82,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     records = run_experiment(spec)
-    det = args.deterministic_output
-    emit_csv(records, f"{args.out}.csv", deterministic=det)
-    emit_summary_csv(records, f"{args.out}.summary.csv", deterministic=det)
-    emit_json(records, f"{args.out}.json", deterministic=det)
+    write_outputs(timing_free(records) if args.deterministic_output else records, args.out)
     failures = [rec for rec in records if rec.error]
     for rec in failures:
         print(
@@ -102,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks, records = verification_suite(seed=args.seed)
     out = args.out or "verify-summary.csv"
-    emit_summary_csv(records, out, deterministic=True)
+    emit_summary_csv(timing_free(records), out)
     all_ok = True
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

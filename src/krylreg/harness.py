@@ -1,17 +1,16 @@
 """Experiment harness: build problems, sweep solvers over noise levels,
 and emit per-k curves plus summary tables as CSV/JSON.
 
-Outputs are deterministic for a fixed spec and seed.  Wall-clock columns
-are reported for information only; ``deterministic=True`` zeroes them so
-repeated executions produce byte-identical files (the mode used by the
-``verify`` battery).
+Outputs depend only on the spec and seed, except for the wall-clock
+fields, which :func:`timing_free` zeroes where files must be byte-identical;
+:func:`write_outputs` writes a run's three files.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +30,8 @@ __all__ = [
     "emit_summary_csv",
     "emit_json",
     "records_to_json",
+    "timing_free",
+    "write_outputs",
     "verification_suite",
     "VerificationCheck",
 ]
@@ -139,42 +140,50 @@ def _write_csv(path, header: str, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def emit_csv(records: list[RunRecord], path, deterministic: bool = False) -> None:
+def timing_free(records: list[RunRecord]) -> list[RunRecord]:
+    """Copies of ``records`` with every ``wall_ms`` and ``total_wall_ms`` at 0.0."""
+    return [replace(rec, rows=[replace(row, wall_ms=0.0) for row in rec.rows], total_wall_ms=0.0) for rec in records]
+
+
+def write_outputs(records: list[RunRecord], prefix) -> None:
+    """A run's one file set: ``<prefix>.csv``, ``<prefix>.summary.csv`` and ``<prefix>.json``."""
+    emit_csv(records, f"{prefix}.csv")
+    emit_summary_csv(records, f"{prefix}.summary.csv")
+    emit_json(records, f"{prefix}.json")
+
+
+def emit_csv(records: list[RunRecord], path) -> None:
     """Per-k curve CSV with columns
     method,problem,n,epsilon,seed,k,rel_error,inner_iters,wall_ms."""
     _write_csv(path, CURVE_COLUMNS, (
         (rec.method, rec.problem, rec.size, rec.epsilon, rec.seed,
-         row.k, row.rel_error, row.inner_iterations, 0.0 if deterministic else row.wall_ms)
+         row.k, row.rel_error, row.inner_iterations, row.wall_ms)
         for rec in records for row in rec.rows
     ))
 
 
-def emit_summary_csv(records: list[RunRecord], path, deterministic: bool = False) -> None:
+def emit_summary_csv(records: list[RunRecord], path) -> None:
     """Best-per-run summary CSV with columns
     method,problem,epsilon,best_k,best_error,total_wall_ms."""
     _write_csv(path, SUMMARY_COLUMNS, (
-        (rec.method, rec.problem, rec.epsilon, rec.best_k, rec.best_error,
-         0.0 if deterministic else rec.total_wall_ms)
+        (rec.method, rec.problem, rec.epsilon, rec.best_k, rec.best_error, rec.total_wall_ms)
         for rec in records
     ))
 
 
-def records_to_json(records: list[RunRecord], deterministic: bool = False) -> str:
+def records_to_json(records: list[RunRecord]) -> str:
     payload = []
     for rec in records:
         entry = asdict(rec)
-        if deterministic:
-            entry["total_wall_ms"] = 0.0
         for row in entry["rows"]:
-            row["wall_ms"] = 0.0 if deterministic else row["wall_ms"]
             row["rel_error"] = row["rel_error"] if np.isfinite(row["rel_error"]) else None  # RFC 8259 has no NaN
         payload.append(entry)
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
-def emit_json(records: list[RunRecord], path, deterministic: bool = False) -> None:
+def emit_json(records: list[RunRecord], path) -> None:
     """JSON mirror of the run records."""
-    _write_text(path, records_to_json(records, deterministic) + "\n")
+    _write_text(path, records_to_json(records) + "\n")
 
 
 def _write_text(path, text: str) -> None:

@@ -1,3 +1,4 @@
+import copy
 import json
 import types
 
@@ -19,6 +20,7 @@ from krylreg.harness import (
     emit_summary_csv,
     records_to_json,
     run_experiment,
+    timing_free,
 )
 from krylreg.hybrid import InnerFallback, hyb_cgme_step, hyb_tcgme_step
 from krylreg.metrics import Truth, relative_error
@@ -230,9 +232,9 @@ def test_emit_csv_deterministic_bytes(tmp_path):
     for i in range(2):
         records = run_experiment(SMALL_SPEC)
         path = tmp_path / f"run{i}.csv"
-        emit_csv(records, path, deterministic=True)
+        emit_csv(timing_free(records), path)
         spath = tmp_path / f"run{i}-summary.csv"
-        emit_summary_csv(records, spath, deterministic=True)
+        emit_summary_csv(timing_free(records), spath)
         paths.append((path.read_bytes(), spath.read_bytes()))
     assert paths[0] == paths[1]
 
@@ -256,9 +258,18 @@ def test_json_roundtrip_mirrors_records(tmp_path):
 
 def test_records_to_json_deterministic_zeroes_timing():
     records = run_experiment(SMALL_SPEC)
-    payload = json.loads(records_to_json(records, deterministic=True))
+    before = copy.deepcopy(records)
+    payload = json.loads(records_to_json(timing_free(records)))
     assert payload[0]["total_wall_ms"] == 0.0
     assert all(row["wall_ms"] == 0.0 for row in payload[0]["rows"])
+    # the input keeps its times, and only the time fields differ
+    assert records == before and records[0].total_wall_ms > 0.0
+    timed = json.loads(records_to_json(records))
+    for entry in timed:
+        entry["total_wall_ms"] = 0.0
+        for row in entry["rows"]:
+            row["wall_ms"] = 0.0
+    assert timed == payload
 
 
 def test_blur2d_end_to_end_through_harness():

@@ -548,3 +548,49 @@ def test_rows_record_inner_cap_hits_in_the_json_records_only(tmp_path):
     assert [row["inner_cap_hit"] for row in json.loads(records_to_json([capped]))[0]["rows"]] == [True, False]
     emit_csv([capped], tmp_path / "curves.csv")
     assert (tmp_path / "curves.csv").read_text().splitlines()[0] == CURVE_COLUMNS
+
+
+def sweep_answer(record):
+    """Everything a sweep answers except its times."""
+    rows = [(row.k, row.rel_error, row.inner_iterations, row.inner_cap_hit) for row in record.rows]
+    return rows, record.best_k, record.best_error, record.breakdown, record.error, record.fallbacks
+
+
+SCALE_CASES = [("shaw", 200, "first_diff_1d"), ("heat", 200, "first_diff_1d"), ("deriv2", 200, "first_diff_1d"),
+               ("baart", 200, "identity"), ("blur2d", 16, "first_diff_2d")]
+
+
+@pytest.mark.parametrize("name, size, L_kind", SCALE_CASES)
+def test_sweep_is_exactly_invariant_under_power_of_two_scaling(name, size, L_kind):
+    # scaling b, b_true and x_true by a power of two commutes with every
+    # rounding, so the scaled sweep answers bit for bit as the unscaled one
+    problem = build_problem(name, size, 1e-2, 20240101, L_kind=L_kind)
+    unscaled = run_hybrid(problem, METHODS, max_outer_k=12)
+    for factor in (2.0 ** -30, 2.0 ** 20):
+        scaled = dataclasses.replace(problem, b=factor * problem.b, b_true=factor * problem.b_true,
+                                     x_true=factor * problem.x_true)
+        for method, record in run_hybrid(scaled, METHODS, max_outer_k=12).items():
+            assert sweep_answer(record) == sweep_answer(unscaled[method]), (method, factor)
+
+
+@pytest.mark.parametrize("seed", [20240101, 20250607])
+def test_blur2d_sweep_is_invariant_under_transposing_the_image(seed):
+    # the separable blur and the stacked 2-D differences treat both image
+    # axes alike; below N of about 32 the rows past k of 15 to 28 are
+    # rounding, so the pin is at N=48, where rows agree to 9e-15
+    N = 48
+    problem = build_problem("blur2d", N, 1e-2, seed, L_kind="first_diff_2d")
+
+    def transposed(v):
+        return v.reshape((N, N), order="F").T.ravel(order="F")
+
+    twin = dataclasses.replace(problem, b=transposed(problem.b), b_true=transposed(problem.b_true),
+                               x_true=transposed(problem.x_true))
+    methods = ("hyb_cgme", "hyb_tcgme")
+    records = run_hybrid(problem, methods, max_outer_k=30)
+    twins = run_hybrid(twin, methods, max_outer_k=30)
+    for method in methods:
+        record, other = records[method], twins[method]
+        assert len(record.rows) == len(other.rows) and record.best_k == other.best_k, method
+        assert record.fallbacks == [] and other.fallbacks == [], method
+        np.testing.assert_allclose(rel_errors(other), rel_errors(record), rtol=1e-11, atol=0.0)

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts that reproduce the desk and blur tables."""
 
+import json
 import runpy
 import subprocess
 import sys
@@ -17,7 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "script,args,suffixes",
     [
         ("run_desk_tables.py", ("--n", "64", "--max-k", "3"), (".csv", ".summary.csv", ".json")),
-        ("run_blur2d.py", ("--side", "16", "--max-k", "3"), (".csv", ".summary.csv")),
+        ("run_blur2d.py", ("--side", "16", "--max-k", "3"), (".csv", ".summary.csv", ".json")),
     ],
 )
 def test_script_writes_its_tables(tmp_path, script, args, suffixes):
@@ -30,6 +31,8 @@ def test_script_writes_its_tables(tmp_path, script, args, suffixes):
     summary = (tmp_path / "tables.summary.csv").read_text().splitlines()
     assert curve[0] == CURVE_COLUMNS and len(curve) > 1
     assert summary[0] == SUMMARY_COLUMNS and len(summary) > 1
+    records = json.loads((tmp_path / "tables.json").read_text())
+    assert len(records) == len(summary) - 1 and all("interior_minimum" in rec for rec in records)
 
 
 @pytest.mark.parametrize("script", ["run_desk_tables.py", "run_blur2d.py"])
